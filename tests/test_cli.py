@@ -467,6 +467,29 @@ def test_cli_reference_unregularized(tmp_path, capsys):
     assert np.isfinite(out["value"])
 
 
+def test_cli_reference_runtime_error_exits_2(tmp_path, capsys, monkeypatch):
+    import sdot.solver as solver_mod
+
+    def fail(*args):
+        raise RuntimeError("boundary reduction did not certify a transport optimum")
+
+    monkeypatch.setattr(solver_mod, "_reduced_transport_value_phi", fail)
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 1},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
+                    "weights": [0.4, 0.3, 0.3]},
+        "cost": {"kind": "sup-norm"},
+        "model": None,
+        "T": 400,
+    }
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main(["reference", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == (
+        "error: boundary reduction did not certify a transport optimum")
+
+
 def test_cli_experiment_end_to_end(tmp_path, capsys):
     cfg = tiny_config_dict()
     cfg_path = _write_json(tmp_path, "config.json", cfg)

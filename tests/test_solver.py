@@ -372,12 +372,12 @@ def test_reduced_lp_certifies_against_direct():
     a = np.full(900, 1 / 900)
     nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
     direct = solver_mod._transport_lp(DiscreteMeasure(X, a), nu, SUP)[0]
-    value, phi = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    value, phi, _ = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
     assert value == pytest.approx(direct, abs=1e-8)
     # the pair is self-consistent: value is the semi-dual objective at phi
     psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, SUP), axis=1)
     assert nu.weights @ phi - a @ psi == pytest.approx(value, abs=1e-12)
-    value2, phi2 = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    value2, phi2, _ = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
     assert value2 == value
     assert np.array_equal(phi2, phi)
 
@@ -396,6 +396,44 @@ def test_reference_switches_to_reduction(monkeypatch):
     direct = solver_mod._transport_lp(DiscreteMeasure(X, np.full(300, 1 / 300)), nu, SUP)[0]
     assert value == pytest.approx(direct, abs=1e-8)
     assert abs(phi.mean()) <= 1e-12
+    assert abs(info["gap"]) <= 1e-6 * max(1.0, abs(value))
+    assert info["passes"] == len(info["boundary"]) >= 1
+    assert all(0 <= r <= 300 and v >= 0 for r, v in info["boundary"])
+
+
+@pytest.mark.parametrize("m", [300, 2000, 4000])
+@pytest.mark.parametrize("n", [1, 2, 7])
+@pytest.mark.parametrize("cost", [SUP, SQ], ids=["sup", "sq"])
+@pytest.mark.parametrize("sample", ["gaussian", "repeated"])
+def test_reduced_lp_entropic_pilot_certifies(m, n, cost, sample):
+    import sdot.solver as solver_mod
+
+    rng = np.random.default_rng(1000 * m + 10 * n + (sample == "repeated"))
+    if sample == "gaussian":
+        X = rng.standard_normal((m, 2))
+    else:
+        # an empirical sample on 40 support points: exact cost ties
+        X = rng.uniform(-1, 1, size=(40, 2))[rng.integers(0, 40, size=m)]
+    a = np.full(m, 1 / m)
+    nu = random_measure(rng, n, 2)
+    direct = solver_mod._transport_lp(DiscreteMeasure(X, a), nu, cost)[0]
+    value, phi, cert = solver_mod._reduced_transport_value_phi(X, a, nu, cost)
+    assert value == pytest.approx(direct, abs=1e-8)
+    psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, cost), axis=1)
+    assert nu.weights @ phi - a @ psi == pytest.approx(value, abs=1e-12)
+    assert abs(phi.mean()) <= 1e-12
+    assert cert["gap"] <= 1e-6 * max(1.0, abs(value))
+    assert cert["passes"] == len(cert["boundary"]) <= 16
+
+
+def test_reference_direct_lp_reports_gap():
+    rng = np.random.default_rng(69)
+    nu = random_measure(rng, 4, 2)
+    spec = SamplerSpec("gaussian-standard", d=2, seed=42)
+    value, _, info = finite_sample_reference(spec, nu, SUP, None, 20)
+    assert info["reduced"] is False
+    assert abs(info["gap"]) <= 1e-9 * max(1.0, abs(value))
+    assert "passes" not in info and "tikhonov" not in info
 
 
 # ----------------------------------------------------------------- agd
