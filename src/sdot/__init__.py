@@ -3,7 +3,7 @@
 Modules:
     core      measures, costs, samplers, the plain discrete c-transform
     noise     marginal noise families, choice probabilities, smooth transforms
-    solver    averaged SGD, accelerated gradient and LP reference solvers
+    solver    averaged SGD, damped Newton and LP reference solvers
     hardness  knapsack-volume recovery through two-atom transport
     cli       experiment runner, slope fits, SVG plots, command line
 """
@@ -34,12 +34,12 @@ from sdot.solver import (
     SolverConfig,
     SolverTrace,
     averaged_sgd,
+    damped_newton,
     dual_objective_estimate,
     exact_discrete_ot,
     exact_discrete_ot_duals,
     finite_sample_reference,
     kappa_estimate,
-    nesterov_agd,
     step_size,
 )
 from sdot.hardness import (

@@ -217,7 +217,8 @@ def _cell_stream_spec(config: ExperimentConfig, T: int, seed: int) -> SamplerSpe
     return SamplerSpec(sp.kind, d=sp.d, seed=child)
 
 
-def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int) -> ConvergenceRecord:
+def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
+    """One cell's record, and the reference's ``info`` with its seconds ``s``."""
     spec = _cell_stream_spec(config, T, seed)
     nu, c = config.measure, config.cost
     t0 = time.perf_counter()
@@ -232,29 +233,29 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int) -> C
         scfg = SolverConfig(T=T, rule=rule, eps_bar=eps_bar, L=lips)
         _, phi_out, _ = averaged_sgd(spec, nu, c, model, scfg)
         bar_avg = phi_out
-    value, phi_star, _ = finite_sample_reference(
+    t_ref = time.perf_counter()
+    value, phi_star, info = finite_sample_reference(
         spec, nu, c, model, T, eps_bar=config.eps_bar, multiplier=config.multiplier)
+    reference = {**info, "s": time.perf_counter() - t_ref}
     X = draw(spec, config.multiplier * T)
     estimate, _ = dual_objective_estimate(phi_out, nu, c, model, X)
     gauge = bar_avg - bar_avg.mean()
     ms = (time.perf_counter() - t0) * 1000.0
     return ConvergenceRecord(tag, T, seed, float(value - estimate),
-                             float(np.sum((gauge - phi_star) ** 2)), ms)
+                             float(np.sum((gauge - phi_star) ** 2)), ms), reference
 
 
 def _cell_worker(payload):
     config = ExperimentConfig.from_json(json.loads(payload["config"]))
     tag = payload["tag"]
     model = dict(config.models)[tag]
-    rec = _run_cell(config, tag, model, payload["T"], payload["seed"])
-    return {"model": rec.model, "T": rec.T, "seed": rec.seed,
-            "subopt": rec.subopt, "potgap": rec.potgap, "ms": rec.ms}
+    return _run_cell(config, tag, model, payload["T"], payload["seed"])
 
 
-def _manifest_line(rec: ConvergenceRecord) -> str:
+def _manifest_line(rec: ConvergenceRecord, reference: dict) -> str:
     return json.dumps({"model": rec.model, "T": rec.T, "seed": rec.seed,
-                       "subopt": rec.subopt, "potgap": rec.potgap, "ms": rec.ms},
-                      sort_keys=True)
+                       "subopt": rec.subopt, "potgap": rec.potgap, "ms": rec.ms,
+                       "reference": reference}, sort_keys=True)
 
 
 def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
@@ -279,8 +280,9 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         Records in canonical order (config model order, then T, then
         seed) and the path of the CSV they were written to.
 
-    Completed cells are appended to manifest.jsonl as they finish, so a
-    failed run leaves a resumable trail.
+    Completed cells are appended to manifest.jsonl as they finish, each
+    with a ``reference`` object (the reference's method, certificate and
+    seconds), so a failed run leaves a resumable, diagnosable trail.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -309,9 +311,9 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
             mf.flush()
         if workers <= 1:
             for tag, model, T, seed in pending:
-                rec = _run_cell(config, tag, model, T, seed)
+                rec, reference = _run_cell(config, tag, model, T, seed)
                 done[(tag, T, seed)] = rec
-                mf.write(_manifest_line(rec) + "\n")
+                mf.write(_manifest_line(rec, reference) + "\n")
                 mf.flush()
         elif pending:
             blob = json.dumps(config.to_json())
@@ -320,11 +322,9 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
                                        {"config": blob, "tag": tag, "T": T, "seed": seed})
                            for tag, _, T, seed in pending]
                 for fut in as_completed(futures):
-                    d = fut.result()
-                    rec = ConvergenceRecord(d["model"], d["T"], d["seed"],
-                                            d["subopt"], d["potgap"], d["ms"])
+                    rec, reference = fut.result()
                     done[(rec.model, rec.T, rec.seed)] = rec
-                    mf.write(_manifest_line(rec) + "\n")
+                    mf.write(_manifest_line(rec, reference) + "\n")
                     mf.flush()
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"

@@ -510,30 +510,32 @@ def self_concordance_bound(model: MarginalModel) -> float | None:
 
 # -------------------------------------------------- jacobian and chebyshev
 
-def choice_jacobian(u, model: MarginalModel, eps: float = 1e-9) -> np.ndarray:
-    """Jacobian of the choice probabilities in the utilities.
-
-    Valid where the optimum keeps every coordinate off the boundary; on
-    boundary coordinates a one-sided zero slope is used.
-    """
-    p = probs_from_utilities(u, model, eps=eps).p
+def averaged_choice_jacobian(P: np.ndarray, weights, model: MarginalModel) -> np.ndarray:
+    """Weighted sum over the rows of P of the choice-probability Jacobians
+    diag(g) - g g^T / sum(g), g the marginal cdf slopes at the row (zero,
+    one-sided, on boundary coordinates)."""
     lam, eta = model.lam, model.eta
     if model.kind == "exponential":
-        g = p / lam
+        G = P / lam
     elif model.kind == "uniform":
-        g = np.where(p > 0.0, eta / (2.0 * lam), 0.0)
+        G = np.where(P > 0.0, eta / (2.0 * lam), 0.0)
     elif model.kind == "hyperbolic":
-        g = np.where(p > 0.0, np.sqrt(eta * eta + p * p) / lam, 0.0)
+        G = np.where(P > 0.0, np.sqrt(eta * eta + P * P) / lam, 0.0)
     elif model.kind == "tdist":
-        a = p / (eta * model.n)
-        g = eta * model.n * np.clip(4.0 * a * (1.0 - a), 0.0, None) ** 1.5 / (2.0 * lam)
+        a = P / (eta * model.n)
+        G = eta * model.n * np.clip(4.0 * a * (1.0 - a), 0.0, None) ** 1.5 / (2.0 * lam)
     else:
         with np.errstate(divide="ignore"):
-            g = np.where(p > 0.0, eta * (p / eta) ** (2.0 - model.q), 0.0) / (lam * model.q)
-    total = g.sum()
-    if total <= 0.0:
-        return np.zeros((model.n, model.n))
-    return np.diag(g) - np.outer(g, g) / total
+            G = np.where(P > 0.0, eta * (P / eta) ** (2.0 - model.q), 0.0) / (lam * model.q)
+    total = G.sum(axis=1)
+    share = np.divide(weights, total, out=np.zeros_like(total), where=total > 0.0)
+    return np.diag(weights @ G) - G.T @ (share[:, None] * G)
+
+
+def choice_jacobian(u, model: MarginalModel, eps: float = 1e-9) -> np.ndarray:
+    """Jacobian of the choice probabilities in the utilities (one-sided at the boundary)."""
+    p = probs_from_utilities(u, model, eps=eps).p
+    return averaged_choice_jacobian(p[None, :], np.ones(1), model)
 
 
 def project_to_simplex(v) -> np.ndarray:

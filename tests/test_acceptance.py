@@ -34,7 +34,7 @@ from sdot.noise import (
     sparsemax_probs,
     utilities_values_probs,
 )
-from sdot.solver import nesterov_agd
+from sdot.solver import damped_newton
 from sdot.hardness import (
     KnapsackInstance,
     QuadratureSpec,
@@ -241,7 +241,7 @@ def test_05_regularized_duality_gap_closes(capsys):
         lam = float(rng.uniform(0.2, 1.0))
         for kind in ("exponential", "uniform"):
             model = MarginalModel(kind, lam, _random_eta(rng, n))
-            phi, info = nesterov_agd(X, w, nu, COST, model)
+            phi, info = damped_newton(X, w, nu, COST, model)
             dual = info["value"]
             U = phi[None, :] - cost_matrix(X, atoms, COST)
             _, P = utilities_values_probs(U, model)

@@ -186,6 +186,30 @@ def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
     assert Path(resumed).read_bytes() == Path(full).read_bytes()
 
 
+def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
+    cfg = ExperimentConfig.from_json(tiny_config_dict())
+    _, full = run_convergence_experiment(cfg, out_dir=tmp_path / "full", workers=2)
+    lines = (tmp_path / "full" / "manifest.jsonl").read_text().splitlines()
+    cells = [json.loads(line) for line in lines[1:]]
+    assert len(cells) == 12
+    for cell in cells:
+        ref = cell["reference"]
+        assert ref["s"] >= 0.0 and ref["samples"] == 2 * cell["T"]
+        if cell["model"] == "none":
+            assert ref["method"] == "lp" and abs(ref["gap"]) <= 1e-9
+        else:
+            assert ref["method"] == "newton" and ref["grad_norm"] <= 1e-7
+            assert ref["iterations"] >= 1
+    # a manifest written before cells carried a reference object
+    old = tmp_path / "old"
+    old.mkdir()
+    kept = [json.dumps({k: v for k, v in cell.items() if k != "reference"}) for cell in cells[:5]]
+    (old / "manifest.jsonl").write_text("\n".join(lines[:1] + kept) + "\n")
+    _, resumed = run_convergence_experiment(cfg, out_dir=old, resume=True)
+    assert Path(resumed).read_bytes() == Path(full).read_bytes()
+    assert len((old / "manifest.jsonl").read_text().splitlines()) == 1 + 12
+
+
 def test_resume_rejects_other_config(tmp_path):
     cfg = ExperimentConfig.from_json(tiny_config_dict())
     run_convergence_experiment(cfg, out_dir=tmp_path)

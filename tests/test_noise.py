@@ -15,6 +15,7 @@ from sdot.noise import (
     DivergenceGenerator,
     MarginalModel,
     approximation_bound,
+    averaged_choice_jacobian,
     bisection_probs,
     chebyshev_value,
     choice_jacobian,
@@ -31,6 +32,7 @@ from sdot.noise import (
     smooth_c_transform,
     softmax_probs,
     sparsemax_probs,
+    utilities_values_probs,
 )
 
 ALL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
@@ -601,6 +603,17 @@ def test_hessian_implicit_function_formula():
     p = softmax_probs(u, model.eta, model.lam).p
     expect = (np.diag(p) - np.outer(p, p)) / model.lam
     assert np.allclose(choice_jacobian(u, model), expect, atol=1e-12)
+
+
+def test_averaged_jacobian_matches_sum_of_row_jacobians():
+    rng = np.random.default_rng(26)
+    for kind in ALL_KINDS:
+        model = make_model(rng, kind, 4, lam=0.9)
+        U = rng.normal(scale=0.5, size=(7, 4))
+        w = random_eta(rng, 7)
+        _, P = utilities_values_probs(U, model, eps=1e-10)
+        expect = sum(w[j] * choice_jacobian(U[j], model, eps=1e-10) for j in range(7))
+        assert np.allclose(averaged_choice_jacobian(P, w, model), expect, rtol=0, atol=1e-12)
 
 
 # ----------------------------------------------------- bounds, chebyshev

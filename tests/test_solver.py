@@ -1,14 +1,17 @@
 """Averaged SGD, step rules, reference solvers. Oracles: a hand-rolled replay
 of the iteration for the update arithmetic, permutation enumeration for the
 transport LP, scipy quadrature for Monte Carlo estimates, and the primal
-construction identity for the accelerated solver."""
+construction identity for the damped Newton solver."""
 
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sdot.cli import ExperimentConfig
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
@@ -30,12 +33,12 @@ from sdot.solver import (
     RateConstants,
     SolverConfig,
     averaged_sgd,
+    damped_newton,
     dual_objective_estimate,
     exact_discrete_ot,
     exact_discrete_ot_duals,
     finite_sample_reference,
     kappa_estimate,
-    nesterov_agd,
     step_size,
 )
 
@@ -436,21 +439,21 @@ def test_reference_direct_lp_reports_gap():
     assert "passes" not in info and "tikhonov" not in info
 
 
-# ----------------------------------------------------------------- agd
+# -------------------------------------------------------------- newton
 
 def test_agd_rejects_bisection_models():
     rng = np.random.default_rng(52)
     nu = random_measure(rng, 3, 2)
     model = MarginalModel("hyperbolic", 0.5, np.full(3, 1 / 3))
     with pytest.raises(ValueError):
-        nesterov_agd(rng.normal(size=(5, 2)), np.full(5, 0.2), nu, SUP, model)
+        damped_newton(rng.normal(size=(5, 2)), np.full(5, 0.2), nu, SUP, model)
 
 
 def test_agd_symmetric_instance():
     pts = np.array([[-1.0], [1.0]])
     nu = DiscreteMeasure(pts, np.full(2, 0.5))
     model = MarginalModel("exponential", 0.5, np.full(2, 0.5))
-    phi, info = nesterov_agd(pts, np.full(2, 0.5), nu, SQ, model)
+    phi, info = damped_newton(pts, np.full(2, 0.5), nu, SQ, model)
     assert info["grad_norm"] <= 1e-7
     assert abs(phi[0] - phi[1]) <= 1e-6
     assert abs(phi.mean()) <= 1e-12
@@ -461,7 +464,7 @@ def test_agd_single_atom_value():
     pts = rng.normal(size=(6, 2))
     nu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
     model = MarginalModel("exponential", 0.5, np.array([1.0]))
-    phi, info = nesterov_agd(pts, np.full(6, 1 / 6), nu, SQ, model)
+    phi, info = damped_newton(pts, np.full(6, 1 / 6), nu, SQ, model)
     ref = cost_matrix(pts, nu.atoms, SQ).mean()
     assert info["value"] == pytest.approx(ref, abs=1e-10)
 
@@ -473,7 +476,7 @@ def test_agd_primal_dual_gap():
         w = np.full(5, 0.2)
         nu = random_measure(rng, 4, 2)
         model = MarginalModel(kind, lam, np.full(4, 0.25))
-        phi, info = nesterov_agd(pts, w, nu, SUP, model)
+        phi, info = damped_newton(pts, w, nu, SUP, model)
         assert info["grad_norm"] <= 1e-7
         C = cost_matrix(pts, nu.atoms, SUP)
         from sdot.noise import probs_from_utilities
@@ -495,9 +498,48 @@ def test_agd_between_plain_value_and_bound():
     plain, _ = exact_discrete_ot(mu, nu, SQ)
     for kind in ("exponential", "uniform"):
         model = MarginalModel(kind, 0.6, np.full(4, 0.25))
-        _, info = nesterov_agd(pts, w, nu, SQ, model)
+        _, info = damped_newton(pts, w, nu, SQ, model)
         assert info["value"] >= plain - 1e-8
         assert info["value"] <= plain + approximation_bound(model) + 1e-8
+
+
+def _random_small_instances(count):
+    rng = np.random.default_rng(105)
+    for _ in range(count):
+        m, n = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        pts = rng.uniform(-1, 1, size=(m, 2))
+        w = rng.uniform(0.2, 1.0, m)
+        nu = random_measure(rng, n, 2)
+        lam = float(rng.choice([0.01, 0.05, 0.2, 1.0]))
+        eta = rng.uniform(0.2, 1.0, n)
+        yield pts, w / w.sum(), nu, lam, eta / eta.sum()
+
+
+def test_newton_certifies_random_small_instances():
+    for pts, w, nu, lam, eta in _random_small_instances(100):
+        for kind in ("exponential", "uniform"):
+            phi, info = damped_newton(pts, w, nu, SUP, MarginalModel(kind, lam, eta))
+            assert info["grad_norm"] <= 1e-7
+            assert np.all(np.isfinite(phi))
+
+
+def test_newton_raises_at_iteration_cap():
+    pts, w, nu, _, _ = next(_random_small_instances(1))
+    model = MarginalModel("exponential", 0.05, np.full(nu.n_atoms, 1 / nu.n_atoms))
+    with pytest.raises(RuntimeError, match="gradient norm"):
+        damped_newton(pts, w, nu, SUP, model, max_iter=1)
+
+
+def test_newton_iterations_on_gating_instance():
+    path = Path(__file__).resolve().parents[1] / "demos" / "convergence_config.json"
+    cfg = ExperimentConfig.from_json(json.loads(path.read_text()))
+    for tag, model in cfg.models:
+        if model is None:
+            continue
+        _, _, info = finite_sample_reference(cfg.sampler, cfg.measure, cfg.cost, model, 1000)
+        assert info["method"] == "newton"
+        assert info["grad_norm"] <= 1e-7
+        assert info["iterations"] <= 10, tag
 
 
 # ------------------------------------------------------------- reference
@@ -554,7 +596,7 @@ def test_kappa_estimate_positive():
     nu = random_measure(rng, 4, 2)
     pts = rng.uniform(-1, 1, size=(30, 2))
     model = MarginalModel("exponential", 0.5, np.full(4, 0.25))
-    phi, _ = nesterov_agd(pts, np.full(30, 1 / 30), nu, SQ, model)
+    phi, _ = damped_newton(pts, np.full(30, 1 / 30), nu, SQ, model)
     kap = kappa_estimate(phi, pts, np.full(30, 1 / 30), nu, SQ, model)
     assert kap > 0.0
     assert kap <= 1.0 / model.lam + 1e-9
