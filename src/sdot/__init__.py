@@ -11,7 +11,6 @@ Modules:
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
-    Potential,
     Sampler,
     SamplerSpec,
     cost_matrix,
@@ -19,7 +18,6 @@ from sdot.core import (
     discrete_c_transform,
     draw,
     eval_cost,
-    make_sampler,
     subgradient_indicator,
 )
 from sdot.noise import (
@@ -37,7 +35,6 @@ from sdot.solver import (
     damped_newton,
     dual_objective_estimate,
     exact_discrete_ot,
-    exact_discrete_ot_duals,
     finite_sample_reference,
     kappa_estimate,
     step_size,

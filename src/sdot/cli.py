@@ -21,14 +21,13 @@ import numpy as np
 
 from .core import CostSpec, DiscreteMeasure, SamplerSpec, cost_vector, derive_seed, draw
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
-from .noise import MarginalModel, marginal_lipschitz, utilities_values_probs
+from .noise import (CLOSED_FORM_KINDS, MarginalModel, _check_utilities, marginal_lipschitz,
+                    utilities_values_probs)
 from .solver import SolverConfig, averaged_sgd, dual_objective_estimate, finite_sample_reference
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
 TIMING_MODES = ("zero", "measured")
-
-_CLOSED_FORM_KINDS = ("exponential", "uniform")
 
 
 # ------------------------------------------------------------------- config
@@ -227,7 +226,7 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
         scfg = SolverConfig(T=T, rule="lipschitz", eps_bar=0.0, tikhonov=1e-8)
         phi_out, bar_avg, _ = averaged_sgd(spec, nu, c, None, scfg)
     else:
-        eps_bar = 0.0 if model.kind in _CLOSED_FORM_KINDS else config.eps_bar
+        eps_bar = 0.0 if model.kind in CLOSED_FORM_KINDS else config.eps_bar
         lips = marginal_lipschitz(model)
         rule = "smooth" if lips is not None else "lipschitz"
         scfg = SolverConfig(T=T, rule=rule, eps_bar=eps_bar, L=lips)
@@ -515,7 +514,7 @@ def _print_json(obj):
 def _cmd_probs(args) -> int:
     obj = _load_input(args.infile)
     model = MarginalModel.from_json(_require(obj, "model"))
-    u = np.asarray(_require(obj, "u"), dtype=float)
+    u = _check_utilities(_require(obj, "u"), model.n)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"p": P[0].tolist(), "value": float(vals[0])})
     return 0
@@ -529,7 +528,7 @@ def _cmd_transform(args) -> int:
     phi = np.asarray(_require(obj, "phi"), dtype=float)
     if phi.shape != (nu.n_atoms,):
         raise ValueError("input field 'phi' must have one entry per measure atom")
-    u = phi - cost_vector(_require(obj, "x"), nu.atoms, c)
+    u = _check_utilities(phi - cost_vector(_require(obj, "x"), nu.atoms, c), nu.n_atoms)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"value": float(vals[0]), "p": P[0].tolist()})
     return 0
@@ -548,7 +547,7 @@ def _cmd_solve(args) -> int:
         lips = marginal_lipschitz(model)
     eps_bar = sd.get("eps_bar")
     if eps_bar is None:
-        eps_bar = 0.1 if model is not None and model.kind not in _CLOSED_FORM_KINDS else 0.0
+        eps_bar = 0.1 if model is not None and model.kind not in CLOSED_FORM_KINDS else 0.0
     config = SolverConfig(
         T=T, rule=sd.get("rule", "lipschitz"), eps_bar=float(eps_bar), L=lips,
         M=sd.get("M"), tikhonov=float(sd.get("tikhonov", 0.0)),

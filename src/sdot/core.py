@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "CostSpec",
     "DiscreteMeasure",
-    "Potential",
     "Sampler",
     "SamplerSpec",
     "cost_matrix",
@@ -29,7 +28,6 @@ __all__ = [
     "discrete_c_transform",
     "draw",
     "eval_cost",
-    "make_sampler",
     "subgradient_indicator",
 ]
 
@@ -170,25 +168,6 @@ class SamplerSpec:
         return cls(obj["kind"], d=obj.get("d"), seed=obj.get("seed", 0))
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Dual vector phi, one entry per atom of the paired measure."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or not np.all(np.isfinite(v)):
-            raise ValueError("potential must be a finite 1-D vector")
-        object.__setattr__(self, "values", _readonly(v))
-
-    def as_array(self) -> np.ndarray:
-        return self.values
-
-    def to_json(self) -> list:
-        return self.values.tolist()
-
-
 def derive_seed(seed: int, *parts: int) -> int:
     """Deterministic child seed for per-run streams keyed by integer tags."""
     ss = np.random.SeedSequence([int(seed), *[int(p) for p in parts]])
@@ -223,10 +202,6 @@ class Sampler:
         return spec.points[idx]
 
 
-def make_sampler(spec: SamplerSpec) -> Sampler:
-    return Sampler(spec)
-
-
 def draw(sampler: Sampler | SamplerSpec, n: int) -> np.ndarray:
     """Draw ``n`` points. A spec starts a fresh stream; a Sampler continues its own."""
     if isinstance(sampler, SamplerSpec):
@@ -235,7 +210,7 @@ def draw(sampler: Sampler | SamplerSpec, n: int) -> np.ndarray:
 
 
 def _as_phi(phi, n: int) -> np.ndarray:
-    v = phi.values if isinstance(phi, Potential) else np.asarray(phi, dtype=float)
+    v = np.asarray(phi, dtype=float)
     if v.shape != (n,):
         raise ValueError(f"potential has length {v.shape}, measure has {n} atoms")
     if not np.all(np.isfinite(v)):

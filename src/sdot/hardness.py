@@ -137,19 +137,17 @@ def wc_two_point(inst: KnapsackInstance, t: float, quad: QuadratureSpec) -> floa
     return _wc_from_costs(t, c1, c2)
 
 
-def binary_search_min(g, delta: float, oracle_error: float = 0.0) -> float:
+def binary_search_min(g, delta: float) -> float:
     """Locate the minimizer of a strictly convex g on [0, 1].
 
     Probes first differences of g on a dyadic grid of 2^L cells with
     L = ceil(log2(1/delta)) + 1, making exactly 2L oracle calls. The
     output is within delta of the true minimizer for an exact oracle and
-    within 2*delta when evaluations carry an error up to ``oracle_error``
-    small enough to respect the grid's separation (the caller must ensure
-    that; it is recorded, not checked).
+    within 2*delta when evaluations carry an error small enough to respect
+    the grid's separation (the caller must ensure that; it is not checked).
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
-    del oracle_error  # documented contract input; not verifiable here
     levels = int(math.ceil(math.log2(1.0 / delta))) + 1
     cells = 2 ** levels
     lo, hi = 0, cells

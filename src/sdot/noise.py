@@ -6,20 +6,25 @@ measure. Smoothing the discrete max through such a family is equivalent to
 penalizing choice probabilities on the simplex with an f-divergence whose
 generator is the running integral of the quantile of F. This module carries
 both views: the analytic one (cdf/quantile/divergence evaluations) and the
-operational one (choice probabilities and smoothed transform values, via
-closed forms where available and a guarded bisection elsewhere).
+operational one: choice probabilities and smoothed transform values.
+Every caller, one row or many, gets its probabilities from one batched
+kernel, :func:`_choice_rows`: softmax for the exponential kind, sorted
+sparsemax for the uniform kind, and a guarded bisection on the scalar mass
+balance for the other three.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CostSpec, DiscreteMeasure, cost_vector
 
 MODEL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
+# kinds whose choice probabilities have a closed form; the rest bisect
+CLOSED_FORM_KINDS = ("exponential", "uniform")
 
 # shift that normalizes the sinh family so its divergence generator
 # vanishes at 1: sqrt(2) - 1 - arcsinh(1)
@@ -178,7 +183,7 @@ def marginal_quantile(model: MarginalModel, i: int, t: float) -> float:
 
 # -------------------------------------------------------------- divergence
 
-def _f_value(model: MarginalModel, s):
+def divergence_generator_value(model: MarginalModel, s):
     """Divergence generator: integral of the generating quantile from 0 to s."""
     s = np.asarray(s, dtype=float)
     if np.any(s < 0.0):
@@ -204,23 +209,6 @@ def _f_value(model: MarginalModel, s):
     return float(out) if out.ndim == 0 else out
 
 
-def divergence_generator_value(model: MarginalModel, s):
-    return _f_value(model, s)
-
-
-class DivergenceGenerator:
-    """Callable view of the divergence generator f and its derivative."""
-
-    def __init__(self, model: MarginalModel):
-        self.model = model
-
-    def value(self, s):
-        return _f_value(self.model, s)
-
-    def derivative(self, s):
-        return generating_quantile(self.model, s)
-
-
 def discrete_f_divergence(model: MarginalModel, p) -> float:
     """f-divergence of a simplex point p against the model weights eta."""
     p = np.asarray(p, dtype=float)
@@ -229,11 +217,12 @@ def discrete_f_divergence(model: MarginalModel, p) -> float:
     if np.any(p < -1e-12):
         raise ValueError("p entries must be nonnegative")
     p = np.maximum(p, 0.0)
-    return float(np.sum(model.eta * _f_value(model, p / model.eta)))
+    return float(np.sum(model.eta * divergence_generator_value(model, p / model.eta)))
 
 
 def _f_divergence_rows(model: MarginalModel, P: np.ndarray) -> np.ndarray:
-    return np.sum(model.eta[None, :] * _f_value(model, P / model.eta[None, :]), axis=1)
+    return np.sum(model.eta[None, :] * divergence_generator_value(model, P / model.eta[None, :]),
+                  axis=1)
 
 
 # ------------------------------------------------------------ probabilities
@@ -263,37 +252,8 @@ class ChoiceProbabilities:
         object.__setattr__(self, "tol", float(self.tol))
 
 
-def softmax_probs(u, eta, lam: float) -> ChoiceProbabilities:
-    """Weighted softmax with max-shift stabilization."""
-    u = np.asarray(u, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    z = u / lam
-    w = eta * np.exp(z - np.max(z))
-    return ChoiceProbabilities(w / w.sum(), "closed-form", 0.0)
-
-
-def sparsemax_probs(v, eta) -> ChoiceProbabilities:
-    """Maximize sum(v*p) - sum(p^2/eta) over the simplex by support sorting."""
-    v = np.asarray(v, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    order = np.argsort(-v, kind="stable")
-    vs, es = v[order], eta[order]
-    ce = np.cumsum(es)
-    cu = np.cumsum(es * vs)
-    keep = 2.0 + ce * vs > cu
-    k = int(np.max(np.nonzero(keep)[0]))
-    tau = (cu[k] - 2.0) / ce[k]
-    p = np.maximum(eta * (v - tau), 0.0) / 2.0
-    return ChoiceProbabilities(p, "sort", 0.0)
-
-
 def _clip_probs(model: MarginalModel, Z: np.ndarray) -> np.ndarray:
     return np.clip(model.eta[None, :] * _cdf_extended(model, Z), 0.0, 1.0)
-
-
-def _mass_at_tau(u, model: MarginalModel, tau: float) -> float:
-    u = np.asarray(u, dtype=float)
-    return float(_clip_probs(model, (u + tau)[None, :]).sum())
 
 
 def marginal_lipschitz(model: MarginalModel) -> float | None:
@@ -324,7 +284,9 @@ def bisection_delta(model: MarginalModel, eps: float) -> float:
     return (model.lam * q / (q - 1.0)) * (eps / (rootn * float(np.max(model.eta)))) ** (q - 1.0)
 
 
-def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float) -> np.ndarray:
+def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
+    if eps is None or not eps > 0.0:
+        raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
     m, n = U.shape
     if n == 1:
         return np.ones((m, 1))
@@ -351,6 +313,48 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float) -> np.ndar
     return _clip_probs(model, U + lo[:, None])
 
 
+def _softmax_rows(U: np.ndarray, model: MarginalModel):
+    """Log-sum-exp values and weighted softmax rows, max-shift stabilized."""
+    lam = model.lam
+    Z = U / lam
+    mx = Z.max(axis=1)
+    W = model.eta * np.exp(Z - mx[:, None])
+    s = W.sum(axis=1)
+    return lam * (mx + np.log(s)), W / s[:, None]
+
+
+def _choice_rows(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
+    """Choice probabilities for each row of the utilities U, shape (m, n).
+
+    The one implementation behind every caller. The uniform kind maximizes
+    sum(v p) - sum(p^2 / eta) over the simplex, v = u / lam, by support
+    sorting; eps, the l2 accuracy, is read only by the bisection kinds.
+    """
+    if model.kind == "exponential":
+        return _softmax_rows(U, model)[1]
+    if model.kind == "uniform":
+        eta = model.eta
+        V = U / model.lam
+        order = np.argsort(-V, axis=1, kind="stable")
+        rows = np.arange(U.shape[0])
+        vs = V[rows[:, None], order]
+        es = eta[order]
+        ce = np.cumsum(es, axis=1)
+        cu = np.cumsum(es * vs, axis=1)
+        keep = 2.0 + ce * vs > cu
+        k = U.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+        tau = (cu[rows, k] - 2.0) / ce[rows, k]
+        return np.maximum(eta * (V - tau[:, None]), 0.0) / 2.0
+    return _bisection_batch(U, model, eps)
+
+
+def _check_utilities(u, n: int) -> np.ndarray:
+    u = np.asarray(u, dtype=float)
+    if u.shape != (n,) or not np.all(np.isfinite(u)):
+        raise ValueError("u must be a finite vector with one entry per atom")
+    return u
+
+
 def bisection_probs(u, model: MarginalModel, eps: float) -> ChoiceProbabilities:
     """Choice probabilities by bisecting the scalar mass balance.
 
@@ -364,25 +368,22 @@ def bisection_probs(u, model: MarginalModel, eps: float) -> ChoiceProbabilities:
         Target l2 accuracy of the returned vector; must be positive. The
         entries may undersum one by at most sqrt(n) * eps.
     """
-    u = np.asarray(u, dtype=float)
-    if u.ndim != 1 or u.size != model.n or not np.all(np.isfinite(u)):
-        raise ValueError("u must be a finite vector with one entry per atom")
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    u = _check_utilities(u, model.n)
     p = _bisection_batch(u[None, :], model, eps)[0]
     return ChoiceProbabilities(p, "bisection", math.sqrt(model.n) * eps)
 
 
 def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> ChoiceProbabilities:
-    """Dispatch on the model kind: closed form when known, else bisection."""
-    u = np.asarray(u, dtype=float)
-    if model.kind == "exponential":
-        return softmax_probs(u, model.eta, model.lam)
-    if model.kind == "uniform":
-        return sparsemax_probs(u / model.lam, model.eta)
-    if eps is None:
-        raise ValueError(f"model kind {model.kind!r} needs an accuracy eps for bisection")
-    return bisection_probs(u, model, eps)
+    """Validated choice probabilities for one utility vector.
+
+    Closed form for the exponential ("closed-form") and uniform ("sort")
+    kinds; the others bisect to the l2 accuracy ``eps``, which they need.
+    """
+    if model.kind not in CLOSED_FORM_KINDS:
+        return bisection_probs(u, model, eps)
+    u = _check_utilities(u, model.n)
+    method = "closed-form" if model.kind == "exponential" else "sort"
+    return ChoiceProbabilities(_choice_rows(u[None, :], model, None)[0], method, 0.0)
 
 
 def _utilities(phi, x, nu: DiscreteMeasure, c: CostSpec) -> np.ndarray:
@@ -399,7 +400,7 @@ def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: Margin
     Parameters
     ----------
     phi : array_like
-        Potential vector over the atoms of ``nu``.
+        Dual potential vector over the atoms of ``nu``.
     x : array_like
         Source point.
     nu : DiscreteMeasure
@@ -435,31 +436,15 @@ def utilities_values_probs(U: np.ndarray, model: MarginalModel | None,
         return vals, P
     if model.n != n:
         raise ValueError("model weights and utility columns disagree in length")
-    lam, eta = model.lam, model.eta
     if model.kind == "exponential":
-        Z = U / lam
-        mx = Z.max(axis=1)
-        W = eta[None, :] * np.exp(Z - mx[:, None])
-        s = W.sum(axis=1)
-        return lam * (mx + np.log(s)), W / s[:, None]
+        return _softmax_rows(U, model)
+    lam, eta = model.lam, model.eta
+    P = _choice_rows(U, model, eps)
     if model.kind == "uniform":
         V = U / lam
-        order = np.argsort(-V, axis=1, kind="stable")
-        vs = np.take_along_axis(V, order, axis=1)
-        es = eta[order]
-        ce = np.cumsum(es, axis=1)
-        cu = np.cumsum(es * vs, axis=1)
-        keep = 2.0 + ce * vs > cu
-        k = n - 1 - np.argmax(keep[:, ::-1], axis=1)
-        rows = np.arange(m)
-        tau = (cu[rows, k] - 2.0) / ce[rows, k]
-        P = np.maximum(eta[None, :] * (V - tau[:, None]), 0.0) / 2.0
         # folded quadratic form of the maximand at the sorted solution
         vals = lam * (1.0 + (V * P).sum(axis=1) - (P * P / eta[None, :]).sum(axis=1))
         return vals, P
-    if eps is None:
-        raise ValueError(f"model kind {model.kind!r} needs an accuracy eps for bisection")
-    P = _bisection_batch(U, model, eps)
     # evaluate the maximand at the nearest simplex point so the value
     # error stays quadratic in eps and never exceeds the plain max
     pad = P + eta[None, :] * (1.0 - P.sum(axis=1))[:, None]
@@ -493,19 +478,8 @@ def smooth_c_transform(phi, x, nu: DiscreteMeasure, c: CostSpec,
 def approximation_bound(model: MarginalModel) -> float:
     """Worst-case gap between the plain and smoothed transforms."""
     with np.errstate(invalid="ignore"):
-        vals = model.eta * _f_value(model, 1.0 / model.eta)
+        vals = model.eta * divergence_generator_value(model, 1.0 / model.eta)
     return float(np.max(vals))
-
-
-def self_concordance_bound(model: MarginalModel) -> float | None:
-    """Constant in the |h'''| <= M h'' bound along the scalar root map."""
-    if model.kind in ("exponential", "hyperbolic"):
-        return 1.0 / model.lam
-    if model.kind == "uniform":
-        return 0.0
-    if model.kind == "tdist":
-        return 1.5 / model.lam
-    return 0.0 if model.q == 2.0 else None
 
 
 # -------------------------------------------------- jacobian and chebyshev

@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,39 +27,17 @@ from .core import (
     SamplerSpec,
     cost_matrix,
     draw,
-    make_sampler,
 )
 from .noise import (
+    CLOSED_FORM_KINDS,
     MarginalModel,
+    _choice_rows,
     averaged_choice_jacobian,
     marginal_lipschitz,
-    probs_from_utilities,
     utilities_values_probs,
 )
 
 RATE_RULES = ("lipschitz", "smooth", "self-concordant")
-
-
-@dataclass(frozen=True)
-class RateConstants:
-    """Constants feeding the step-size rules; R is the gradient bound."""
-
-    R: float = 2.0
-    L: float | None = None
-    M: float | None = None
-    eps_bar: float = 0.0
-    kappa: float | None = None
-
-    def __post_init__(self):
-        for name in ("R", "L", "M", "eps_bar", "kappa"):
-            v = getattr(self, name)
-            if v is not None and (not np.isfinite(v) or v < 0.0):
-                raise ValueError(f"{name} must be nonnegative and finite")
-
-    @property
-    def G(self) -> float:
-        base = self.R + self.eps_bar
-        return max(self.M, base) if self.M is not None else base
 
 
 def step_size(rule: str, T: int, eps_bar: float = 0.0, L: float | None = None,
@@ -203,14 +181,14 @@ def averaged_sgd(sampler, nu: DiscreteMeasure, c: CostSpec,
     """
     if model is not None and model.n != nu.n_atoms:
         raise ValueError("model weights and measure atoms disagree in length")
-    needs_bisection = model is not None and model.kind not in ("exponential", "uniform")
+    needs_bisection = model is not None and model.kind not in CLOSED_FORM_KINDS
     if needs_bisection and config.eps_bar <= 0.0:
         raise ValueError("bisection oracle needs a positive eps_bar")
     if isinstance(sampler, SamplerSpec):
         spec = sampler if config.seed is None else SamplerSpec(
             sampler.kind, d=sampler.d, points=sampler.points,
             weights=sampler.weights, seed=config.seed)
-        stream = make_sampler(spec)
+        stream = Sampler(spec)
     elif isinstance(sampler, Sampler):
         stream = sampler
     else:
@@ -238,14 +216,14 @@ def averaged_sgd(sampler, nu: DiscreteMeasure, c: CostSpec,
             p[int(np.argmax(u))] = 1.0
             if config.tikhonov > 0.0:
                 p = p + 2.0 * config.tikhonov * phi
-        elif needs_bisection:
-            try:
-                p = probs_from_utilities(u, model,
-                                         eps=config.eps_bar / (2.0 * math.sqrt(t))).p
-            except ValueError as exc:
-                raise ValueError(f"gradient oracle failed at iteration {t}: {exc}") from exc
         else:
-            p = probs_from_utilities(u, model).p
+            eps = config.eps_bar / (2.0 * math.sqrt(t)) if needs_bisection else 0.0
+            p = _choice_rows(u[None, :], model, eps)[0]
+            # entries are nonnegative by construction; NaN fails the mass test
+            mass = float(p.sum())
+            if not abs(mass - 1.0) <= max(math.sqrt(n) * eps, 1e-10):
+                raise ValueError(f"gradient oracle failed at iteration {t}: "
+                                 f"probabilities sum to {mass!r}")
         phi = phi + gamma * (weights - p)
         bar_sum += phi
         if t in sched:
@@ -267,7 +245,7 @@ def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
     phi = np.asarray(phi, dtype=float).reshape(-1)
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     U = phi[None, :] - cost_matrix(X, nu.atoms, c)
-    if model is not None and eps is None and model.kind not in ("exponential", "uniform"):
+    if model is not None and eps is None and model.kind not in CLOSED_FORM_KINDS:
         eps = 1e-9
     vals, _ = utilities_values_probs(U, model, eps=eps)
     contrib = float(nu.weights @ phi) - vals
@@ -299,7 +277,7 @@ def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
     (trial steps). Raises RuntimeError when |g| is still above
     ``grad_tol`` after ``max_iter`` steps or mu overflows.
     """
-    if model is None or model.kind not in ("exponential", "uniform"):
+    if model is None or model.kind not in CLOSED_FORM_KINDS:
         raise ValueError("damped Newton needs an exact-gradient model kind")
     points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1)
@@ -355,7 +333,13 @@ _PILOT_LAM = 2e-3
 _PILOT_TOL = 1e-4
 
 
-def _transport_lp(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
+def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
+    """Exact optimal transport between two small discrete measures.
+
+    Returns ``(value, plan, u, phi)``: the plan's marginals match the inputs
+    to 1e-9 and (u, phi) is an optimal dual pair with u . a + phi . b equal
+    to the value. Guarded to m*n <= 1e6 variables.
+    """
     m, n = mu.n_atoms, nu.n_atoms
     if m * n > 1_000_000:
         raise ValueError("instance too large for the exact LP (m*n > 1e6)")
@@ -471,21 +455,6 @@ def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
     raise RuntimeError("boundary reduction did not certify a transport optimum")
 
 
-def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
-    """Exact optimal transport between two small discrete measures.
-
-    Returns ``(value, plan)``; the plan's marginals match the inputs to
-    1e-9. Guarded to m*n <= 1e6 variables.
-    """
-    value, plan, _, _ = _transport_lp(mu, nu, c)
-    return value, plan
-
-
-def exact_discrete_ot_duals(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
-    """Exact transport value, plan and an optimal dual pair (u, phi)."""
-    return _transport_lp(mu, nu, c)
-
-
 # -------------------------------------------------------------- reference
 
 def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
@@ -497,7 +466,7 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     a solver run of length T consumes a prefix of the same stream) and
     solves the induced finite problem: an exact LP without a model,
     :func:`damped_newton` to a gradient norm of 1e-7 for closed-form kinds,
-    and a long averaged-SGD run (50x iterations) otherwise. Potentials are
+    and a long averaged-SGD run (50x iterations) otherwise. The potential is
     returned in the mean-zero gauge. Returns ``(value, phi, info)``; for
     the LP, ``info`` carries the certificate ``gap`` (primal minus dual at
     ``phi``) and, when ``reduced``, the ``passes`` and ``boundary`` sizes
@@ -516,13 +485,13 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         if reduced:
             value, phi, cert = _reduced_transport_value_phi(X, w, nu, c)
         else:
-            value, _, _, phi = _transport_lp(DiscreteMeasure(X, w), nu, c)
+            value, _, _, phi = exact_discrete_ot(DiscreteMeasure(X, w), nu, c)
             psi = (phi[None, :] - cost_matrix(X, nu.atoms, c)).max(axis=1)
             cert = {"gap": value - (float(nu.weights @ phi) - float(w @ psi))}
         phi = phi - phi.mean()
         info = {"method": "lp", "samples": m, "reduced": reduced, **cert}
         return value, phi, info
-    if model.kind in ("exponential", "uniform"):
+    if model.kind in CLOSED_FORM_KINDS:
         phi, newton_info = damped_newton(X, w, nu, c, model)
         phi = phi - phi.mean()
         info = {"method": "newton", "samples": m, **newton_info}

@@ -25,7 +25,7 @@ from sdot.cli import (
     run_convergence_experiment,
 )
 from sdot.core import CostSpec, DiscreteMeasure, SamplerSpec
-from sdot.noise import MarginalModel, smooth_c_transform, softmax_probs
+from sdot.noise import MarginalModel, probs_from_utilities, smooth_c_transform
 
 DATA = Path(__file__).parent / "data"
 
@@ -356,7 +356,7 @@ def test_cli_probs_matches_softmax(tmp_path, capsys):
     )
     assert main(["probs", "--in", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    want = softmax_probs(u, np.array([0.5, 0.25, 0.25]), 0.7).p
+    want = probs_from_utilities(u, MarginalModel("exponential", 0.7, np.array([0.5, 0.25, 0.25]))).p
     assert np.allclose(out["p"], want, atol=1e-12)
 
 
@@ -368,6 +368,50 @@ def test_cli_probs_missing_field_names_it(tmp_path, capsys):
     assert main(["probs", "--in", path]) == 2
     err = capsys.readouterr().err
     assert "'u'" in err
+
+
+@pytest.mark.parametrize("kind, u", [("exponential", [math.inf, 0.0]),
+                                     ("uniform", [math.nan, 0.0]),
+                                     ("hyperbolic", [0.0, -math.inf]),
+                                     ("exponential", [0.1, 0.2, 0.3])])
+def test_cli_probs_rejects_bad_utilities(tmp_path, capsys, kind, u):
+    # json reads NaN and Infinity, so they must be caught after parsing
+    path = _write_json(tmp_path, "in.json",
+                       {"model": {"kind": kind, "lambda": 0.5, "eta": [0.5, 0.5]}, "u": u})
+    assert main(["probs", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: u must be a finite vector with one entry per atom" in captured.err
+
+
+@pytest.mark.parametrize("command", ["probs", "transform"])
+def test_cli_bisection_rejects_zero_eps(tmp_path, capsys, command):
+    model = {"kind": "hyperbolic", "lambda": 0.5, "eta": [0.5, 0.5]}
+    payload = {"model": model, "u": [0.3, 0.0], "phi": [0.3, 0.0], "x": [0.0],
+               "measure": {"atoms": [[0.0], [0.0]], "weights": [0.5, 0.5]},
+               "cost": {"kind": "sup-norm"}}
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main([command, "--in", path, "--eps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs a positive accuracy eps" in captured.err
+
+
+@pytest.mark.parametrize("model", [None, {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]}])
+@pytest.mark.parametrize("phi, x", [([math.nan, 0.0], [0.0]), ([0.0, 0.0], [math.inf])])
+def test_cli_transform_rejects_non_finite_input(tmp_path, capsys, model, phi, x):
+    payload = {
+        "phi": phi,
+        "x": x,
+        "measure": {"atoms": [[0.0], [3.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "p-norm-power", "p": 1},
+        "model": model,
+    }
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main(["transform", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: u must be a finite vector" in captured.err
 
 
 def test_cli_transform_matches_library(tmp_path, capsys):

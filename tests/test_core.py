@@ -8,14 +8,13 @@ import pytest
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
-    Potential,
+    Sampler,
     SamplerSpec,
     cost_matrix,
     derive_seed,
     discrete_c_transform,
     draw,
     eval_cost,
-    make_sampler,
     subgradient_indicator,
 )
 
@@ -188,7 +187,7 @@ def test_draw_append_equals_longer_stream():
         ),
     ]
     for spec in specs:
-        s = make_sampler(spec)
+        s = Sampler(spec)
         two_part = np.concatenate([s.draw(13), s.draw(29)])
         assert np.array_equal(two_part, draw(spec, 42))
 
@@ -247,9 +246,6 @@ def test_measure_is_immutable():
 
 
 def test_potential_validation():
-    Potential(np.array([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        Potential(np.array([1.0, np.nan]))
     nu = DiscreteMeasure(np.zeros((3, 1)), np.full(3, 1 / 3))
     with pytest.raises(ValueError):
         discrete_c_transform(np.zeros(2), np.zeros(1), nu, SUP)

@@ -86,7 +86,7 @@ def test_binary_search_inexact_oracle():
             noise[t] = rng.uniform(-1e-9, 1e-9)
         return (t - 0.3) ** 2 + noise[t]
 
-    assert abs(binary_search_min(g, 1e-3, oracle_error=1e-9) - 0.3) <= 2e-3
+    assert abs(binary_search_min(g, 1e-3) - 0.3) <= 2e-3
 
 
 def test_binary_search_delta_domain():

@@ -1,0 +1,84 @@
+"""Source hygiene of the package, checked with the standard library's ast.
+
+Two kinds of dead code are rejected: an import a module never reads (the
+package ``__init__`` re-exports by importing, so it is exempt), and a
+module-level private function or class that nothing in the package
+references.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sdot"
+
+
+def _modules():
+    return {path.name: ast.parse(path.read_text(), filename=str(path))
+            for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _referenced(node):
+    """Names a subtree reads: plain names, attributes and imported names."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+    return out
+
+
+def unused_imports(modules):
+    found = []
+    for name, tree in modules.items():
+        if name == "__init__.py":
+            continue
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0], a.name) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a.asname or a.name, a.name) for a in node.names]
+            else:
+                continue
+            found += [f"{name}:{node.lineno} {orig}" for local, orig in bound
+                      if local not in read]
+    return found
+
+
+def unreferenced_private_defs(modules):
+    # a reference counts only from outside the definition's own statement
+    refs = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            refs.append((name, stmt, _referenced(stmt)))
+    found = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not stmt.name.startswith("_") or stmt.name.startswith("__"):
+                continue
+            if not any(stmt.name in names for _, other, names in refs if other is not stmt):
+                found.append(f"{name}:{stmt.lineno} {stmt.name}")
+    return found
+
+
+def test_no_unused_imports():
+    assert unused_imports(_modules()) == []
+
+
+def test_no_unreferenced_private_definitions():
+    assert unreferenced_private_defs(_modules()) == []
+
+
+def test_checks_flag_planted_dead_code():
+    planted = ast.parse("import os\nfrom math import pi\n\n"
+                        "def _dead():\n    return _dead()\n\n"
+                        "def _used():\n    return 1\n\n"
+                        "VALUE = _used()\n")
+    modules = {"planted.py": planted}
+    assert unused_imports(modules) == ["planted.py:1 os", "planted.py:2 pi"]
+    assert unreferenced_private_defs(modules) == ["planted.py:4 _dead"]

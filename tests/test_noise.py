@@ -12,8 +12,8 @@ from sdot.core import CostSpec, DiscreteMeasure, cost_vector
 from sdot.noise import (
     HYPERBOLIC_OFFSET,
     ChoiceProbabilities,
-    DivergenceGenerator,
     MarginalModel,
+    _choice_rows,
     approximation_bound,
     averaged_choice_jacobian,
     bisection_probs,
@@ -30,8 +30,6 @@ from sdot.noise import (
     probs_from_utilities,
     project_to_simplex,
     smooth_c_transform,
-    softmax_probs,
-    sparsemax_probs,
     utilities_values_probs,
 )
 
@@ -197,10 +195,10 @@ def test_f_derivative_is_generating_quantile():
     h = 1e-6
     for kind in ALL_KINDS:
         model = make_model(rng, kind, 3)
-        gen = DivergenceGenerator(model)
         for s in (0.4, 1.0, 1.9):
-            fd = (gen.value(s + h) - gen.value(s - h)) / (2 * h)
-            assert gen.derivative(s) == pytest.approx(fd, abs=1e-5)
+            fd = (divergence_generator_value(model, s + h)
+                  - divergence_generator_value(model, s - h)) / (2 * h)
+            assert generating_quantile(model, s) == pytest.approx(fd, abs=1e-5)
 
 
 def test_f_convex():
@@ -265,14 +263,15 @@ def test_model_json_round_trip():
 # -------------------------------------------------------------- softmax
 
 def test_softmax_frozen():
-    p = softmax_probs(np.array([np.log(3.0), 0.0]), np.full(2, 0.5), 1.0)
+    p = probs_from_utilities(np.array([np.log(3.0), 0.0]),
+                             MarginalModel("exponential", 1.0, np.full(2, 0.5)))
     assert np.allclose(p.p, [0.75, 0.25], atol=1e-14)
     assert p.method == "closed-form" and p.tol == 0.0
 
 
 def test_softmax_constant_utilities_give_eta():
     eta = np.array([0.1, 0.2, 0.7])
-    p = softmax_probs(np.full(3, 2.2), eta, 0.5)
+    p = probs_from_utilities(np.full(3, 2.2), MarginalModel("exponential", 0.5, eta))
     assert np.allclose(p.p, eta, atol=1e-14)
 
 
@@ -280,13 +279,15 @@ def test_softmax_shift_invariance():
     rng = np.random.default_rng(9)
     u = rng.normal(size=6)
     eta = random_eta(rng, 6)
-    base = softmax_probs(u, eta, 0.3).p
+    base = probs_from_utilities(u, MarginalModel("exponential", 0.3, eta)).p
     for k in (-5.0, 1e3):
-        assert np.allclose(softmax_probs(u + k, eta, 0.3).p, base, atol=1e-12)
+        assert np.allclose(probs_from_utilities(u + k, MarginalModel("exponential", 0.3, eta)).p,
+                           base, atol=1e-12)
 
 
 def test_softmax_overflow_safe():
-    p = softmax_probs(np.array([1e6, 0.0]), np.full(2, 0.5), 1.0).p
+    p = probs_from_utilities(np.array([1e6, 0.0]),
+                             MarginalModel("exponential", 1.0, np.full(2, 0.5))).p
     assert np.all(np.isfinite(p)) and p[0] == pytest.approx(1.0)
 
 
@@ -312,13 +313,13 @@ def enumerate_qp_sparsemax(u, eta):
 
 def test_sparsemax_constant_utilities_give_eta():
     eta = np.array([0.3, 0.2, 0.5])
-    p = sparsemax_probs(np.full(3, 1.7), eta)
+    p = probs_from_utilities(np.full(3, 1.7), MarginalModel("uniform", 1.0, eta))
     assert np.allclose(p.p, eta, atol=1e-14)
     assert p.method == "sort"
 
 
 def test_sparsemax_frozen_two_point():
-    p = sparsemax_probs(np.array([4.0, 0.0]), np.full(2, 0.5))
+    p = probs_from_utilities(np.array([4.0, 0.0]), MarginalModel("uniform", 1.0, np.full(2, 0.5)))
     assert np.allclose(p.p, [1.0, 0.0], atol=1e-14)
 
 
@@ -328,7 +329,7 @@ def test_sparsemax_matches_enumeration():
         n = rng.integers(1, 6)
         u = rng.normal(scale=3.0, size=n)
         eta = random_eta(rng, n)
-        ours = sparsemax_probs(u, eta).p
+        ours = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta)).p
         ref, _ = enumerate_qp_sparsemax(u, eta)
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
@@ -338,7 +339,7 @@ def test_sparsemax_is_maximizer():
     for _ in range(30):
         u = rng.normal(size=5)
         eta = random_eta(rng, 5)
-        p = sparsemax_probs(u, eta).p
+        p = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta)).p
         val = u @ p - np.sum(p ** 2 / eta)
         for _ in range(20):
             other = rng.dirichlet(np.ones(5))
@@ -354,7 +355,7 @@ def test_bisection_matches_softmax():
         model = MarginalModel("exponential", rng.uniform(0.05, 3.0), random_eta(rng, n))
         u = rng.normal(scale=2.0, size=n)
         pb = bisection_probs(u, model, 1e-8).p
-        ps = softmax_probs(u, model.eta, model.lam).p
+        ps = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
         assert np.linalg.norm(pb - ps) <= 1e-8
 
 
@@ -366,7 +367,7 @@ def test_bisection_matches_sparsemax_under_pareto_q2():
         model = MarginalModel("pareto", lam, random_eta(rng, n), q=2.0)
         u = rng.normal(size=n)
         pb = bisection_probs(u, model, 1e-8).p
-        ps = sparsemax_probs(u / lam, model.eta).p
+        ps = probs_from_utilities(u / lam, MarginalModel("uniform", 1.0, model.eta)).p
         assert np.linalg.norm(pb - ps) <= 1e-8
 
 
@@ -410,12 +411,12 @@ def test_bisection_matches_slsqp_for_generic_models():
 
 def test_root_map_monotone():
     rng = np.random.default_rng(16)
-    from sdot.noise import _mass_at_tau
+    from sdot.noise import _clip_probs
     for kind in ALL_KINDS:
         model = make_model(rng, kind, 4)
         u = rng.normal(size=4)
         taus = np.linspace(-8 * model.lam, 8 * model.lam, 60)
-        masses = [_mass_at_tau(u, model, t) for t in taus]
+        masses = [_clip_probs(model, (u + t)[None, :]).sum() for t in taus]
         assert np.all(np.diff(masses) >= -1e-12)
 
 
@@ -429,6 +430,39 @@ def test_bisection_needs_positive_eps():
     model = uniform_model("hyperbolic", 1.0, 3)
     with pytest.raises(ValueError):
         bisection_probs(np.zeros(3), model, 0.0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + (None,))
+def test_kernel_rows_are_independent(kind):
+    # SGD asks for one row at a time, the estimate and Newton for many at
+    # once: both must see the same numbers from the one kernel
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 10):
+        if kind is None:
+            model = None
+        else:
+            eta = np.full(n, 1.0 / n) if kind == "tdist" else random_eta(rng, n)
+            model = MarginalModel(kind, 0.3, eta, q=1.5 if kind == "pareto" else None)
+        U = rng.normal(size=(9, n))
+        U[2] = 0.4                    # every utility tied
+        U[5, : n // 2] = U[5, -1]     # a tie with the last entry
+        U[7] = np.round(U[7], 1)      # ties from rounding
+        vals, P = utilities_values_probs(U, model, eps=1e-9)
+        for j in range(U.shape[0]):
+            v_row, P_row = utilities_values_probs(U[j:j + 1], model, eps=1e-9)
+            assert np.array_equal(P[j], P_row[0])
+            assert np.array_equal(vals[j], v_row[0])
+            if model is not None:
+                assert np.array_equal(P[j], _choice_rows(U[j:j + 1], model, 1e-9)[0])
+                assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9).p, P[j])
+
+
+@pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
+def test_probs_from_utilities_rejects_bad_vectors(bad):
+    for kind in ALL_KINDS:
+        model = MarginalModel(kind, 0.5, np.full(2, 0.5), q=1.5 if kind == "pareto" else None)
+        with pytest.raises(ValueError, match="finite vector with one entry per atom"):
+            probs_from_utilities(np.array(bad), model, eps=1e-6)
 
 
 def test_choice_probabilities_validation():
@@ -460,11 +494,13 @@ def test_choice_probabilities_dispatch():
 
     ent = MarginalModel("exponential", 0.4, random_eta(rng, 5))
     out = choice_probabilities(phi, x, nu, COST, ent)
-    assert np.allclose(out.p, softmax_probs(u, ent.eta, ent.lam).p, atol=1e-12)
+    assert np.allclose(out.p, probs_from_utilities(u, MarginalModel("exponential", ent.lam, ent.eta)).p,
+                       atol=1e-12)
 
     uni = MarginalModel("uniform", 0.4, random_eta(rng, 5))
     out = choice_probabilities(phi, x, nu, COST, uni)
-    assert np.allclose(out.p, sparsemax_probs(u / uni.lam, uni.eta).p, atol=1e-12)
+    assert np.allclose(out.p, probs_from_utilities(u / uni.lam, MarginalModel("uniform", 1.0, uni.eta)).p,
+                       atol=1e-12)
 
     hyp = uniform_model("hyperbolic", 0.4, 5)
     out = choice_probabilities(phi, x, nu, COST, hyp, eps=1e-8)
@@ -498,7 +534,7 @@ def test_smooth_transform_exponential_equals_log_partition():
         model = MarginalModel("exponential", rng.uniform(0.1, 1.5), random_eta(rng, 6))
         got = smooth_c_transform(phi, x, nu, COST, model)
         # independent route: evaluate the maximand at the softmax point
-        p = softmax_probs(u, model.eta, model.lam).p
+        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
         ref = u @ p - discrete_f_divergence(model, p)
         assert got == pytest.approx(ref, abs=1e-8)
 
@@ -510,7 +546,7 @@ def test_smooth_transform_uniform_equals_quadratic_maximand():
         phi, x, nu = instance_with_utilities(rng, u)
         model = MarginalModel("uniform", rng.uniform(0.1, 1.5), random_eta(rng, 5))
         got = smooth_c_transform(phi, x, nu, COST, model)
-        p = sparsemax_probs(u / model.lam, model.eta).p
+        p = probs_from_utilities(u / model.lam, MarginalModel("uniform", 1.0, model.eta)).p
         ref = u @ p - discrete_f_divergence(model, p)
         assert got == pytest.approx(ref, abs=1e-10)
 
@@ -600,7 +636,7 @@ def test_hessian_implicit_function_formula():
     # closed-form cross-check for softmax
     model = MarginalModel("exponential", 0.7, random_eta(rng, 4))
     u = rng.normal(scale=0.2, size=4)
-    p = softmax_probs(u, model.eta, model.lam).p
+    p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
     expect = (np.diag(p) - np.outer(p, p)) / model.lam
     assert np.allclose(choice_jacobian(u, model), expect, atol=1e-12)
 

@@ -26,17 +26,14 @@ from sdot.noise import (
     bisection_probs,
     discrete_f_divergence,
     marginal_lipschitz,
-    softmax_probs,
-    sparsemax_probs,
+    probs_from_utilities,
 )
 from sdot.solver import (
-    RateConstants,
     SolverConfig,
     averaged_sgd,
     damped_newton,
     dual_objective_estimate,
     exact_discrete_ot,
-    exact_discrete_ot_duals,
     finite_sample_reference,
     kappa_estimate,
     step_size,
@@ -74,16 +71,6 @@ def test_step_size_missing_constants():
         step_size("self-concordant", 100)
     with pytest.raises(ValueError):
         step_size("no-such-rule", 100)
-
-
-def test_rate_constants():
-    rc = RateConstants(L=3.0, M=1.5, eps_bar=0.5)
-    assert rc.R == 2.0
-    assert rc.G == pytest.approx(2.5)  # max(M, R + eps_bar)
-    rc2 = RateConstants(M=7.0)
-    assert rc2.G == pytest.approx(7.0)
-    with pytest.raises(ValueError):
-        RateConstants(L=-1.0)
 
 
 # ----------------------------------------------------------- averaged sgd
@@ -169,6 +156,19 @@ def test_sgd_bisection_needs_positive_eps_bar():
         averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5, rule="lipschitz"))
 
 
+@pytest.mark.parametrize("kind, eps_bar", [("exponential", 0.0), ("uniform", 0.0),
+                                            ("hyperbolic", 0.1)])
+@pytest.mark.parametrize("bad", [[0.45, 0.45], [np.nan, 1.0]])
+def test_sgd_rejects_oracle_rows_off_the_simplex(monkeypatch, kind, eps_bar, bad):
+    import sdot.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "_choice_rows", lambda U, model, eps: np.array([bad]))
+    nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full(2, 0.5))
+    model = MarginalModel(kind, 0.5, np.full(2, 0.5))
+    spec = SamplerSpec("gaussian-standard", d=2, seed=3)
+    with pytest.raises(ValueError, match="gradient oracle failed at iteration 1"):
+        averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5, rule="lipschitz", eps_bar=eps_bar))
+
+
 def test_sgd_update_arithmetic_and_gradient_bound():
     rng = np.random.default_rng(43)
     nu = random_measure(rng, 5, 2)
@@ -181,7 +181,7 @@ def test_sgd_update_arithmetic_and_gradient_bound():
     phi_prev = np.zeros(5)
     for row in trace.rows:
         u = phi_prev - cost_vector(X[row.t - 1], nu.atoms, SUP)
-        p = softmax_probs(u, model.eta, model.lam).p
+        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
         step = gamma * (nu.weights - p)
         assert np.array_equal(row.phi, phi_prev + step)
         assert np.linalg.norm(nu.weights - p) <= 2.0
@@ -315,7 +315,7 @@ def test_lp_self_transport():
     rng = np.random.default_rng(48)
     nu = random_measure(rng, 4, 2)
     mu = DiscreteMeasure(nu.atoms, nu.weights)
-    value, plan = exact_discrete_ot(mu, nu, SQ)
+    value, plan, _, _ = exact_discrete_ot(mu, nu, SQ)
     assert value == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(plan, np.diag(nu.weights), atol=1e-9)
 
@@ -324,7 +324,7 @@ def test_lp_forced_move():
     atoms = np.array([[0.0], [1.0]])
     mu = DiscreteMeasure(atoms, np.array([1.0, 0.0]))
     nu = DiscreteMeasure(atoms, np.array([0.0, 1.0]))
-    value, plan = exact_discrete_ot(mu, nu, SQ)
+    value, plan, _, _ = exact_discrete_ot(mu, nu, SQ)
     assert value == pytest.approx(1.0, abs=1e-10)
     assert plan[0, 1] == pytest.approx(1.0, abs=1e-10)
 
@@ -335,7 +335,7 @@ def test_lp_matches_permutation_enumeration():
     atoms = rng.normal(size=(4, 2))
     mu = DiscreteMeasure(pts, np.full(4, 0.25))
     nu = DiscreteMeasure(atoms, np.full(4, 0.25))
-    value, _ = exact_discrete_ot(mu, nu, SQ)
+    value, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     C = cost_matrix(pts, atoms, SQ)
     best = min(sum(C[j, perm[j]] for j in range(4)) / 4.0
                for perm in itertools.permutations(range(4)))
@@ -346,7 +346,7 @@ def test_lp_marginals_and_duals():
     rng = np.random.default_rng(50)
     mu = random_measure(rng, 6, 2)
     nu = random_measure(rng, 7, 2)
-    value, plan, u, phi = exact_discrete_ot_duals(mu, nu, SUP)
+    value, plan, u, phi = exact_discrete_ot(mu, nu, SUP)
     assert np.allclose(plan.sum(axis=1), mu.weights, atol=1e-9)
     assert np.allclose(plan.sum(axis=0), nu.weights, atol=1e-9)
     assert np.all(plan >= -1e-12)
@@ -374,7 +374,7 @@ def test_reduced_lp_certifies_against_direct():
     X = rng.standard_normal((900, 2))
     a = np.full(900, 1 / 900)
     nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
-    direct = solver_mod._transport_lp(DiscreteMeasure(X, a), nu, SUP)[0]
+    direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0]
     value, phi, _ = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
     assert value == pytest.approx(direct, abs=1e-8)
     # the pair is self-consistent: value is the semi-dual objective at phi
@@ -396,7 +396,7 @@ def test_reference_switches_to_reduction(monkeypatch):
     assert info["method"] == "lp"
     assert info["reduced"] is True
     X = draw(spec, 300)
-    direct = solver_mod._transport_lp(DiscreteMeasure(X, np.full(300, 1 / 300)), nu, SUP)[0]
+    direct = exact_discrete_ot(DiscreteMeasure(X, np.full(300, 1 / 300)), nu, SUP)[0]
     assert value == pytest.approx(direct, abs=1e-8)
     assert abs(phi.mean()) <= 1e-12
     assert abs(info["gap"]) <= 1e-6 * max(1.0, abs(value))
@@ -419,7 +419,7 @@ def test_reduced_lp_entropic_pilot_certifies(m, n, cost, sample):
         X = rng.uniform(-1, 1, size=(40, 2))[rng.integers(0, 40, size=m)]
     a = np.full(m, 1 / m)
     nu = random_measure(rng, n, 2)
-    direct = solver_mod._transport_lp(DiscreteMeasure(X, a), nu, cost)[0]
+    direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, cost)[0]
     value, phi, cert = solver_mod._reduced_transport_value_phi(X, a, nu, cost)
     assert value == pytest.approx(direct, abs=1e-8)
     psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, cost), axis=1)
@@ -495,7 +495,7 @@ def test_agd_between_plain_value_and_bound():
     w = np.full(6, 1 / 6)
     nu = random_measure(rng, 4, 2)
     mu = DiscreteMeasure(pts, w)
-    plain, _ = exact_discrete_ot(mu, nu, SQ)
+    plain, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     for kind in ("exponential", "uniform"):
         model = MarginalModel(kind, 0.6, np.full(4, 0.25))
         _, info = damped_newton(pts, w, nu, SQ, model)
@@ -551,7 +551,7 @@ def test_reference_unregularized_equals_lp():
     value, phi, info = finite_sample_reference(spec, nu, SQ, None, 30)
     X = draw(spec, 300)
     mu = DiscreteMeasure(X, np.full(300, 1 / 300))
-    ref_value, _ = exact_discrete_ot(mu, nu, SQ)
+    ref_value, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     assert value == pytest.approx(ref_value, abs=1e-9)
     assert abs(phi.mean()) <= 1e-12
     assert info["samples"] == 300
@@ -570,7 +570,7 @@ def test_reference_entropic_sandwich():
     value, phi, info = finite_sample_reference(spec, nu, SQ, model, 25)
     X = draw(spec, 250)
     mu = DiscreteMeasure(X, np.full(250, 1 / 250))
-    plain, _ = exact_discrete_ot(mu, nu, SQ)
+    plain, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     assert plain - 1e-7 <= value <= plain + approximation_bound(model) + 1e-7
     assert info["grad_norm"] <= 1e-7
     assert abs(phi.mean()) <= 1e-12
@@ -586,7 +586,7 @@ def test_reference_bisection_model_long_sgd():
     assert info["iterations"] == 1000
     X = draw(spec, 200)
     mu = DiscreteMeasure(X, np.full(200, 1 / 200))
-    plain, _ = exact_discrete_ot(mu, nu, SQ)
+    plain, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     assert value <= plain + approximation_bound(model) + 0.05
     assert value >= plain - 0.25
 
