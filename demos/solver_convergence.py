@@ -12,12 +12,12 @@ Run: python3 demos/solver_convergence.py
 import numpy as np
 
 from sdot.core import CostSpec, DiscreteMeasure, SamplerSpec, draw
-from sdot.noise import MarginalModel, marginal_lipschitz
+from sdot.noise import MarginalModel
 from sdot.solver import (
-    SolverConfig,
     averaged_sgd,
     dual_objective_estimate,
     finite_sample_reference,
+    sgd_config,
 )
 
 atom_rng = np.random.default_rng(1)
@@ -31,15 +31,8 @@ for label, model in (
     ("unregularized", None),
     ("entropic, lambda=0.1", MarginalModel("exponential", 0.1, np.full(10, 0.1))),
 ):
-    if model is None:
-        cfg = SolverConfig(T=T, rule="lipschitz", eps_bar=0.0, tikhonov=1e-8)
-        under, bar, trace = averaged_sgd(spec, nu, cost, None, cfg)
-        phi_out = under
-    else:
-        cfg = SolverConfig(T=T, rule="smooth", eps_bar=0.0,
-                           L=marginal_lipschitz(model))
-        under, bar, trace = averaged_sgd(spec, nu, cost, model, cfg)
-        phi_out = bar
+    under, bar, trace = averaged_sgd(spec, nu, cost, model, sgd_config(model, T))
+    phi_out = under if model is None else bar
 
     value, phi_star, _ = finite_sample_reference(spec, nu, cost, model, T,
                                                  eps_bar=0.1, multiplier=10)

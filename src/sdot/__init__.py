@@ -36,7 +36,7 @@ from sdot.solver import (
     dual_objective_estimate,
     exact_discrete_ot,
     finite_sample_reference,
-    kappa_estimate,
+    sgd_config,
     step_size,
 )
 from sdot.hardness import (
@@ -46,16 +46,6 @@ from sdot.hardness import (
     exact_knapsack_volume,
     knapsack_volume_via_ot,
     wc_two_point,
-)
-from sdot.cli import (
-    ConvergenceRecord,
-    ExperimentConfig,
-    config_hash,
-    emit_plots,
-    fit_slope,
-    main,
-    records_to_csv,
-    run_convergence_experiment,
 )
 
 __version__ = "0.1.0"

@@ -14,6 +14,7 @@ import sys
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,9 +22,9 @@ import numpy as np
 
 from .core import CostSpec, DiscreteMeasure, SamplerSpec, cost_vector, derive_seed, draw
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
-from .noise import (CLOSED_FORM_KINDS, MarginalModel, _check_utilities, marginal_lipschitz,
-                    utilities_values_probs)
-from .solver import SolverConfig, averaged_sgd, dual_objective_estimate, finite_sample_reference
+from .noise import MarginalModel, _check_utilities, utilities_values_probs
+from .solver import (SolverConfig, averaged_sgd, dual_objective_estimate,
+                     finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -221,17 +222,9 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     spec = _cell_stream_spec(config, T, seed)
     nu, c = config.measure, config.cost
     t0 = time.perf_counter()
-    if model is None:
-        # continuity clause: suboptimality is stated at the under-average
-        scfg = SolverConfig(T=T, rule="lipschitz", eps_bar=0.0, tikhonov=1e-8)
-        phi_out, bar_avg, _ = averaged_sgd(spec, nu, c, None, scfg)
-    else:
-        eps_bar = 0.0 if model.kind in CLOSED_FORM_KINDS else config.eps_bar
-        lips = marginal_lipschitz(model)
-        rule = "smooth" if lips is not None else "lipschitz"
-        scfg = SolverConfig(T=T, rule=rule, eps_bar=eps_bar, L=lips)
-        _, phi_out, _ = averaged_sgd(spec, nu, c, model, scfg)
-        bar_avg = phi_out
+    under_avg, bar_avg, _ = averaged_sgd(spec, nu, c, model, sgd_config(model, T, config.eps_bar))
+    # continuity clause: without a model, suboptimality is stated at the under-average
+    phi_out = under_avg if model is None else bar_avg
     t_ref = time.perf_counter()
     value, phi_star, info = finite_sample_reference(
         spec, nu, c, model, T, eps_bar=config.eps_bar, multiplier=config.multiplier)
@@ -242,13 +235,6 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     ms = (time.perf_counter() - t0) * 1000.0
     return ConvergenceRecord(tag, T, seed, float(value - estimate),
                              float(np.sum((gauge - phi_star) ** 2)), ms), reference
-
-
-def _cell_worker(payload):
-    config = ExperimentConfig.from_json(json.loads(payload["config"]))
-    tag = payload["tag"]
-    model = dict(config.models)[tag]
-    return _run_cell(config, tag, model, payload["T"], payload["seed"])
 
 
 def _manifest_line(rec: ConvergenceRecord, reference: dict) -> str:
@@ -308,23 +294,17 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         if mode == "w":
             mf.write(json.dumps({"config_hash": digest, "version": CONFIG_VERSION}) + "\n")
             mf.flush()
-        if workers <= 1:
-            for tag, model, T, seed in pending:
-                rec, reference = _run_cell(config, tag, model, T, seed)
-                done[(tag, T, seed)] = rec
+        with ExitStack() as stack:
+            if workers <= 1 or not pending:
+                results = (_run_cell(config, *cell) for cell in pending)
+            else:
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                results = (fut.result() for fut in as_completed(
+                    [pool.submit(_run_cell, config, *cell) for cell in pending]))
+            for rec, reference in results:
+                done[(rec.model, rec.T, rec.seed)] = rec
                 mf.write(_manifest_line(rec, reference) + "\n")
                 mf.flush()
-        elif pending:
-            blob = json.dumps(config.to_json())
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_cell_worker,
-                                       {"config": blob, "tag": tag, "T": T, "seed": seed})
-                           for tag, _, T, seed in pending]
-                for fut in as_completed(futures):
-                    rec, reference = fut.result()
-                    done[(rec.model, rec.T, rec.seed)] = rec
-                    mf.write(_manifest_line(rec, reference) + "\n")
-                    mf.flush()
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"
     csv_path.write_text(records_to_csv(records, timing=config.timing))
@@ -542,14 +522,11 @@ def _cmd_solve(args) -> int:
     model = _optional_model(obj)
     sd = _require(obj, "solver")
     T = int(_require(sd, "T", "input field 'solver'"))
-    lips = sd.get("L")
-    if lips is None and sd.get("rule") == "smooth" and model is not None:
-        lips = marginal_lipschitz(model)
-    eps_bar = sd.get("eps_bar")
-    if eps_bar is None:
-        eps_bar = 0.1 if model is not None and model.kind not in CLOSED_FORM_KINDS else 0.0
+    rule, lips, eps_bar = sd.get("rule", "lipschitz"), sd.get("L"), sd.get("eps_bar")
+    base = sgd_config(model, T)  # the model's own L and eps_bar fill in what is unset
     config = SolverConfig(
-        T=T, rule=sd.get("rule", "lipschitz"), eps_bar=float(eps_bar), L=lips,
+        T=T, rule=rule, eps_bar=float(base.eps_bar if eps_bar is None else eps_bar),
+        L=base.L if lips is None and rule == "smooth" else lips,
         M=sd.get("M"), tikhonov=float(sd.get("tikhonov", 0.0)),
         seed=args.seed, theorem_variant=bool(sd.get("theorem_variant", False)),
         log_every=sd.get("log_every"))

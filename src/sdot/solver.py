@@ -4,9 +4,9 @@ The main entry point is :func:`averaged_sgd`, a constant-step stochastic
 ascent on the dual potential with averaged iterates and a pluggable
 gradient oracle (exact closed forms, guarded bisection with a decaying
 accuracy schedule, or the plain subgradient with an optional Tikhonov
-term). Reference solutions come from a damped Newton method on
-finite-sample duals, an exact transport LP, or a long stochastic run
-where neither applies.
+term). References solve one finite-sample dual: by damped Newton for
+closed-form kinds, by a transport LP without a model, and otherwise by
+a long stochastic run under the step rule of :func:`sgd_config`.
 """
 
 from __future__ import annotations
@@ -105,6 +105,17 @@ class SolverConfig:
             raise ValueError(f"unknown step-size rule: {self.rule!r}")
         if self.eps_bar < 0.0 or self.tikhonov < 0.0:
             raise ValueError("eps_bar and tikhonov must be nonnegative")
+
+
+def sgd_config(model: MarginalModel | None, T: int, eps_bar: float = 0.1) -> SolverConfig:
+    """Step rule for ``model``: smooth with L when the marginal cdfs are
+    Lipschitz, bounded-gradient otherwise (with Tikhonov 1e-8 when there is
+    no model). ``eps_bar`` reaches only the bisection kinds."""
+    if model is None:
+        return SolverConfig(T=T, rule="lipschitz", tikhonov=1e-8)
+    lips = marginal_lipschitz(model)
+    return SolverConfig(T=T, rule="lipschitz" if lips is None else "smooth", L=lips,
+                        eps_bar=0.0 if model.kind in CLOSED_FORM_KINDS else eps_bar)
 
 
 @dataclass(frozen=True)
@@ -255,12 +266,14 @@ def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
     return mean, stderr
 
 
-# ----------------------------------------------------------------- newton
+# ------------------------------------------------------------ finite dual
 
-def _finite_dual(phi, C, weights, nu_w, model):
-    vals, P = utilities_values_probs(phi[None, :] - C, model)
-    value = float(nu_w @ phi) - float(weights @ vals)
-    return value, nu_w - P.T @ weights, averaged_choice_jacobian(P, weights, model)
+def _finite_dual(phi, C, weights, nu_w, model, eps=None):
+    """Value, gradient and choice probabilities of the finite-sample dual:
+    rows of C carry ``weights``, columns the target weights ``nu_w``, and
+    ``model=None`` takes the plain max."""
+    vals, P = utilities_values_probs(phi[None, :] - C, model, eps=eps)
+    return float(nu_w @ phi) - float(weights @ vals), nu_w - P.T @ weights, P
 
 
 def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
@@ -285,8 +298,13 @@ def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
         raise ValueError("weights must match the points and sum to one")
     C = cost_matrix(points, nu.atoms, c)
     n = nu.n_atoms
+
+    def evaluate(phi):  # P is dropped here, so no m x n array outlives a step
+        f, g, P = _finite_dual(phi, C, weights, nu.weights, model)
+        return f, g, averaged_choice_jacobian(P, weights, model)
+
     phi = np.zeros(n)
-    f, g, H = _finite_dual(phi, C, weights, nu.weights, model)
+    f, g, H = evaluate(phi)
     mu = 0.0
     it = 0
     while (gnorm := float(np.linalg.norm(g))) > grad_tol:
@@ -307,7 +325,7 @@ def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
         for i in reversed(range(n)):
             d[i] = (d[i] - L[i + 1:, i] @ d[i + 1:]) / L[i, i]
         pred = float(g @ d) - 0.5 * float(d @ H @ d)
-        f_new, g_new, H_new = _finite_dual(phi + d, C, weights, nu.weights, model)
+        f_new, g_new, H_new = evaluate(phi + d)
         rounding = 1e-10 * max(1.0, abs(f))
         if (f_new - f >= 0.1 * pred if pred > rounding
                 else f_new - f >= -rounding and np.linalg.norm(g_new) < gnorm):
@@ -333,6 +351,26 @@ _PILOT_LAM = 2e-3
 _PILOT_TOL = 1e-4
 
 
+def _transport_lp(cost, ci, cj, a, b):
+    """Transport LP from masses ``a`` to ``b`` over the pairs (ci[k], cj[k])
+    at costs ``cost[k]``. Returns ``(value, x, u, phi)``: the value, the
+    mass on each pair and an optimal dual pair with u . a + phi . b equal
+    to the value. Raises RuntimeError when the solver fails."""
+    k, m = cost.size, a.size
+    A = sp.coo_matrix(
+        (np.ones(2 * k), (np.concatenate([ci, m + cj]), np.concatenate([np.arange(k)] * 2))),
+        shape=(m + b.size, k)).tocsr()
+    b_eq = np.concatenate([a, b])
+    res = linprog(cost, A_eq=A, b_eq=b_eq, bounds=(0, None), method="highs")
+    if not res.success:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    y = np.asarray(res.eqlin.marginals, dtype=float)
+    # normalize the dual sign so strong duality holds as b_eq @ y = value
+    if abs(b_eq @ y - res.fun) > abs(b_eq @ (-y) - res.fun):
+        y = -y
+    return float(res.fun), res.x, y[:m], y[m:]
+
+
 def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
     """Exact optimal transport between two small discrete measures.
 
@@ -344,23 +382,9 @@ def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
     if m * n > 1_000_000:
         raise ValueError("instance too large for the exact LP (m*n > 1e6)")
     C = cost_matrix(mu.atoms, nu.atoms, c)
-    row_idx = np.repeat(np.arange(m), n)
-    col_idx = np.tile(np.arange(n), m) + m
-    var = np.arange(m * n)
-    A = sp.coo_matrix(
-        (np.ones(2 * m * n), (np.concatenate([row_idx, col_idx]), np.concatenate([var, var]))),
-        shape=(m + n, m * n),
-    ).tocsr()
-    b = np.concatenate([mu.weights, nu.weights])
-    res = linprog(C.reshape(-1), A_eq=A, b_eq=b, bounds=(0, None), method="highs")
-    if not res.success:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    plan = res.x.reshape(m, n)
-    duals = np.asarray(res.eqlin.marginals, dtype=float)
-    # normalize the dual sign so strong duality holds as b @ y = value
-    if abs(b @ duals - res.fun) > abs(b @ (-duals) - res.fun):
-        duals = -duals
-    return float(res.fun), plan, duals[:m], duals[m:]
+    value, x, u, phi = _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n),
+                                     mu.weights, nu.weights)
+    return value, x.reshape(m, n), u, phi
 
 
 def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
@@ -421,28 +445,16 @@ def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
             pad = min(64, sub.size)
             cand[np.argsort(regret, axis=0)[:pad], np.arange(n)[None, :]] = True
             ci, cj = np.nonzero(cand)
-            k = ci.size
-            boundary[-1][1] = int(k)
-            A = sp.coo_matrix(
-                (np.ones(2 * k),
-                 (np.concatenate([ci, sub.size + cj]), np.concatenate([np.arange(k)] * 2))),
-                shape=(sub.size + n, k)).tocsr()
-            b_eq = np.concatenate([a[sub], resid])
-            res = linprog(C[sub[ci], cj], A_eq=A, b_eq=b_eq, bounds=(0, None),
-                          method="highs")
-            if not res.success:
+            boundary[-1][1] = int(ci.size)
+            try:
+                moved, _, _, phi_new = _transport_lp(C[sub[ci], cj], ci, cj, a[sub], resid)
+            except RuntimeError:
                 margin *= 2.0
                 continue
-            y = np.asarray(res.eqlin.marginals, dtype=float)
-            if abs(res.fun - b_eq @ y) > abs(res.fun - b_eq @ (-y)):
-                y = -y
-            phi_new = y[sub.size:]
-            moved = float(res.fun)
         else:
             phi_new = phi
             moved = 0.0
-        psi = (phi_new[None, :] - C).max(axis=1)
-        dual = float(nu.weights @ phi_new) - float(a @ psi)
+        dual = _finite_dual(phi_new, C, a, nu.weights, None)[0]
         primal = float(a[~narrow] @ C[rows[~narrow], top[~narrow]]) + moved
         gap = primal - dual
         if gap <= 1e-6 * max(1.0, abs(primal)):
@@ -466,11 +478,13 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     a solver run of length T consumes a prefix of the same stream) and
     solves the induced finite problem: an exact LP without a model,
     :func:`damped_newton` to a gradient norm of 1e-7 for closed-form kinds,
-    and a long averaged-SGD run (50x iterations) otherwise. The potential is
-    returned in the mean-zero gauge. Returns ``(value, phi, info)``; for
-    the LP, ``info`` carries the certificate ``gap`` (primal minus dual at
-    ``phi``) and, when ``reduced``, the ``passes`` and ``boundary`` sizes
-    of the reduction; for Newton, ``iterations`` and ``grad_norm``.
+    and a long averaged-SGD run (50x iterations, step rule from
+    :func:`sgd_config`) otherwise. The potential is returned in the
+    mean-zero gauge. Returns ``(value, phi, info)``; for the LP, ``info``
+    carries the certificate ``gap`` (primal minus dual at ``phi``) and,
+    when ``reduced``, the ``passes`` and ``boundary`` sizes of the
+    reduction; for Newton and the long run, ``iterations`` and
+    ``grad_norm`` (the long run's at oracle accuracy 1e-10).
     """
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("finite_sample_reference needs a SamplerSpec")
@@ -485,9 +499,10 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         if reduced:
             value, phi, cert = _reduced_transport_value_phi(X, w, nu, c)
         else:
-            value, _, _, phi = exact_discrete_ot(DiscreteMeasure(X, w), nu, c)
-            psi = (phi[None, :] - cost_matrix(X, nu.atoms, c)).max(axis=1)
-            cert = {"gap": value - (float(nu.weights @ phi) - float(w @ psi))}
+            C = cost_matrix(X, nu.atoms, c)
+            value, _, _, phi = _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n),
+                                             w, nu.weights)
+            cert = {"gap": value - _finite_dual(phi, C, w, nu.weights, None)[0]}
         phi = phi - phi.mean()
         info = {"method": "lp", "samples": m, "reduced": reduced, **cert}
         return value, phi, info
@@ -498,31 +513,10 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         return newton_info["value"], phi, info
     emp = SamplerSpec("empirical", points=X, weights=w,
                       seed=sampler.seed if sampler.seed is not None else 0)
-    cfg = SolverConfig(T=50 * T, rule="smooth", L=marginal_lipschitz(model),
-                       eps_bar=eps_bar)
-    _, bar, _ = averaged_sgd(emp, nu, c, model, cfg)
+    _, bar, _ = averaged_sgd(emp, nu, c, model, sgd_config(model, 50 * T, eps_bar))
     phi = bar - bar.mean()
-    U = phi[None, :] - cost_matrix(X, nu.atoms, c)
-    vals, P = utilities_values_probs(U, model, eps=1e-10)
-    value = float(nu.weights @ phi) - float(w @ vals)
-    resid = float(np.linalg.norm(nu.weights - P.T @ w))
+    value, grad, _ = _finite_dual(phi, cost_matrix(X, nu.atoms, c), w, nu.weights, model,
+                                  eps=1e-10)
     info = {"method": "sgd-50x", "samples": m, "iterations": 50 * T,
-            "grad_norm": resid}
+            "grad_norm": float(np.linalg.norm(grad))}
     return value, phi, info
-
-
-def kappa_estimate(phi, points, weights, nu: DiscreteMeasure, c: CostSpec,
-                   model: MarginalModel, eps: float = 1e-10) -> float:
-    """Smallest curvature of the finite-sample dual at phi, shift gauge.
-
-    Diagnostic only: averages the choice-probability Jacobians over the
-    sample and reports the smallest eigenvalue orthogonal to the constant
-    shift direction.
-    """
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    _, P = utilities_values_probs(phi[None, :] - cost_matrix(points, nu.atoms, c), model,
-                                  eps=eps)
-    H = averaged_choice_jacobian(P, weights, model)
-    # H annihilates the shift; adding (tr H + 1) 11^T/n lifts only that one
-    return float(np.linalg.eigvalsh(H + (np.trace(H) + 1.0) / nu.n_atoms).min())

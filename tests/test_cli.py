@@ -7,7 +7,10 @@ seconds. Golden SVG fixtures live in tests/data/.
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -571,6 +574,26 @@ def test_cli_experiment_end_to_end(tmp_path, capsys):
     assert len(svgs) >= 1
     text = capsys.readouterr().out
     assert "records.csv" in text
+
+
+def test_cli_experiment_pareto_beyond_q2(tmp_path, capsys):
+    model = {"kind": "pareto", "lambda": 0.5, "eta": [1 / 3, 1 / 3, 1 / 3], "q": 3.0}
+    cfg_path = _write_json(tmp_path, "config.json", tiny_config_dict(models=[model], seeds=[0]))
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 0
+    lines = (out / "records.csv").read_text().splitlines()
+    assert len(lines) == 4 and all(line.startswith("pareto,") for line in lines[1:])
+    capsys.readouterr()
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sdot.cli",
+                           "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "experiment" in proc.stdout
 
 
 def test_cli_unknown_subcommand_fails():

@@ -35,7 +35,7 @@ from sdot.solver import (
     dual_objective_estimate,
     exact_discrete_ot,
     finite_sample_reference,
-    kappa_estimate,
+    sgd_config,
     step_size,
 )
 
@@ -404,6 +404,33 @@ def test_reference_switches_to_reduction(monkeypatch):
     assert all(0 <= r <= 300 and v >= 0 for r, v in info["boundary"])
 
 
+def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
+    import sdot.solver as solver_mod
+
+    rng = np.random.default_rng(67)
+    X = rng.standard_normal((900, 2))
+    a = np.full(900, 1 / 900)
+    nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
+    direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0]
+    real = solver_mod.linprog
+    calls = []
+
+    def fail_first(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res.success)
+        if len(calls) == 1:
+            res.success, res.message = False, "forced failure"
+        return res
+
+    monkeypatch.setattr(solver_mod, "linprog", fail_first)
+    value, _, cert = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    assert len(calls) == 2
+    assert cert["passes"] == 2
+    # the second pass ran with a doubled margin, so no fewer boundary rows
+    assert cert["boundary"][1][0] >= cert["boundary"][0][0] > 0
+    assert value == pytest.approx(direct, abs=1e-8)
+
+
 @pytest.mark.parametrize("m", [300, 2000, 4000])
 @pytest.mark.parametrize("n", [1, 2, 7])
 @pytest.mark.parametrize("cost", [SUP, SQ], ids=["sup", "sq"])
@@ -591,12 +618,28 @@ def test_reference_bisection_model_long_sgd():
     assert value >= plain - 0.25
 
 
-def test_kappa_estimate_positive():
+def test_reference_pareto_beyond_q2_runs_long_sgd():
+    # q > 2 has no Lipschitz constant, so the long run takes the lipschitz rule
     rng = np.random.default_rng(59)
-    nu = random_measure(rng, 4, 2)
-    pts = rng.uniform(-1, 1, size=(30, 2))
-    model = MarginalModel("exponential", 0.5, np.full(4, 0.25))
-    phi, _ = damped_newton(pts, np.full(30, 1 / 30), nu, SQ, model)
-    kap = kappa_estimate(phi, pts, np.full(30, 1 / 30), nu, SQ, model)
-    assert kap > 0.0
-    assert kap <= 1.0 / model.lam + 1e-9
+    nu = random_measure(rng, 3, 2)
+    spec = SamplerSpec("hypercube-uniform", d=2, seed=64)
+    model = MarginalModel("pareto", 0.5, np.full(3, 1 / 3), q=3.0)
+    value, phi, info = finite_sample_reference(spec, nu, SQ, model, 10, eps_bar=0.1)
+    assert info["method"] == "sgd-50x"
+    assert info["iterations"] == 500
+    assert np.isfinite(value) and np.isfinite(info["grad_norm"])
+    assert abs(phi.mean()) <= 1e-12
+
+
+def test_sgd_config_step_rules():
+    eta = np.full(3, 1 / 3)
+    cfg = sgd_config(None, 40, eps_bar=0.3)
+    assert (cfg.rule, cfg.eps_bar, cfg.L, cfg.tikhonov) == ("lipschitz", 0.0, None, 1e-8)
+    cfg = sgd_config(MarginalModel("exponential", 0.5, eta), 40, eps_bar=0.3)
+    assert (cfg.rule, cfg.eps_bar, cfg.L, cfg.tikhonov) == ("smooth", 0.0, 2.0, 0.0)
+    model = MarginalModel("hyperbolic", 0.5, eta)
+    cfg = sgd_config(model, 40, eps_bar=0.3)
+    assert (cfg.rule, cfg.eps_bar, cfg.L) == ("smooth", 0.3, marginal_lipschitz(model))
+    cfg = sgd_config(MarginalModel("pareto", 0.5, eta, q=3.0), 40, eps_bar=0.3)
+    assert (cfg.rule, cfg.eps_bar, cfg.L) == ("lipschitz", 0.3, None)
+    assert cfg.T == 40
