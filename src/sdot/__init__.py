@@ -30,7 +30,6 @@ from sdot.noise import (
 )
 from sdot.solver import (
     SolverConfig,
-    SolverTrace,
     averaged_sgd,
     damped_newton,
     dual_objective_estimate,

@@ -15,7 +15,7 @@ import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +52,12 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(ra["seed"]))))
     atoms = rng.uniform(-box, box, size=(count, int(sampler.d)))
     return DiscreteMeasure(atoms, np.full(count, 1.0 / count))
+
+
+def _reject_unknown(obj: dict, known, ctx: str):
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{ctx} has unknown field '{key}'")
 
 
 def _parse_models(entries):
@@ -119,6 +125,7 @@ class ExperimentConfig:
             raise ValueError("config must be a JSON object")
         if obj.get("version") != CONFIG_VERSION:
             raise ValueError(f"config field 'version' must be {CONFIG_VERSION}")
+        _reject_unknown(obj, {"version", *(f.name for f in fields(cls))}, "config")
         for field in ("sampler", "measure", "cost", "models", "t_grid", "seeds"):
             if field not in obj:
                 raise ValueError(f"config is missing field '{field}'")
@@ -482,6 +489,12 @@ def _require(obj, field, ctx="input"):
     return obj[field]
 
 
+def _sampler(obj, seed):
+    """The input's sampler, its seed replaced by ``seed`` when one is given."""
+    spec = SamplerSpec.from_json(_require(obj, "sampler"))
+    return spec if seed is None else replace(spec, seed=seed)
+
+
 def _optional_model(obj):
     entry = obj.get("model")
     return None if entry is None else MarginalModel.from_json(entry)
@@ -516,20 +529,19 @@ def _cmd_transform(args) -> int:
 
 def _cmd_solve(args) -> int:
     obj = _load_input(args.infile)
-    spec = SamplerSpec.from_json(_require(obj, "sampler"))
+    spec = _sampler(obj, args.seed)
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)
     sd = _require(obj, "solver")
     T = int(_require(sd, "T", "input field 'solver'"))
+    _reject_unknown(sd, {f.name for f in fields(SolverConfig)}, "input field 'solver'")
     rule, lips, eps_bar = sd.get("rule", "lipschitz"), sd.get("L"), sd.get("eps_bar")
     base = sgd_config(model, T)  # the model's own L and eps_bar fill in what is unset
     config = SolverConfig(
         T=T, rule=rule, eps_bar=float(base.eps_bar if eps_bar is None else eps_bar),
         L=base.L if lips is None and rule == "smooth" else lips,
-        M=sd.get("M"), tikhonov=float(sd.get("tikhonov", 0.0)),
-        seed=args.seed, theorem_variant=bool(sd.get("theorem_variant", False)),
-        log_every=sd.get("log_every"))
+        tikhonov=float(sd.get("tikhonov", 0.0)), log_every=sd.get("log_every"))
     _, _, trace = averaged_sgd(spec, nu, c, model, config)
     csv = trace.to_csv(timing=args.timing)
     if args.out is None:
@@ -541,10 +553,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_reference(args) -> int:
     obj = _load_input(args.infile)
-    spec = SamplerSpec.from_json(_require(obj, "sampler"))
-    if args.seed is not None:
-        spec = SamplerSpec(spec.kind, d=spec.d, seed=args.seed,
-                           points=spec.points, weights=spec.weights)
+    spec = _sampler(obj, args.seed)
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)

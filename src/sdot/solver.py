@@ -23,7 +23,6 @@ from scipy.optimize import linprog
 from .core import (
     CostSpec,
     DiscreteMeasure,
-    Sampler,
     SamplerSpec,
     cost_matrix,
     draw,
@@ -37,44 +36,32 @@ from .noise import (
     utilities_values_probs,
 )
 
-RATE_RULES = ("lipschitz", "smooth", "self-concordant")
+RATE_RULES = ("lipschitz", "smooth")
 
 
-def step_size(rule: str, T: int, eps_bar: float = 0.0, L: float | None = None,
-              G: float | None = None, theorem_variant: bool = False) -> float:
+def step_size(rule: str, T: int, eps_bar: float = 0.0, L: float | None = None) -> float:
     """Constant step for a T-iteration run under the named regularity rule.
 
     Parameters
     ----------
     rule : str
-        ``lipschitz``, ``smooth`` (needs L) or ``self-concordant`` (needs G).
+        ``lipschitz`` (bounded gradients) or ``smooth`` (needs L).
     T : int
         Iteration budget.
     eps_bar : float
-        Oracle bias budget entering the lipschitz (and variant) formulas.
+        Oracle bias budget entering the lipschitz formula.
     L : float, optional
         Smoothness constant of the dual gradient.
-    G : float, optional
-        max(M, 2 + eps_bar) for the self-concordant rule.
-    theorem_variant : bool
-        Use the squared-factor variant of the first two rules.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     root = math.sqrt(T)
     if rule == "lipschitz":
-        fac = (2.0 + eps_bar) ** 2 if theorem_variant else (2.0 + eps_bar)
-        return 1.0 / (2.0 * fac * root)
+        return 1.0 / (2.0 * (2.0 + eps_bar) * root)
     if rule == "smooth":
         if L is None:
             raise ValueError("smooth rule needs the constant L")
-        if theorem_variant:
-            return 1.0 / (2.0 * (2.0 + eps_bar) ** 2 * root + L)
         return 1.0 / (2.0 * root + L)
-    if rule == "self-concordant":
-        if G is None:
-            raise ValueError("self-concordant rule needs the constant G")
-        return 1.0 / (2.0 * G * G * root)
     raise ValueError(f"unknown step-size rule: {rule!r}")
 
 
@@ -82,20 +69,19 @@ def step_size(rule: str, T: int, eps_bar: float = 0.0, L: float | None = None,
 class SolverConfig:
     """Run parameters for :func:`averaged_sgd`.
 
+    ``rule`` is one of :data:`RATE_RULES` (see :func:`step_size`).
     ``eps_bar`` feeds both the step-size formula and the per-iteration
     bisection accuracy eps_bar / (2 sqrt(t)); ``tikhonov`` only applies to
     the unsmoothed oracle. ``log_every=1`` turns on full trace logging,
-    the default is geometric checkpoints {1, 2, 4, ...} plus T.
+    the default is geometric checkpoints {1, 2, 4, ...} plus T. The seed
+    is the sampler's.
     """
 
     T: int
     rule: str = "lipschitz"
     eps_bar: float = 0.0
     L: float | None = None
-    M: float | None = None
     tikhonov: float = 0.0
-    seed: int | None = None
-    theorem_variant: bool = False
     log_every: int | None = None
 
     def __post_init__(self):
@@ -125,7 +111,6 @@ class TraceRow:
     under_avg: np.ndarray
     bar_avg: np.ndarray
     walltime_ms: float
-    subopt_estimate: float | None = None
 
 
 def _phi_hash(phi: np.ndarray) -> str:
@@ -137,17 +122,14 @@ class SolverTrace:
     """Checkpoint log of one solver run; serializes to a small CSV."""
 
     rows: list
-    sample_count: int
-    wall_time_ms: float
 
     def to_csv(self, timing: str = "measured") -> str:
         if timing not in ("measured", "zero"):
             raise ValueError("timing must be 'measured' or 'zero'")
-        lines = ["t,phi_hash,subopt_estimate,walltime_ms"]
+        lines = ["t,phi_hash,walltime_ms"]
         for r in self.rows:
-            sub = "" if r.subopt_estimate is None else repr(float(r.subopt_estimate))
             ms = 0.0 if timing == "zero" else float(r.walltime_ms)
-            lines.append(f"{r.t},{_phi_hash(r.phi)},{sub},{repr(ms)}")
+            lines.append(f"{r.t},{_phi_hash(r.phi)},{repr(ms)}")
         return "\n".join(lines) + "\n"
 
 
@@ -166,15 +148,15 @@ def _checkpoint_schedule(T: int, log_every: int | None):
     return sched
 
 
-def averaged_sgd(sampler, nu: DiscreteMeasure, c: CostSpec,
+def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
                  model: MarginalModel | None, config: SolverConfig):
     """Constant-step stochastic ascent with averaged iterates.
 
     Parameters
     ----------
-    sampler : SamplerSpec or Sampler
-        Source distribution; a spec opens a fresh stream so that equal
-        configs reproduce bit-identical runs.
+    sampler : SamplerSpec
+        Source distribution; each run opens a fresh stream from its seed,
+        so equal inputs reproduce bit-identical runs.
     nu : DiscreteMeasure
         Target measure.
     c : CostSpec
@@ -195,22 +177,12 @@ def averaged_sgd(sampler, nu: DiscreteMeasure, c: CostSpec,
     needs_bisection = model is not None and model.kind not in CLOSED_FORM_KINDS
     if needs_bisection and config.eps_bar <= 0.0:
         raise ValueError("bisection oracle needs a positive eps_bar")
-    if isinstance(sampler, SamplerSpec):
-        spec = sampler if config.seed is None else SamplerSpec(
-            sampler.kind, d=sampler.d, points=sampler.points,
-            weights=sampler.weights, seed=config.seed)
-        stream = Sampler(spec)
-    elif isinstance(sampler, Sampler):
-        stream = sampler
-    else:
-        raise TypeError("sampler must be a SamplerSpec or Sampler")
+    if not isinstance(sampler, SamplerSpec):
+        raise TypeError("sampler must be a SamplerSpec")
 
     T = config.T
-    gamma = step_size(config.rule, T, eps_bar=config.eps_bar, L=config.L,
-                      G=None if config.M is None else max(config.M, 2.0 + config.eps_bar),
-                      theorem_variant=config.theorem_variant)
-    X = stream.draw(T)
-    C = cost_matrix(X, nu.atoms, c)
+    gamma = step_size(config.rule, T, eps_bar=config.eps_bar, L=config.L)
+    C = cost_matrix(draw(sampler, T), nu.atoms, c)
     n = nu.n_atoms
     weights = nu.weights
     phi = np.zeros(n)
@@ -240,9 +212,7 @@ def averaged_sgd(sampler, nu: DiscreteMeasure, c: CostSpec,
         if t in sched:
             ms = (time.perf_counter() - t0) * 1000.0
             rows.append(TraceRow(t, phi.copy(), under_sum / t, bar_sum / t, ms))
-    total_ms = (time.perf_counter() - t0) * 1000.0
-    trace = SolverTrace(rows, T, total_ms)
-    return under_sum / T, bar_sum / T, trace
+    return under_sum / T, bar_sum / T, SolverTrace(rows)
 
 
 def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
@@ -276,9 +246,10 @@ def _finite_dual(phi, C, weights, nu_w, model, eps=None):
     return float(nu_w @ phi) - float(weights @ vals), nu_w - P.T @ weights, P
 
 
-def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
-                  model: MarginalModel, grad_tol: float = 1e-7, max_iter: int = 100):
-    """Maximize the finite-sample smooth dual of a closed-form kind.
+def damped_newton(C, weights, nu_w, model: MarginalModel,
+                  grad_tol: float = 1e-7, max_iter: int = 100):
+    """Maximize the finite-sample smooth dual of a closed-form kind: rows of
+    the cost matrix ``C`` carry ``weights``, columns the target ``nu_w``.
 
     Each step solves (H + 11^T/n + mu I) d = g, with g the gradient and H
     the negated n x n Hessian; g sums to zero, so 11^T/n only fixes the
@@ -292,15 +263,13 @@ def damped_newton(points, weights, nu: DiscreteMeasure, c: CostSpec,
     """
     if model is None or model.kind not in CLOSED_FORM_KINDS:
         raise ValueError("damped Newton needs an exact-gradient model kind")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
     weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != points.shape[0] or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must match the points and sum to one")
-    C = cost_matrix(points, nu.atoms, c)
-    n = nu.n_atoms
+    if weights.size != C.shape[0] or abs(weights.sum() - 1.0) > 1e-9:
+        raise ValueError("weights must match the rows of C and sum to one")
+    n = C.shape[1]
 
     def evaluate(phi):  # P is dropped here, so no m x n array outlives a step
-        f, g, P = _finite_dual(phi, C, weights, nu.weights, model)
+        f, g, P = _finite_dual(phi, C, weights, nu_w, model)
         return f, g, averaged_choice_jacobian(P, weights, model)
 
     phi = np.zeros(n)
@@ -387,9 +356,9 @@ def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
     return value, x.reshape(m, n), u, phi
 
 
-def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
-                                 nu: DiscreteMeasure, c: CostSpec):
-    """Exact transport value on a large sample set via boundary reduction.
+def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray):
+    """Exact transport value from the rows of the cost matrix ``C``, at
+    masses ``a``, to the target weights ``nu_w``, via boundary reduction.
 
     The pilot potential maximizes the entropic dual over the full sample
     at a small lambda (a fixed share of the cost spread), by
@@ -411,14 +380,12 @@ def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
     ``gap`` (primal minus dual), the number of ``passes`` and the
     ``boundary`` size of each pass as [rows, LP variables].
     """
-    m, n = X.shape[0], nu.n_atoms
-    C = cost_matrix(X, nu.atoms, c)
+    m, n = C.shape
     rows = np.arange(m)
     spread = float(C.max() - C.min())
     lam = _PILOT_LAM * spread if spread > 0.0 else 1.0
-    pilot = MarginalModel("exponential", lam, nu.weights)
-    phi, _ = damped_newton(X, a, nu, c, pilot,
-                           grad_tol=_PILOT_TOL * float(nu.weights.min()))
+    pilot = MarginalModel("exponential", lam, nu_w)
+    phi, _ = damped_newton(C, a, nu_w, pilot, grad_tol=_PILOT_TOL * float(nu_w.min()))
     phi = phi - phi.mean()
     margin = lam * max(2.0 * math.log(n), 1.0)
     prev_gap = math.inf
@@ -431,7 +398,7 @@ def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
         narrow = best - S.max(axis=1) <= margin
         S[rows, top] = best
         filled = np.bincount(top[~narrow], weights=a[~narrow], minlength=n)
-        resid = nu.weights - filled
+        resid = nu_w - filled
         sub = np.flatnonzero(narrow)
         boundary.append([int(sub.size), 0])
         if resid.min() < -1e-15:
@@ -454,7 +421,7 @@ def _reduced_transport_value_phi(X: np.ndarray, a: np.ndarray,
         else:
             phi_new = phi
             moved = 0.0
-        dual = _finite_dual(phi_new, C, a, nu.weights, None)[0]
+        dual = _finite_dual(phi_new, C, a, nu_w, None)[0]
         primal = float(a[~narrow] @ C[rows[~narrow], top[~narrow]]) + moved
         gap = primal - dual
         if gap <= 1e-6 * max(1.0, abs(primal)):
@@ -493,13 +460,13 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     if m * n > 2e8:
         raise ValueError("reference sample too large (multiplier*T*n > 2e8)")
     X = draw(sampler, m)
+    C = cost_matrix(X, nu.atoms, c)
     w = np.full(m, 1.0 / m)
     if model is None:
         reduced = m * n > _DIRECT_LIMIT
         if reduced:
-            value, phi, cert = _reduced_transport_value_phi(X, w, nu, c)
+            value, phi, cert = _reduced_transport_value_phi(C, w, nu.weights)
         else:
-            C = cost_matrix(X, nu.atoms, c)
             value, _, _, phi = _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n),
                                              w, nu.weights)
             cert = {"gap": value - _finite_dual(phi, C, w, nu.weights, None)[0]}
@@ -507,16 +474,14 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         info = {"method": "lp", "samples": m, "reduced": reduced, **cert}
         return value, phi, info
     if model.kind in CLOSED_FORM_KINDS:
-        phi, newton_info = damped_newton(X, w, nu, c, model)
+        phi, newton_info = damped_newton(C, w, nu.weights, model)
         phi = phi - phi.mean()
         info = {"method": "newton", "samples": m, **newton_info}
         return newton_info["value"], phi, info
-    emp = SamplerSpec("empirical", points=X, weights=w,
-                      seed=sampler.seed if sampler.seed is not None else 0)
+    emp = SamplerSpec("empirical", points=X, weights=w, seed=sampler.seed)
     _, bar, _ = averaged_sgd(emp, nu, c, model, sgd_config(model, 50 * T, eps_bar))
     phi = bar - bar.mean()
-    value, grad, _ = _finite_dual(phi, cost_matrix(X, nu.atoms, c), w, nu.weights, model,
-                                  eps=1e-10)
+    value, grad, _ = _finite_dual(phi, C, w, nu.weights, model, eps=1e-10)
     info = {"method": "sgd-50x", "samples": m, "iterations": 50 * T,
             "grad_norm": float(np.linalg.norm(grad))}
     return value, phi, info

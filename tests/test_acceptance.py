@@ -239,7 +239,7 @@ def test_05_regularized_duality_gap_closes(capsys):
         lam = float(rng.uniform(0.2, 1.0))
         for kind in ("exponential", "uniform"):
             model = MarginalModel(kind, lam, _random_eta(rng, n))
-            phi, info = damped_newton(X, w, nu, COST, model)
+            phi, info = damped_newton(cost_matrix(X, atoms, COST), w, nu.weights, model)
             dual = info["value"]
             U = phi[None, :] - cost_matrix(X, atoms, COST)
             _, P = utilities_values_probs(U, model)

@@ -468,9 +468,25 @@ def test_cli_solve_same_seed_identical_csv(tmp_path, capsys):
     assert main(["solve", "--in", path]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.splitlines()[0] == "t,phi_hash,subopt_estimate,walltime_ms"
+    assert first.splitlines()[0] == "t,phi_hash,walltime_ms"
     assert main(["solve", "--in", path, "--seed", "6"]) == 0
     assert capsys.readouterr().out != first
+
+
+@pytest.mark.parametrize("field", ["tikonov", "M", "theorem_variant"])
+def test_cli_solve_rejects_unknown_solver_field(tmp_path, capsys, field):
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "sup-norm"},
+        "model": None,
+        "solver": {"T": 8, "rule": "lipschitz", field: 0.5},
+    }
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main(["solve", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown field '{field}'" in captured.err
 
 
 def test_cli_solve_writes_file(tmp_path):
@@ -574,6 +590,14 @@ def test_cli_experiment_end_to_end(tmp_path, capsys):
     assert len(svgs) >= 1
     text = capsys.readouterr().out
     assert "records.csv" in text
+
+
+def test_cli_experiment_rejects_unknown_config_field(tmp_path, capsys):
+    cfg_path = _write_json(tmp_path, "config.json", tiny_config_dict(multipler=5))
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "unknown field 'multipler'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_experiment_pareto_beyond_q2(tmp_path, capsys):

@@ -1,15 +1,18 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Two kinds of dead code are rejected: an import a module never reads (the
-package ``__init__`` re-exports by importing, so it is exempt), and a
+Three kinds of dead code are rejected: an import a module never reads (the
+package ``__init__`` re-exports by importing, so it is exempt), a
 module-level private function or class that nothing in the package
-references.
+references, and a name the package ``__init__`` exports that no demo,
+test, benchmark script or the README names.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "sdot"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "sdot"
 
 
 def _modules():
@@ -66,12 +69,31 @@ def unreferenced_private_defs(modules):
     return found
 
 
+def unused_exports(init_tree, texts):
+    """Names the package ``__init__`` imports that none of ``texts`` names."""
+    names = [alias.asname or alias.name for node in init_tree.body
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    return [name for name in names
+            if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
+
+
+def _usage_texts():
+    paths = [ROOT / "README.md", *(ROOT / "tests").glob("*.py"),
+             *(p for folder in ("demos", "bench") for p in (ROOT / folder).rglob("*")
+               if p.suffix in (".py", ".md"))]
+    return [p.read_text() for p in paths if p.resolve() != Path(__file__).resolve()]
+
+
 def test_no_unused_imports():
     assert unused_imports(_modules()) == []
 
 
 def test_no_unreferenced_private_definitions():
     assert unreferenced_private_defs(_modules()) == []
+
+
+def test_no_unused_exports():
+    assert unused_exports(_modules()["__init__.py"], _usage_texts()) == []
 
 
 def test_checks_flag_planted_dead_code():
@@ -82,3 +104,6 @@ def test_checks_flag_planted_dead_code():
     modules = {"planted.py": planted}
     assert unused_imports(modules) == ["planted.py:1 os", "planted.py:2 pi"]
     assert unreferenced_private_defs(modules) == ["planted.py:4 _dead"]
+    init = ast.parse("from pkg.mod import used, unused_name, aliased as shown\n")
+    texts = ["used(1)", "shown = 2  # unused_names", "aliased"]
+    assert unused_exports(init, texts) == ["unused_name"]

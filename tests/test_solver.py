@@ -15,6 +15,7 @@ from sdot.cli import ExperimentConfig
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
+    Sampler,
     SamplerSpec,
     cost_matrix,
     cost_vector,
@@ -54,21 +55,11 @@ def random_measure(rng, n, d, box=1.0):
 def test_step_size_frozen():
     assert step_size("lipschitz", 10_000, eps_bar=0.0) == pytest.approx(2.5e-3, rel=1e-15)
     assert step_size("smooth", 10_000, L=5.0) == pytest.approx(1.0 / 205.0, rel=1e-15)
-    assert step_size("self-concordant", 100, G=2.0) == pytest.approx(1.0 / 80.0, rel=1e-15)
-
-
-def test_step_size_theorem_variant():
-    assert step_size("lipschitz", 10_000, eps_bar=0.0, theorem_variant=True) \
-        == pytest.approx(1.0 / 800.0, rel=1e-15)
-    assert step_size("smooth", 10_000, L=5.0, eps_bar=0.0, theorem_variant=True) \
-        == pytest.approx(1.0 / 805.0, rel=1e-15)
 
 
 def test_step_size_missing_constants():
     with pytest.raises(ValueError):
         step_size("smooth", 100)
-    with pytest.raises(ValueError):
-        step_size("self-concordant", 100)
     with pytest.raises(ValueError):
         step_size("no-such-rule", 100)
 
@@ -79,8 +70,7 @@ def sgd_replay(spec, nu, c, model, config):
     """Independent re-implementation of the iteration for comparison."""
     X = draw(spec, config.T)
     C = cost_matrix(X, nu.atoms, c)
-    gamma = step_size(config.rule, config.T, eps_bar=config.eps_bar, L=config.L,
-                      G=None if config.M is None else max(config.M, 2.0 + config.eps_bar))
+    gamma = step_size(config.rule, config.T, eps_bar=config.eps_bar, L=config.L)
     n = nu.n_atoms
     phi = np.zeros(n)
     under = np.zeros(n)
@@ -106,10 +96,9 @@ def test_sgd_single_atom_fixed_point():
     nu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
     spec = SamplerSpec("gaussian-standard", d=2, seed=5)
     cfg = SolverConfig(T=50, rule="lipschitz")
-    under, bar, trace = averaged_sgd(spec, nu, SUP, None, cfg)
+    under, bar, _ = averaged_sgd(spec, nu, SUP, None, cfg)
     assert np.array_equal(under, np.zeros(1))
     assert np.array_equal(bar, np.zeros(1))
-    assert trace.sample_count == 50
 
 
 def test_sgd_matches_replay_exponential():
@@ -154,6 +143,14 @@ def test_sgd_bisection_needs_positive_eps_bar():
     spec = SamplerSpec("gaussian-standard", d=1, seed=1)
     with pytest.raises(ValueError):
         averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5, rule="lipschitz"))
+
+
+def test_sgd_takes_only_a_sampler_spec():
+    nu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.full(2, 0.5))
+    spec = SamplerSpec("gaussian-standard", d=1, seed=1)
+    for sampler in (Sampler(spec), draw(spec, 5)):
+        with pytest.raises(TypeError, match="SamplerSpec"):
+            averaged_sgd(sampler, nu, SUP, None, SolverConfig(T=5))
 
 
 @pytest.mark.parametrize("kind, eps_bar", [("exponential", 0.0), ("uniform", 0.0),
@@ -226,10 +223,10 @@ def test_sgd_trace_csv_shape():
     spec = SamplerSpec("gaussian-standard", d=1, seed=3)
     _, _, trace = averaged_sgd(spec, nu, SUP, model, SolverConfig(T=16, rule="lipschitz"))
     lines = trace.to_csv().strip().split("\n")
-    assert lines[0] == "t,phi_hash,subopt_estimate,walltime_ms"
+    assert lines[0] == "t,phi_hash,walltime_ms"
     assert len(lines) == 1 + 5  # checkpoints 1,2,4,8,16
     cells = lines[1].split(",")
-    assert len(cells) == 4 and len(cells[1]) == 16
+    assert len(cells) == 3 and len(cells[1]) == 16
     int(cells[0])
 
 
@@ -375,12 +372,14 @@ def test_reduced_lp_certifies_against_direct():
     a = np.full(900, 1 / 900)
     nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
     direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0]
-    value, phi, _ = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    value, phi, _ = solver_mod._reduced_transport_value_phi(
+        cost_matrix(X, nu.atoms, SUP), a, nu.weights)
     assert value == pytest.approx(direct, abs=1e-8)
     # the pair is self-consistent: value is the semi-dual objective at phi
     psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, SUP), axis=1)
     assert nu.weights @ phi - a @ psi == pytest.approx(value, abs=1e-12)
-    value2, phi2, _ = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    value2, phi2, _ = solver_mod._reduced_transport_value_phi(
+        cost_matrix(X, nu.atoms, SUP), a, nu.weights)
     assert value2 == value
     assert np.array_equal(phi2, phi)
 
@@ -423,7 +422,8 @@ def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "linprog", fail_first)
-    value, _, cert = solver_mod._reduced_transport_value_phi(X, a, nu, SUP)
+    value, _, cert = solver_mod._reduced_transport_value_phi(
+        cost_matrix(X, nu.atoms, SUP), a, nu.weights)
     assert len(calls) == 2
     assert cert["passes"] == 2
     # the second pass ran with a doubled margin, so no fewer boundary rows
@@ -447,7 +447,8 @@ def test_reduced_lp_entropic_pilot_certifies(m, n, cost, sample):
     a = np.full(m, 1 / m)
     nu = random_measure(rng, n, 2)
     direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, cost)[0]
-    value, phi, cert = solver_mod._reduced_transport_value_phi(X, a, nu, cost)
+    value, phi, cert = solver_mod._reduced_transport_value_phi(
+        cost_matrix(X, nu.atoms, cost), a, nu.weights)
     assert value == pytest.approx(direct, abs=1e-8)
     psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, cost), axis=1)
     assert nu.weights @ phi - a @ psi == pytest.approx(value, abs=1e-12)
@@ -473,14 +474,15 @@ def test_agd_rejects_bisection_models():
     nu = random_measure(rng, 3, 2)
     model = MarginalModel("hyperbolic", 0.5, np.full(3, 1 / 3))
     with pytest.raises(ValueError):
-        damped_newton(rng.normal(size=(5, 2)), np.full(5, 0.2), nu, SUP, model)
+        damped_newton(cost_matrix(rng.normal(size=(5, 2)), nu.atoms, SUP), np.full(5, 0.2),
+                      nu.weights, model)
 
 
 def test_agd_symmetric_instance():
     pts = np.array([[-1.0], [1.0]])
     nu = DiscreteMeasure(pts, np.full(2, 0.5))
     model = MarginalModel("exponential", 0.5, np.full(2, 0.5))
-    phi, info = damped_newton(pts, np.full(2, 0.5), nu, SQ, model)
+    phi, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), np.full(2, 0.5), nu.weights, model)
     assert info["grad_norm"] <= 1e-7
     assert abs(phi[0] - phi[1]) <= 1e-6
     assert abs(phi.mean()) <= 1e-12
@@ -491,7 +493,7 @@ def test_agd_single_atom_value():
     pts = rng.normal(size=(6, 2))
     nu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
     model = MarginalModel("exponential", 0.5, np.array([1.0]))
-    phi, info = damped_newton(pts, np.full(6, 1 / 6), nu, SQ, model)
+    phi, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), np.full(6, 1 / 6), nu.weights, model)
     ref = cost_matrix(pts, nu.atoms, SQ).mean()
     assert info["value"] == pytest.approx(ref, abs=1e-10)
 
@@ -503,7 +505,7 @@ def test_agd_primal_dual_gap():
         w = np.full(5, 0.2)
         nu = random_measure(rng, 4, 2)
         model = MarginalModel(kind, lam, np.full(4, 0.25))
-        phi, info = damped_newton(pts, w, nu, SUP, model)
+        phi, info = damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
         assert info["grad_norm"] <= 1e-7
         C = cost_matrix(pts, nu.atoms, SUP)
         from sdot.noise import probs_from_utilities
@@ -525,7 +527,7 @@ def test_agd_between_plain_value_and_bound():
     plain, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     for kind in ("exponential", "uniform"):
         model = MarginalModel(kind, 0.6, np.full(4, 0.25))
-        _, info = damped_newton(pts, w, nu, SQ, model)
+        _, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), w, nu.weights, model)
         assert info["value"] >= plain - 1e-8
         assert info["value"] <= plain + approximation_bound(model) + 1e-8
 
@@ -545,7 +547,8 @@ def _random_small_instances(count):
 def test_newton_certifies_random_small_instances():
     for pts, w, nu, lam, eta in _random_small_instances(100):
         for kind in ("exponential", "uniform"):
-            phi, info = damped_newton(pts, w, nu, SUP, MarginalModel(kind, lam, eta))
+            phi, info = damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights,
+                                      MarginalModel(kind, lam, eta))
             assert info["grad_norm"] <= 1e-7
             assert np.all(np.isfinite(phi))
 
@@ -554,7 +557,7 @@ def test_newton_raises_at_iteration_cap():
     pts, w, nu, _, _ = next(_random_small_instances(1))
     model = MarginalModel("exponential", 0.05, np.full(nu.n_atoms, 1 / nu.n_atoms))
     with pytest.raises(RuntimeError, match="gradient norm"):
-        damped_newton(pts, w, nu, SUP, model, max_iter=1)
+        damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model, max_iter=1)
 
 
 def test_newton_iterations_on_gating_instance():
