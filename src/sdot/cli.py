@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostSpec, DiscreteMeasure, SamplerSpec, cost_vector, derive_seed, draw
+from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _reject_unknown, cost_vector,
+                   derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, utilities_values_probs
 from .solver import (SolverConfig, averaged_sgd, dual_objective_estimate,
@@ -52,12 +53,6 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(ra["seed"]))))
     atoms = rng.uniform(-box, box, size=(count, int(sampler.d)))
     return DiscreteMeasure(atoms, np.full(count, 1.0 / count))
-
-
-def _reject_unknown(obj: dict, known, ctx: str):
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"{ctx} has unknown field '{key}'")
 
 
 def _parse_models(entries):
@@ -554,6 +549,8 @@ def _cmd_solve(args) -> int:
 def _cmd_reference(args) -> int:
     obj = _load_input(args.infile)
     spec = _sampler(obj, args.seed)
+    _reject_unknown(obj, ("sampler", "measure", "cost", "model", "T", "eps_bar", "multiplier"),
+                    "input")
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)

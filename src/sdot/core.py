@@ -35,6 +35,13 @@ COST_KINDS = ("p-norm-power", "sup-norm")
 SAMPLER_KINDS = ("gaussian-standard", "hypercube-uniform", "empirical")
 
 
+def _reject_unknown(obj: dict, known, ctx: str):
+    """Fail on the first key of a JSON object outside ``known``, naming it."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{ctx} has unknown field '{key}'")
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a, dtype=float)
     a.flags.writeable = False
@@ -158,6 +165,7 @@ class SamplerSpec:
     def from_json(cls, obj: dict) -> "SamplerSpec":
         if "kind" not in obj:
             raise ValueError("sampler JSON is missing field 'kind'")
+        _reject_unknown(obj, ("kind", "d", "seed", "points", "weights"), "sampler JSON")
         if obj["kind"] == "empirical":
             return cls(
                 "empirical",

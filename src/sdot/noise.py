@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import CostSpec, DiscreteMeasure, cost_vector
+from .core import CostSpec, DiscreteMeasure, _reject_unknown, cost_vector
 
 MODEL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
 # kinds whose choice probabilities have a closed form; the rest bisect
@@ -35,6 +36,11 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+# 0-d operands of the bisection loop, which a ufunc takes as they are; a
+# Python float operand is converted to an array on every call
+_ZERO, _HALF, _ONE = (_readonly(v) for v in (0.0, 0.5, 1.0))
 
 
 @dataclass(frozen=True)
@@ -89,6 +95,16 @@ class MarginalModel:
     def n(self) -> int:
         return self.eta.size
 
+    @cached_property
+    def _bracket_nodes(self) -> np.ndarray:
+        """Generating quantile at 1 / (n eta_i): the mass-balance root lies
+        between the nodes minus the utilities. Computed on the first
+        bisection; a model without a finite bracket raises on every one."""
+        try:
+            return _readonly(generating_quantile(self, (1.0 / self.n) / self.eta))
+        except ValueError as exc:
+            raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
+
     def to_json(self) -> dict:
         out = {"kind": self.kind, "lambda": self.lam, "eta": self.eta.tolist()}
         if self.q is not None:
@@ -100,37 +116,62 @@ class MarginalModel:
         for key in ("kind", "lambda", "eta"):
             if key not in obj:
                 raise ValueError(f"marginal model JSON is missing {key!r}")
+        # experiment configs name a series by its model's "tag"
+        _reject_unknown(obj, ("kind", "lambda", "eta", "q", "tag"), "marginal model JSON")
         return cls(obj["kind"], float(obj["lambda"]),
                    np.asarray(obj["eta"], dtype=float), q=obj.get("q"))
 
 
 # ------------------------------------------------------------------ curves
 
-def _cdf_extended(model: MarginalModel, z):
+def _cdf_extended(model: MarginalModel, z, out=None):
     """Generating cdf extended monotonically to the whole line.
 
     Outside the natural domain the pareto branches continue with 0 (q > 1)
-    and +inf (q < 1); the other kinds evaluate everywhere as written.
+    and +inf (q < 1); the other kinds evaluate everywhere as written. With
+    ``out`` (which may be ``z`` itself) the values are written there in
+    place, and the caller holds the ``np.errstate(over="ignore",
+    divide="ignore")`` that the call without ``out`` enters itself.
     """
-    z = np.asarray(z, dtype=float)
+    if out is None:
+        z = np.asarray(z, dtype=float)
+        with np.errstate(over="ignore", divide="ignore"):
+            return _cdf_extended(model, z, np.empty_like(z))
     lam = model.lam
-    with np.errstate(over="ignore"):
-        if model.kind == "exponential":
-            return np.exp(z / lam - 1.0)
-        if model.kind == "uniform":
-            return z / (2.0 * lam) + 0.5
-        if model.kind == "hyperbolic":
-            return np.sinh(z / lam - HYPERBOLIC_OFFSET)
-        if model.kind == "tdist":
-            n = model.n
-            v = z - lam * math.sqrt(n - 1.0)
-            return 0.5 * n * (1.0 + v / np.sqrt(lam * lam + v * v))
-        q = model.q
-        base = z * (q - 1.0) / (lam * q) + 1.0 / q
-        if q > 1.0:
-            return np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (q - 1.0)), 0.0)
-        with np.errstate(divide="ignore"):
-            return np.where(base > 0.0, np.maximum(base, 1e-300) ** (1.0 / (q - 1.0)), np.inf)
+    if model.kind == "exponential":
+        np.divide(z, lam, out=out)
+        out -= 1.0
+        return np.exp(out, out=out)
+    if model.kind == "uniform":
+        np.divide(z, 2.0 * lam, out=out)
+        out += 0.5
+        return out
+    if model.kind == "hyperbolic":
+        np.divide(z, lam, out=out)
+        out -= HYPERBOLIC_OFFSET
+        return np.sinh(out, out=out)
+    if model.kind == "tdist":
+        n = model.n
+        v = np.subtract(z, lam * math.sqrt(n - 1.0), out=out)
+        v /= np.sqrt(lam * lam + v * v)
+        v += 1.0
+        v *= 0.5 * n
+        return v
+    q = model.q
+    base = np.multiply(z, q - 1.0, out=out)
+    base /= lam * q
+    base += 1.0 / q
+    if q > 1.0:
+        # base is never -0.0 (the positive 1/q is added last), so fmax maps
+        # it exactly as where(base > 0, base, 0) does, NaN included
+        np.fmax(base, 0.0, out=base)
+        base **= 1.0 / (q - 1.0)
+        return base
+    inside = base > 0.0
+    np.maximum(base, 1e-300, out=base)
+    base **= 1.0 / (q - 1.0)
+    np.copyto(base, np.inf, where=~inside)
+    return base
 
 
 def generating_cdf(model: MarginalModel, s):
@@ -252,8 +293,11 @@ class ChoiceProbabilities:
         object.__setattr__(self, "tol", float(self.tol))
 
 
-def _clip_probs(model: MarginalModel, Z: np.ndarray) -> np.ndarray:
-    return np.clip(model.eta[None, :] * _cdf_extended(model, Z), 0.0, 1.0)
+def _clip_probs(model: MarginalModel, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """eta * F(Z) clipped to [0, 1], written into ``out`` as in :func:`_cdf_extended`."""
+    _cdf_extended(model, Z, out)
+    out *= model.eta
+    return out.clip(_ZERO, _ONE, out=out)
 
 
 def marginal_lipschitz(model: MarginalModel) -> float | None:
@@ -285,32 +329,45 @@ def bisection_delta(model: MarginalModel, eps: float) -> float:
 
 
 def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
+    """Bisect each row's mass balance sum(clip(eta F(u + tau))) = 1 in tau.
+
+    Every row halves its bracket until it is no wider than
+    :func:`bisection_delta`, and the row's probabilities are taken at the
+    lower end, where the mass is at most one. The bracket ends are two
+    columns of one (m, 2) array updated in place, and each halving
+    evaluates the mass in one (m, n) buffer, so a step costs a fixed dozen
+    numpy calls at any row count.
+    """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
     m, n = U.shape
     if n == 1:
         return np.ones((m, 1))
-    try:
-        qvec = generating_quantile(model, (1.0 / n) / model.eta)
-    except ValueError as exc:
-        raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
-    nodes = qvec[None, :] - U
-    lo = nodes.min(axis=1)
-    hi = nodes.max(axis=1)
-    delta = bisection_delta(model, eps)
-    width = hi - lo
-    steps = np.zeros(m, dtype=int)
-    pos = width > delta
-    steps[pos] = np.ceil(np.log2(width[pos] / delta)).astype(int)
-    for k in range(int(steps.max(initial=0))):
-        active = steps > k
-        mid = 0.5 * (lo + hi)
-        mass = _clip_probs(model, U + mid[:, None]).sum(axis=1)
-        go_hi = active & (mass > 1.0)
-        go_lo = active & ~(mass > 1.0)
-        hi = np.where(go_hi, mid, hi)
-        lo = np.where(go_lo, mid, lo)
-    return _clip_probs(model, U + lo[:, None])
+    # bracket ends as columns [lo, hi]: each halving moves the one that
+    # ``side`` marks, hi where the mass exceeds one and lo elsewhere
+    nodes = model._bracket_nodes - U
+    bracket = np.stack([nodes.min(axis=1), nodes.max(axis=1)], axis=1)
+    lo, hi = bracket[:, :1], bracket[:, 1:]
+    # ceil(log2(width / delta)) halvings, none where the width is within delta
+    steps = np.ceil(np.log2(np.fmax((hi - lo) / bisection_delta(model, eps), 1.0))).astype(int)
+    total = int(steps.max(initial=0))
+    ragged = steps.min(initial=total) < total
+    side = np.empty((m, 2), dtype=bool)
+    below, above = side[:, :1], side[:, 1:]
+    # the (m, 1) columns are written out of place: an in-place ufunc on a
+    # one-element array (the single-row case) costs twice as much
+    ends, mid, mass = np.empty((m, 1)), np.empty((m, 1)), np.empty((m, 1))
+    buf = np.empty((m, n))
+    with np.errstate(over="ignore", divide="ignore"):
+        for k in range(total):
+            np.multiply(np.add(lo, hi, out=ends), _HALF, out=mid)
+            _clip_probs(model, np.add(U, mid, out=buf), buf)
+            np.greater(np.add.reduce(buf, axis=1, keepdims=True, out=mass), _ONE, out=above)
+            np.logical_not(above, out=below)
+            if ragged:
+                side &= steps > k
+            np.copyto(bracket, mid, where=side)
+        return _clip_probs(model, np.add(U, lo, out=buf), buf)
 
 
 def _softmax_rows(U: np.ndarray, model: MarginalModel):

@@ -91,6 +91,10 @@ class SolverConfig:
             raise ValueError(f"unknown step-size rule: {self.rule!r}")
         if self.eps_bar < 0.0 or self.tikhonov < 0.0:
             raise ValueError("eps_bar and tikhonov must be nonnegative")
+        every = self.log_every
+        if every is not None and (isinstance(every, bool)
+                                  or not isinstance(every, (int, np.integer)) or every < 1):
+            raise ValueError(f"log_every must be a positive integer, got {every!r}")
 
 
 def sgd_config(model: MarginalModel | None, T: int, eps_bar: float = 0.1) -> SolverConfig:
@@ -135,8 +139,6 @@ class SolverTrace:
 
 def _checkpoint_schedule(T: int, log_every: int | None):
     if log_every is not None:
-        if log_every < 1:
-            raise ValueError("log_every must be positive")
         sched = set(range(log_every, T + 1, log_every))
     else:
         sched = set()

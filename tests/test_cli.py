@@ -489,6 +489,22 @@ def test_cli_solve_rejects_unknown_solver_field(tmp_path, capsys, field):
     assert f"unknown field '{field}'" in captured.err
 
 
+@pytest.mark.parametrize("log_every", [2.5, True, 0])
+def test_cli_solve_rejects_bad_log_every(tmp_path, capsys, log_every):
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "sup-norm"},
+        "model": None,
+        "solver": {"T": 8, "log_every": log_every},
+    }
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main(["solve", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "log_every must be a positive integer" in captured.err
+
+
 def test_cli_solve_writes_file(tmp_path):
     payload = {
         "sampler": {"kind": "hypercube-uniform", "d": 1, "seed": 2},
@@ -552,6 +568,24 @@ def test_cli_reference_unregularized(tmp_path, capsys):
     assert len(out["phi"]) == 3
     assert abs(np.mean(out["phi"])) <= 1e-9
     assert np.isfinite(out["value"])
+
+
+@pytest.mark.parametrize("where, field", [(None, "multipler"), ("sampler", "sed"),
+                                          ("model", "temperature")])
+def test_cli_reference_rejects_unknown_field(tmp_path, capsys, where, field):
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 1},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 0.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "sup-norm"},
+        "model": {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]},
+        "T": 5,
+    }
+    (payload if where is None else payload[where])[field] = 4
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main(["reference", "--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown field '{field}'" in captured.err
 
 
 def test_cli_reference_runtime_error_exits_2(tmp_path, capsys, monkeypatch):

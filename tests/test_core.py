@@ -270,3 +270,8 @@ def test_cost_and_sampler_json_round_trip():
     e = SamplerSpec("empirical", seed=3, points=np.array([[1.0, 2.0]]), weights=np.array([1.0]))
     e2 = SamplerSpec.from_json(e.to_json())
     assert np.array_equal(e2.points, e.points) and e2.seed == 3
+
+
+def test_sampler_json_rejects_unknown_field():
+    with pytest.raises(ValueError, match="sampler JSON has unknown field 'sed'"):
+        SamplerSpec.from_json({"kind": "gaussian-standard", "d": 2, "sed": 4})

@@ -3,6 +3,9 @@ smooth transforms. Oracles here are deliberately independent routes: exhaustive
 support enumeration for the sorting solver, scipy SLSQP for simplex maxima,
 scipy quadrature for integral identities."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,9 +16,11 @@ from sdot.noise import (
     HYPERBOLIC_OFFSET,
     ChoiceProbabilities,
     MarginalModel,
+    _cdf_extended,
     _choice_rows,
     approximation_bound,
     averaged_choice_jacobian,
+    bisection_delta,
     bisection_probs,
     chebyshev_value,
     choice_jacobian,
@@ -258,6 +263,14 @@ def test_model_json_round_trip():
     assert np.array_equal(m2.eta, m.eta)
     with pytest.raises(ValueError):
         MarginalModel.from_json({"kind": "exponential", "eta": [0.5, 0.5]})
+    tagged = MarginalModel.from_json({**m.to_json(), "tag": "heavy"})
+    assert tagged.kind == "pareto" and tagged.q == 1.5
+
+
+def test_model_json_rejects_unknown_field():
+    entry = {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5], "temperature": 9}
+    with pytest.raises(ValueError, match="unknown field 'temperature'"):
+        MarginalModel.from_json(entry)
 
 
 # -------------------------------------------------------------- softmax
@@ -416,7 +429,7 @@ def test_root_map_monotone():
         model = make_model(rng, kind, 4)
         u = rng.normal(size=4)
         taus = np.linspace(-8 * model.lam, 8 * model.lam, 60)
-        masses = [_clip_probs(model, (u + t)[None, :]).sum() for t in taus]
+        masses = [_clip_probs(model, (u + t)[None, :], np.empty((1, 4))).sum() for t in taus]
         assert np.all(np.diff(masses) >= -1e-12)
 
 
@@ -430,6 +443,167 @@ def test_bisection_needs_positive_eps():
     model = uniform_model("hyperbolic", 1.0, 3)
     with pytest.raises(ValueError):
         bisection_probs(np.zeros(3), model, 0.0)
+
+
+# ------------------------------------------- frozen bisection oracle
+# A verbatim copy of the bisection loop (and the cdf it evaluated) from
+# before the kernel moved to in-place buffers. The kernel must match it
+# bit for bit: same brackets, step counts, mids and mass test.
+
+def _frozen_cdf_extended(model, z):
+    z = np.asarray(z, dtype=float)
+    lam = model.lam
+    with np.errstate(over="ignore"):
+        if model.kind == "exponential":
+            return np.exp(z / lam - 1.0)
+        if model.kind == "uniform":
+            return z / (2.0 * lam) + 0.5
+        if model.kind == "hyperbolic":
+            return np.sinh(z / lam - HYPERBOLIC_OFFSET)
+        if model.kind == "tdist":
+            n = model.n
+            v = z - lam * math.sqrt(n - 1.0)
+            return 0.5 * n * (1.0 + v / np.sqrt(lam * lam + v * v))
+        q = model.q
+        base = z * (q - 1.0) / (lam * q) + 1.0 / q
+        if q > 1.0:
+            return np.where(base > 0.0, np.maximum(base, 0.0) ** (1.0 / (q - 1.0)), 0.0)
+        with np.errstate(divide="ignore"):
+            return np.where(base > 0.0, np.maximum(base, 1e-300) ** (1.0 / (q - 1.0)), np.inf)
+
+
+def _frozen_clip_probs(model, Z):
+    return np.clip(model.eta[None, :] * _frozen_cdf_extended(model, Z), 0.0, 1.0)
+
+
+def frozen_bisection(U, model, eps):
+    if eps is None or not eps > 0.0:
+        raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
+    m, n = U.shape
+    if n == 1:
+        return np.ones((m, 1))
+    try:
+        qvec = generating_quantile(model, (1.0 / n) / model.eta)
+    except ValueError as exc:
+        raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
+    nodes = qvec[None, :] - U
+    lo = nodes.min(axis=1)
+    hi = nodes.max(axis=1)
+    delta = bisection_delta(model, eps)
+    width = hi - lo
+    steps = np.zeros(m, dtype=int)
+    pos = width > delta
+    steps[pos] = np.ceil(np.log2(width[pos] / delta)).astype(int)
+    for k in range(int(steps.max(initial=0))):
+        active = steps > k
+        mid = 0.5 * (lo + hi)
+        mass = _frozen_clip_probs(model, U + mid[:, None]).sum(axis=1)
+        go_hi = active & (mass > 1.0)
+        go_lo = active & ~(mass > 1.0)
+        hi = np.where(go_hi, mid, hi)
+        lo = np.where(go_lo, mid, lo)
+    return _frozen_clip_probs(model, U + lo[:, None])
+
+
+BISECTION_CASES = [("hyperbolic", None), ("tdist", None),
+                   ("pareto", 0.5), ("pareto", 1.5), ("pareto", 3.0)]
+
+
+def _frozen_cases(rng, kind, q):
+    """Seeded (U, model, eps) triples: one row and many, ragged step
+    counts, tied rows, a single atom, zero-step and 1e-12 accuracies."""
+    for n in (1, 2, 3, 10, 37):
+        for m in (1, 2, 25, 300):
+            lam = float(rng.choice([0.05, 0.3, 2.0]))
+            eta = np.full(n, 1.0 / n) if kind == "tdist" else random_eta(rng, n)
+            model = MarginalModel(kind, lam, eta, q=q)
+            # rows of different spreads take different numbers of halvings
+            U = rng.normal(size=(m, n)) * rng.uniform(0.01, 5.0, size=(m, 1))
+            if m > 2:
+                U[1] = U[1, 0]              # a fully tied row
+                U[2, : n // 2] = U[2, -1]   # a tie with the last entry
+            for eps in (1e-12, 1e-6, float(rng.uniform(1e-3, 0.5)), 1e9):
+                yield U, model, eps
+
+
+@pytest.mark.parametrize("kind,q", BISECTION_CASES)
+def test_kernel_matches_frozen_bisection(kind, q):
+    rng = np.random.default_rng(2024)
+    ragged = zero_steps = 0
+    for U, model, eps in _frozen_cases(rng, kind, q):
+        got = _choice_rows(U, model, eps)
+        want = frozen_bisection(U, model, eps)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want), (kind, q, U.shape, eps)
+        if U.shape[1] > 1:
+            width = np.ptp(generating_quantile(model, (1.0 / model.n) / model.eta) - U, axis=1)
+            steps = np.ceil(np.log2(np.maximum(width / bisection_delta(model, eps), 1.0)))
+            ragged += steps.min() < steps.max()
+            zero_steps += steps.max() == 0
+    assert ragged > 0 and zero_steps > 0
+
+
+@pytest.mark.parametrize("kind,q", [("exponential", None), ("uniform", None)] + BISECTION_CASES)
+def test_cdf_and_closed_form_bisection_match_frozen_copy(kind, q):
+    # the in-place cdf serves every kind, and bisection_probs accepts the
+    # closed-form kinds too
+    rng = np.random.default_rng(5)
+    model = MarginalModel(kind, 0.3, np.full(4, 0.25), q=q)
+    Z = rng.normal(scale=3.0, size=(50, 4))
+    assert np.array_equal(_cdf_extended(model, Z), _frozen_cdf_extended(model, Z))
+    assert np.array_equal(_cdf_extended(model, 0.7), _frozen_cdf_extended(model, 0.7))
+    for u in rng.normal(size=(5, 4)):
+        for eps in (1e-12, 1e-3):
+            want = frozen_bisection(u[None, :], model, eps)[0]
+            assert np.array_equal(bisection_probs(u, model, eps).p, want)
+
+
+def test_kernel_errors_match_frozen_bisection():
+    model = uniform_model("hyperbolic", 1.0, 3)
+    for eps in (None, 0.0, -1.0, float("nan")):
+        with pytest.raises(ValueError) as frozen:
+            frozen_bisection(np.zeros((1, 3)), model, eps)
+        with pytest.raises(ValueError) as ours:
+            _choice_rows(np.zeros((1, 3)), model, eps)
+        assert str(ours.value) == str(frozen.value)
+    # skewed t weights leave the bracket unbounded: the model is still
+    # valid, and every bisection with it fails with the same message
+    skewed = MarginalModel("tdist", 1.0, np.array([0.05, 0.95]))
+    with pytest.raises(ValueError) as frozen:
+        frozen_bisection(np.zeros((1, 2)), skewed, 1e-6)
+    assert str(frozen.value).startswith("bisection bracket is not finite for this model")
+    for _ in range(2):
+        with pytest.raises(ValueError) as ours:
+            _choice_rows(np.zeros((1, 2)), skewed, 1e-6)
+        assert str(ours.value) == str(frozen.value)
+
+
+def test_kernel_overflow_stays_silent():
+    # the kernel ignores overflow once around its loop, where each cdf
+    # call used to: sinh past |x| ~ 710 and pareto q < 1 bases at or
+    # below zero (clamped to 1e-300, overflowing, then mapped to +inf)
+    # must still raise no warning
+    def first_mids(U, model):
+        nodes = generating_quantile(model, (1.0 / model.n) / model.eta) - U
+        return U + 0.5 * (nodes.min(axis=1) + nodes.max(axis=1))[:, None]
+
+    rng = np.random.default_rng(77)
+    hyper = uniform_model("hyperbolic", 1e-3, 4)
+    U_h = rng.uniform(-1.0, 1.0, size=(6, 4))
+    assert np.abs(first_mids(U_h, hyper)).max() / hyper.lam > 710.0
+    heavy = MarginalModel("pareto", 0.1, random_eta(rng, 4), q=0.5)
+    U_p = rng.uniform(-3.0, 3.0, size=(6, 4))
+    q = heavy.q
+    assert np.any(first_mids(U_p, heavy) * (q - 1.0) / (heavy.lam * q) + 1.0 / q <= 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for U, model in ((U_h, hyper), (U_p, heavy)):
+            for eps in (1e-12, 1e-3):
+                assert np.array_equal(_choice_rows(U, model, eps), frozen_bisection(U, model, eps))
+        # z = 2 puts the q = 0.5, lam = 1 base exactly at zero
+        zero_base = MarginalModel("pareto", 1.0, np.full(2, 0.5), q=0.5)
+        assert np.all(_cdf_extended(zero_base, np.array([2.0, 5.0])) == np.inf)
+        assert np.isinf(_cdf_extended(hyper, 1.0))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))

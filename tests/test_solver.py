@@ -5,6 +5,7 @@ construction identity for the damped Newton solver."""
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,6 @@ from sdot.core import (
 from sdot.noise import (
     MarginalModel,
     approximation_bound,
-    bisection_probs,
     discrete_f_divergence,
     marginal_lipschitz,
     probs_from_utilities,
@@ -39,6 +39,7 @@ from sdot.solver import (
     sgd_config,
     step_size,
 )
+from test_noise import frozen_bisection
 
 SUP = CostSpec("sup-norm")
 SQ = CostSpec("p-norm-power", p=2.0)
@@ -67,7 +68,9 @@ def test_step_size_missing_constants():
 # ----------------------------------------------------------- averaged sgd
 
 def sgd_replay(spec, nu, c, model, config):
-    """Independent re-implementation of the iteration for comparison."""
+    """Independent re-implementation of the iteration for comparison; the
+    bisection kinds take their probabilities from the frozen copy of the
+    bisection loop, not from the kernel under test."""
     X = draw(spec, config.T)
     C = cost_matrix(X, nu.atoms, c)
     gamma = step_size(config.rule, config.T, eps_bar=config.eps_bar, L=config.L)
@@ -86,7 +89,7 @@ def sgd_replay(spec, nu, c, model, config):
             from sdot.noise import probs_from_utilities
             p = probs_from_utilities(u, model).p
         else:
-            p = bisection_probs(u, model, config.eps_bar / (2.0 * np.sqrt(t))).p
+            p = frozen_bisection(u[None, :], model, config.eps_bar / (2.0 * np.sqrt(t)))[0]
         phi = phi + gamma * (nu.weights - p)
         bar += phi
     return under / config.T, bar / config.T, phi
@@ -128,13 +131,31 @@ def test_sgd_matches_replay_unregularized_with_tikhonov():
 def test_sgd_matches_replay_bisection_schedule():
     rng = np.random.default_rng(42)
     nu = random_measure(rng, 3, 2)
-    model = MarginalModel("hyperbolic", 0.4, np.full(3, 1 / 3))
     spec = SamplerSpec("hypercube-uniform", d=2, seed=13)
     cfg = SolverConfig(T=30, rule="lipschitz", eps_bar=0.1)
-    under, bar, _ = averaged_sgd(spec, nu, SUP, model, cfg)
-    ru, rb, _ = sgd_replay(spec, nu, SUP, model, cfg)
-    assert np.array_equal(under, ru)
-    assert np.array_equal(bar, rb)
+    for kind, q in (("hyperbolic", None), ("tdist", None), ("pareto", 1.5), ("pareto", 0.5)):
+        model = MarginalModel(kind, 0.4, np.full(3, 1 / 3), q=q)
+        under, bar, _ = averaged_sgd(spec, nu, SUP, model, cfg)
+        ru, rb, _ = sgd_replay(spec, nu, SUP, model, cfg)
+        assert np.array_equal(under, ru), kind
+        assert np.array_equal(bar, rb), kind
+
+
+def test_sgd_overflowing_oracle_stays_silent():
+    # |u| / lam reaches ~1e3, past sinh's overflow, and the q = 0.5 pareto
+    # bases fall to zero and below; the kernel ignores the overflow once
+    # around its loop and SGD must raise no warning
+    rng = np.random.default_rng(43)
+    nu = random_measure(rng, 4, 2)
+    spec = SamplerSpec("gaussian-standard", d=2, seed=14)
+    cfg = SolverConfig(T=20, rule="lipschitz", eps_bar=0.1)
+    for model in (MarginalModel("hyperbolic", 1e-3, np.full(4, 0.25)),
+                  MarginalModel("pareto", 1e-3, np.full(4, 0.25), q=0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            under, bar, _ = averaged_sgd(spec, nu, SUP, model, cfg)
+        ru, rb, _ = sgd_replay(spec, nu, SUP, model, cfg)
+        assert np.array_equal(under, ru) and np.array_equal(bar, rb)
 
 
 def test_sgd_bisection_needs_positive_eps_bar():
@@ -215,6 +236,13 @@ def test_sgd_geometric_checkpoints():
     spec = SamplerSpec("gaussian-standard", d=1, seed=3)
     _, _, trace = averaged_sgd(spec, nu, SUP, model, SolverConfig(T=100, rule="lipschitz"))
     assert [r.t for r in trace.rows] == [1, 2, 4, 8, 16, 32, 64, 100]
+
+
+def test_solver_config_log_every_must_be_a_positive_integer():
+    assert SolverConfig(T=8, log_every=np.int64(2)).log_every == 2
+    for bad in (2.5, True, 0, "4"):
+        with pytest.raises(ValueError, match="log_every must be a positive integer"):
+            SolverConfig(T=8, log_every=bad)
 
 
 def test_sgd_trace_csv_shape():
