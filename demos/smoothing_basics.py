@@ -31,7 +31,7 @@ for kind, q in (("exponential", None), ("uniform", None), ("pareto", 1.5),
                 ("hyperbolic", None), ("tdist", None)):
     model = MarginalModel(kind, 0.3, np.full(5, 0.2), q=q)
     val = smooth_c_transform(phi, x, nu, cost, model, eps=1e-9)
-    p = choice_probabilities(phi, x, nu, cost, model, eps=1e-9).p
+    p = choice_probabilities(phi, x, nu, cost, model, eps=1e-9)
     bound = approximation_bound(model)
     probs = " ".join(f"{v:.3f}" for v in p)
     print(f"{kind:12s} {val:+10.6f} {plain - val:9.6f} {bound:11.6f}  [{probs}]")
@@ -48,6 +48,6 @@ e = np.zeros(5)
 e[2] = h
 fd = (smooth_c_transform(phi + e, x, nu, cost, model)
       - smooth_c_transform(phi - e, x, nu, cost, model)) / (2 * h)
-p2 = choice_probabilities(phi, x, nu, cost, model).p[2]
+p2 = choice_probabilities(phi, x, nu, cost, model)[2]
 print(f"\nd(transform)/d(phi_2) by finite differences: {fd:.8f}")
 print(f"choice probability of atom 2:                {p2:.8f}")

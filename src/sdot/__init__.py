@@ -1,8 +1,9 @@
 """Semi-discrete optimal transport with smoothed duals.
 
 Modules:
-    core      measures, costs, samplers, the plain discrete c-transform
-    noise     marginal noise families, choice probabilities, smooth transforms
+    core      measures, costs, samplers
+    noise     plain and smoothed c-transforms, marginal noise families,
+              choice probabilities
     solver    averaged SGD, damped Newton and LP reference solvers
     hardness  knapsack-volume recovery through two-atom transport
     cli       experiment runner, slope fits, SVG plots, command line
@@ -11,14 +12,11 @@ Modules:
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
-    Sampler,
     SamplerSpec,
     cost_matrix,
     derive_seed,
-    discrete_c_transform,
     draw,
     eval_cost,
-    subgradient_indicator,
 )
 from sdot.noise import (
     MarginalModel,

@@ -20,10 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _reject_unknown, cost_vector,
-                   derive_seed, draw)
+from .core import CostSpec, DiscreteMeasure, SamplerSpec, _reject_unknown, derive_seed, draw
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
-from .noise import MarginalModel, _check_utilities, utilities_values_probs
+from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
 from .solver import (SolverConfig, averaged_sgd, dual_objective_estimate,
                      finite_sample_reference, sgd_config)
 
@@ -39,12 +38,14 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
         raise ValueError("config field 'measure' must be a JSON object")
     if "random_atoms" not in obj:
         return DiscreteMeasure.from_json(obj)
+    _reject_unknown(obj, ("random_atoms",), "config field 'measure'")
     ra = obj["random_atoms"]
     if not isinstance(ra, dict):
         raise ValueError("measure.random_atoms must be a JSON object")
     for field in ("count", "box", "seed"):
         if field not in ra:
             raise ValueError(f"measure.random_atoms is missing field '{field}'")
+    _reject_unknown(ra, ("count", "box", "seed"), "measure.random_atoms")
     count, box = int(ra["count"]), float(ra["box"])
     if count < 1:
         raise ValueError("measure.random_atoms field 'count' must be >= 1")
@@ -468,12 +469,19 @@ def emit_plots(records, out_dir):
 
 # ---------------------------------------------------------------------- CLI
 
-def _load_input(path: str):
+def _load_input(path: str, known=None):
+    """The JSON at ``path`` (``-`` reads stdin); with ``known``, an object
+    whose fields are all among them."""
     raw = sys.stdin.read() if path == "-" else Path(path).read_text()
     try:
-        return json.loads(raw)
+        obj = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ValueError(f"input is not valid JSON: {exc}") from exc
+    if known is not None:
+        if not isinstance(obj, dict):
+            raise ValueError("input must be a JSON object")
+        _reject_unknown(obj, known, "input")
+    return obj
 
 
 def _require(obj, field, ctx="input"):
@@ -500,7 +508,7 @@ def _print_json(obj):
 
 
 def _cmd_probs(args) -> int:
-    obj = _load_input(args.infile)
+    obj = _load_input(args.infile, ("model", "u"))
     model = MarginalModel.from_json(_require(obj, "model"))
     u = _check_utilities(_require(obj, "u"), model.n)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
@@ -509,21 +517,18 @@ def _cmd_probs(args) -> int:
 
 
 def _cmd_transform(args) -> int:
-    obj = _load_input(args.infile)
+    obj = _load_input(args.infile, ("measure", "cost", "model", "phi", "x"))
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)
-    phi = np.asarray(_require(obj, "phi"), dtype=float)
-    if phi.shape != (nu.n_atoms,):
-        raise ValueError("input field 'phi' must have one entry per measure atom")
-    u = _check_utilities(phi - cost_vector(_require(obj, "x"), nu.atoms, c), nu.n_atoms)
+    u = _utilities(_require(obj, "phi"), _require(obj, "x"), nu, c)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"value": float(vals[0]), "p": P[0].tolist()})
     return 0
 
 
 def _cmd_solve(args) -> int:
-    obj = _load_input(args.infile)
+    obj = _load_input(args.infile, ("sampler", "measure", "cost", "model", "solver"))
     spec = _sampler(obj, args.seed)
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
@@ -547,10 +552,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_reference(args) -> int:
-    obj = _load_input(args.infile)
+    obj = _load_input(args.infile,
+                      ("sampler", "measure", "cost", "model", "T", "eps_bar", "multiplier"))
     spec = _sampler(obj, args.seed)
-    _reject_unknown(obj, ("sampler", "measure", "cost", "model", "T", "eps_bar", "multiplier"),
-                    "input")
     nu = DiscreteMeasure.from_json(_require(obj, "measure"))
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)
@@ -562,12 +566,13 @@ def _cmd_reference(args) -> int:
 
 
 def _cmd_volume(args) -> int:
-    obj = _load_input(args.infile)
+    obj = _load_input(args.infile, ("w", "b", "p", "delta", "quadrature"))
     inst = KnapsackInstance(np.asarray(_require(obj, "w"), dtype=float),
                             float(_require(obj, "b")), p=float(obj.get("p", 2.0)))
     delta = float(args.tol) if args.tol is not None else float(_require(obj, "delta"))
     qd = _require(obj, "quadrature")
     kind = _require(qd, "kind", "input field 'quadrature'")
+    _reject_unknown(qd, ("kind", "m", "n", "seed"), "input field 'quadrature'")
     seed = args.seed if args.seed is not None else qd.get("seed")
     quad = QuadratureSpec(kind, m=qd.get("m"), n=qd.get("n"), seed=seed)
     t_hat = knapsack_volume_via_ot(inst, delta, quad)

@@ -2,13 +2,12 @@
 
 A problem instance pairs a continuous source (a :class:`SamplerSpec` that can
 be drawn from) with a discrete target (:class:`DiscreteMeasure`) under a cost
-given by :class:`CostSpec`.  The plain (unsmoothed) per-sample dual integrand
-is the discrete c-transform ``max_i phi_i - c(x, y_i)``; its subgradient in
-``phi`` is the one-hot indicator of the winning atom.
+given by :class:`CostSpec`.
 
-All types are immutable after construction.  Samplers own their random stream
-(a counter-based Philox generator), so repeated draws continue the stream and
-drawing ``n`` then ``m`` points equals drawing ``n + m`` points at once.
+All types are immutable after construction.  :func:`draw` starts a fresh
+counter-based Philox stream from the spec's seed on every call, so the first
+``n`` of ``n + k`` points drawn from a spec equal the ``n`` points drawn from
+it alone.
 """
 
 from __future__ import annotations
@@ -20,15 +19,12 @@ import numpy as np
 __all__ = [
     "CostSpec",
     "DiscreteMeasure",
-    "Sampler",
     "SamplerSpec",
     "cost_matrix",
     "cost_vector",
     "derive_seed",
-    "discrete_c_transform",
     "draw",
     "eval_cost",
-    "subgradient_indicator",
 ]
 
 COST_KINDS = ("p-norm-power", "sup-norm")
@@ -87,6 +83,7 @@ class DiscreteMeasure:
         for field in ("atoms", "weights"):
             if field not in obj:
                 raise ValueError(f"measure JSON is missing field '{field}'")
+        _reject_unknown(obj, ("atoms", "weights"), "measure JSON")
         return cls(np.asarray(obj["atoms"], dtype=float), np.asarray(obj["weights"], dtype=float))
 
 
@@ -116,6 +113,7 @@ class CostSpec:
     def from_json(cls, obj: dict) -> "CostSpec":
         if "kind" not in obj:
             raise ValueError("cost JSON is missing field 'kind'")
+        _reject_unknown(obj, ("kind", "p"), "cost JSON")
         return cls(obj["kind"], p=obj.get("p"))
 
 
@@ -182,48 +180,20 @@ def derive_seed(seed: int, *parts: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-class Sampler:
-    """Stateful draw stream over a :class:`SamplerSpec` (single consumer)."""
-
-    def __init__(self, spec: SamplerSpec):
-        self.spec = spec
-        self._rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
-        if spec.kind == "empirical":
-            self._cum = np.cumsum(spec.weights)
-
-    @property
-    def dim(self) -> int:
-        return int(self.spec.d)
-
-    def draw(self, n: int) -> np.ndarray:
-        if n < 1:
-            raise ValueError("draw count must be >= 1")
-        spec = self.spec
-        if spec.kind == "gaussian-standard":
-            return self._rng.standard_normal((n, spec.d))
-        if spec.kind == "hypercube-uniform":
-            return self._rng.random((n, spec.d))
-        # empirical: inverse-CDF on one uniform per draw keeps the stream
-        # append-consistent regardless of batch splits
-        u = self._rng.random(n)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), len(self._cum) - 1)
-        return spec.points[idx]
-
-
-def draw(sampler: Sampler | SamplerSpec, n: int) -> np.ndarray:
-    """Draw ``n`` points. A spec starts a fresh stream; a Sampler continues its own."""
-    if isinstance(sampler, SamplerSpec):
-        sampler = Sampler(sampler)
-    return sampler.draw(n)
-
-
-def _as_phi(phi, n: int) -> np.ndarray:
-    v = np.asarray(phi, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"potential has length {v.shape}, measure has {n} atoms")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential entries must be finite")
-    return v
+def draw(spec: SamplerSpec, n: int) -> np.ndarray:
+    """Draw ``n`` points from a fresh stream seeded by ``spec.seed``."""
+    if n < 1:
+        raise ValueError("draw count must be >= 1")
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
+    if spec.kind == "gaussian-standard":
+        return rng.standard_normal((n, spec.d))
+    if spec.kind == "hypercube-uniform":
+        return rng.random((n, spec.d))
+    # empirical: inverse-CDF on one uniform per draw, so a longer draw
+    # extends a shorter one
+    cum = np.cumsum(spec.weights)
+    idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
+    return spec.points[idx]
 
 
 def eval_cost(x, y, spec: CostSpec) -> float:
@@ -255,23 +225,3 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
 
 def cost_vector(x, atoms: np.ndarray, spec: CostSpec) -> np.ndarray:
     return cost_matrix(np.asarray(x, dtype=float)[None, :], atoms, spec)[0]
-
-
-def discrete_c_transform(phi, x, nu: DiscreteMeasure, c: CostSpec) -> tuple[float, int]:
-    """Value and winning atom of ``max_i phi_i - c(x, y_i)``.
-
-    Ties break to the smallest index; every downstream consumer relies on
-    that rule being deterministic.
-    """
-    v = _as_phi(phi, nu.n_atoms)
-    u = v - cost_vector(x, nu.atoms, c)
-    winner = int(np.argmax(u))  # argmax returns the first maximizer
-    return float(u[winner]), winner
-
-
-def subgradient_indicator(phi, x, nu: DiscreteMeasure, c: CostSpec) -> np.ndarray:
-    """One-hot subgradient of the c-transform at the winning atom."""
-    _, winner = discrete_c_transform(phi, x, nu, c)
-    p = np.zeros(nu.n_atoms)
-    p[winner] = 1.0
-    return p

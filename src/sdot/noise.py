@@ -1,13 +1,20 @@
 """Marginal perturbation families and smoothed max operators.
 
-A marginal family is described by a generating curve F (a nondecreasing
-function used through shifted, weighted copies), one per atom of the target
-measure. Smoothing the discrete max through such a family is equivalent to
-penalizing choice probabilities on the simplex with an f-divergence whose
-generator is the running integral of the quantile of F. This module carries
-both views: the analytic one (cdf/quantile/divergence evaluations) and the
-operational one: choice probabilities and smoothed transform values.
-Every caller, one row or many, gets its probabilities from one batched
+The per-sample dual integrand of semi-discrete transport is the discrete
+c-transform ``max_i phi_i - c(x, y_i)``; its subgradient in ``phi`` is the
+one-hot indicator of the first maximizing atom. A marginal family is
+described by a generating curve F (a nondecreasing function used through
+shifted, weighted copies), one per atom of the target measure. Smoothing
+the max through such a family is equivalent to penalizing choice
+probabilities on the simplex with an f-divergence whose generator is the
+running integral of the quantile of F; the choice probabilities are the
+gradient of the smoothed transform. This module carries both views: the
+analytic one (cdf/quantile/divergence evaluations) and the operational
+one: transform values and choice probabilities.
+:func:`utilities_values_probs` gives both for rows of utilities, and
+without a model the plain max with its one-hot rows;
+:func:`smooth_c_transform` and :func:`choice_probabilities` are its
+one-point forms. Every caller gets its probabilities from one batched
 kernel, :func:`_choice_rows`: softmax for the exponential kind, sorted
 sparsemax for the uniform kind, and a guarded bisection on the scalar mass
 balance for the other three.
@@ -268,31 +275,6 @@ def _f_divergence_rows(model: MarginalModel, P: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ probabilities
 
-@dataclass(frozen=True)
-class ChoiceProbabilities:
-    """Choice probability vector with its computation route and mass slack.
-
-    ``tol`` bounds how far the entries may fall short of summing to one;
-    closed-form routes report 0.
-    """
-
-    p: np.ndarray
-    method: str
-    tol: float
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 1 or not np.all(np.isfinite(p)):
-            raise ValueError("probabilities must be a finite 1-d array")
-        if np.any(p < -1e-12):
-            raise ValueError("probabilities must be nonnegative")
-        p = np.maximum(p, 0.0)
-        if abs(p.sum() - 1.0) > max(float(self.tol), 1e-10):
-            raise ValueError("probabilities must sum to one within tol")
-        object.__setattr__(self, "p", _readonly(p))
-        object.__setattr__(self, "tol", float(self.tol))
-
-
 def _clip_probs(model: MarginalModel, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
     """eta * F(Z) clipped to [0, 1], written into ``out`` as in :func:`_cdf_extended`."""
     _cdf_extended(model, Z, out)
@@ -412,46 +394,38 @@ def _check_utilities(u, n: int) -> np.ndarray:
     return u
 
 
-def bisection_probs(u, model: MarginalModel, eps: float) -> ChoiceProbabilities:
-    """Choice probabilities by bisecting the scalar mass balance.
-
-    Parameters
-    ----------
-    u : array_like
-        Utility vector, one entry per atom.
-    model : MarginalModel
-        Any of the five kinds; closed-form kinds are accepted too.
-    eps : float
-        Target l2 accuracy of the returned vector; must be positive. The
-        entries may undersum one by at most sqrt(n) * eps.
-    """
-    u = _check_utilities(u, model.n)
-    p = _bisection_batch(u[None, :], model, eps)[0]
-    return ChoiceProbabilities(p, "bisection", math.sqrt(model.n) * eps)
-
-
-def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> ChoiceProbabilities:
-    """Validated choice probabilities for one utility vector.
-
-    Closed form for the exponential ("closed-form") and uniform ("sort")
-    kinds; the others bisect to the l2 accuracy ``eps``, which they need.
-    """
-    if model.kind not in CLOSED_FORM_KINDS:
-        return bisection_probs(u, model, eps)
-    u = _check_utilities(u, model.n)
-    method = "closed-form" if model.kind == "exponential" else "sort"
-    return ChoiceProbabilities(_choice_rows(u[None, :], model, None)[0], method, 0.0)
-
-
 def _utilities(phi, x, nu: DiscreteMeasure, c: CostSpec) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float).reshape(-1)
-    if phi.size != nu.n_atoms or not np.all(np.isfinite(phi)):
-        raise ValueError("phi must be a finite vector with one entry per atom")
-    return phi - cost_vector(x, nu.atoms, c)
+    """phi_i - c(x, y_i), checked: a non-finite phi or x gives a
+    non-finite utility, which fails like a misshapen phi."""
+    phi = np.asarray(phi, dtype=float)
+    if phi.shape != (nu.n_atoms,):
+        raise ValueError("phi must have one entry per measure atom")
+    return _check_utilities(phi - cost_vector(x, nu.atoms, c), nu.n_atoms)
+
+
+def _sums_to_one(p: np.ndarray, eps: float) -> bool:
+    """Whether a kernel row's mass is one within max(sqrt(n) eps, 1e-10),
+    eps the bisection accuracy (0 for closed forms); NaN fails. Entries
+    are nonnegative by construction."""
+    return abs(float(p.sum()) - 1.0) <= max(math.sqrt(p.size) * eps, 1e-10)
+
+
+def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> np.ndarray:
+    """Choice probabilities for one utility vector, mass-checked.
+
+    Closed form for the exponential and uniform kinds; the others bisect
+    to the l2 accuracy ``eps``, which they need, and may undersum one by
+    at most sqrt(n) * eps.
+    """
+    u = _check_utilities(u, model.n)
+    p = _choice_rows(u[None, :], model, eps)[0]
+    if not _sums_to_one(p, 0.0 if model.kind in CLOSED_FORM_KINDS else eps):
+        raise ValueError(f"choice probabilities sum to {float(p.sum())!r}")
+    return p
 
 
 def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: MarginalModel,
-                         eps: float | None = None) -> ChoiceProbabilities:
+                         eps: float | None = None) -> np.ndarray:
     """Smoothed argmax weights of phi_i - c(x, y_i) under the noise model.
 
     Parameters
@@ -565,7 +539,7 @@ def averaged_choice_jacobian(P: np.ndarray, weights, model: MarginalModel) -> np
 
 def choice_jacobian(u, model: MarginalModel, eps: float = 1e-9) -> np.ndarray:
     """Jacobian of the choice probabilities in the utilities (one-sided at the boundary)."""
-    p = probs_from_utilities(u, model, eps=eps).p
+    p = probs_from_utilities(u, model, eps=eps)
     return averaged_choice_jacobian(p[None, :], np.ones(1), model)
 
 

@@ -31,6 +31,7 @@ from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
     _choice_rows,
+    _sums_to_one,
     averaged_choice_jacobian,
     marginal_lipschitz,
     utilities_values_probs,
@@ -204,11 +205,9 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
         else:
             eps = config.eps_bar / (2.0 * math.sqrt(t)) if needs_bisection else 0.0
             p = _choice_rows(u[None, :], model, eps)[0]
-            # entries are nonnegative by construction; NaN fails the mass test
-            mass = float(p.sum())
-            if not abs(mass - 1.0) <= max(math.sqrt(n) * eps, 1e-10):
+            if not _sums_to_one(p, eps):
                 raise ValueError(f"gradient oracle failed at iteration {t}: "
-                                 f"probabilities sum to {mass!r}")
+                                 f"probabilities sum to {float(p.sum())!r}")
         phi = phi + gamma * (weights - p)
         bar_sum += phi
         if t in sched:

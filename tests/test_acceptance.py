@@ -22,8 +22,8 @@ from scipy.optimize import minimize
 from sdot.core import CostSpec, DiscreteMeasure, cost_matrix, cost_vector
 from sdot.noise import (
     MarginalModel,
+    _bisection_batch,
     approximation_bound,
-    bisection_probs,
     choice_probabilities,
     discrete_f_divergence,
     divergence_generator_value,
@@ -99,7 +99,7 @@ def _instance_with_utilities(rng, u, d=2):
 def _interior_utilities(rng, model, n, scale=0.1):
     for _ in range(200):
         u = rng.uniform(-scale * model.lam, scale * model.lam, size=n)
-        p = probs_from_utilities(u, model, eps=1e-9).p
+        p = probs_from_utilities(u, model, eps=1e-9)
         if np.all(p > 0.02) and np.all(p < 0.9):
             return u
     raise AssertionError("could not draw an interior instance")
@@ -118,8 +118,8 @@ def test_01_entropic_bisection_matches_softmax(capsys):
         eta = _random_eta(rng, n)
         u = rng.normal(scale=2.0 * lam, size=n)
         model = MarginalModel("exponential", lam, eta)
-        p_bis = bisection_probs(u, model, eps=1e-7).p
-        p_soft = probs_from_utilities(u, MarginalModel("exponential", lam, eta)).p
+        p_bis = _bisection_batch(u[None, :], model, 1e-7)[0]
+        p_soft = probs_from_utilities(u, MarginalModel("exponential", lam, eta))
         worst = max(worst, float(np.linalg.norm(p_bis - p_soft)))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-6 and elapsed < 5.0
@@ -152,7 +152,7 @@ def test_02_sparsemax_matches_enumeration_and_quadratic_tail(capsys):
         n = int(rng.integers(2, 6))
         eta = _random_eta(rng, n)
         v = rng.normal(scale=rng.uniform(0.5, 4.0), size=n)
-        p_sort = probs_from_utilities(v, MarginalModel("uniform", 1.0, eta)).p
+        p_sort = probs_from_utilities(v, MarginalModel("uniform", 1.0, eta))
         p_enum = _enumeration_qp(v, eta)
         worst_qp = max(worst_qp, float(np.max(np.abs(p_sort - p_enum))))
     worst_pair = 0.0
@@ -163,8 +163,8 @@ def test_02_sparsemax_matches_enumeration_and_quadratic_tail(capsys):
         u = rng.normal(scale=lam, size=n)
         uni = MarginalModel("uniform", lam, eta)
         par = MarginalModel("pareto", lam, eta, q=2.0)
-        p_closed = probs_from_utilities(u, uni).p
-        p_bis = bisection_probs(u, par, eps=1e-8).p
+        p_closed = probs_from_utilities(u, uni)
+        p_bis = probs_from_utilities(u, par, eps=1e-8)
         worst_pair = max(worst_pair, float(np.linalg.norm(p_closed - p_bis)))
     ok = worst_qp <= 1e-10 and worst_pair <= 1e-6
     _emit(capsys, "sparsemax oracle agreement (enumeration + quadratic-tail pair)",
@@ -184,7 +184,7 @@ def test_03_transform_gradient_matches_probabilities(capsys):
         for _ in range(100):
             u = _interior_utilities(rng, model, n)
             phi, x, nu = _instance_with_utilities(rng, u)
-            p = choice_probabilities(phi, x, nu, COST, model, eps=1e-10).p
+            p = choice_probabilities(phi, x, nu, COST, model, eps=1e-10)
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h

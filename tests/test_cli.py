@@ -359,7 +359,7 @@ def test_cli_probs_matches_softmax(tmp_path, capsys):
     )
     assert main(["probs", "--in", path]) == 0
     out = json.loads(capsys.readouterr().out)
-    want = probs_from_utilities(u, MarginalModel("exponential", 0.7, np.array([0.5, 0.25, 0.25]))).p
+    want = probs_from_utilities(u, MarginalModel("exponential", 0.7, np.array([0.5, 0.25, 0.25])))
     assert np.allclose(out["p"], want, atol=1e-12)
 
 
@@ -390,9 +390,12 @@ def test_cli_probs_rejects_bad_utilities(tmp_path, capsys, kind, u):
 @pytest.mark.parametrize("command", ["probs", "transform"])
 def test_cli_bisection_rejects_zero_eps(tmp_path, capsys, command):
     model = {"kind": "hyperbolic", "lambda": 0.5, "eta": [0.5, 0.5]}
-    payload = {"model": model, "u": [0.3, 0.0], "phi": [0.3, 0.0], "x": [0.0],
-               "measure": {"atoms": [[0.0], [0.0]], "weights": [0.5, 0.5]},
-               "cost": {"kind": "sup-norm"}}
+    if command == "probs":
+        payload = {"model": model, "u": [0.3, 0.0]}
+    else:
+        payload = {"model": model, "phi": [0.3, 0.0], "x": [0.0],
+                   "measure": {"atoms": [[0.0], [0.0]], "weights": [0.5, 0.5]},
+                   "cost": {"kind": "sup-norm"}}
     path = _write_json(tmp_path, "in.json", payload)
     assert main([command, "--in", path, "--eps", "0"]) == 2
     captured = capsys.readouterr()
@@ -586,6 +589,53 @@ def test_cli_reference_rejects_unknown_field(tmp_path, capsys, where, field):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unknown field '{field}'" in captured.err
+
+
+MEASURE = {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]}
+MODEL = {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]}
+VALID_INPUTS = {
+    "probs": {"model": MODEL, "u": [0.3, 0.0]},
+    "transform": {"measure": MEASURE, "cost": {"kind": "sup-norm"}, "model": MODEL,
+                  "phi": [0.1, 0.0], "x": [0.2, 0.3]},
+    "solve": {"sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5}, "measure": MEASURE,
+              "cost": {"kind": "p-norm-power", "p": 2}, "model": MODEL, "solver": {"T": 8}},
+    "volume": {"w": [1.0, 1.0], "b": 1.0, "delta": 0.25,
+               "quadrature": {"kind": "grid", "m": 20}},
+    "experiment": tiny_config_dict(models=["none"], t_grid=[2, 3, 4], seeds=[0]),
+}
+
+
+@pytest.mark.parametrize("command, path, field", [
+    ("probs", (), "uu"),
+    ("transform", (), "modle"),
+    ("transform", ("measure",), "wieghts"),
+    ("transform", ("cost",), "pp"),
+    ("solve", (), "modle"),
+    ("solve", ("measure",), "mass"),
+    ("solve", ("cost",), "exponent"),
+    ("volume", (), "detla"),
+    ("volume", ("quadrature",), "sed"),
+    ("experiment", ("measure", "random_atoms"), "cout"),
+    ("experiment", ("measure",), "atoms"),
+])
+def test_cli_rejects_unknown_input_field(tmp_path, capsys, command, path, field):
+    # each payload runs as given (exit 0); one stray field must fail it
+    payload = json.loads(json.dumps(VALID_INPUTS[command]))
+    target = payload
+    for key in path:
+        target = target[key]
+    target[field] = 0.5
+    flag = "--config" if command == "experiment" else "--in"
+    argv = [command, flag, _write_json(tmp_path, "in.json", payload)]
+    if command == "experiment":
+        argv += ["--out", str(tmp_path / "results")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unknown field '{field}'" in captured.err
+    assert main([command, flag, _write_json(tmp_path, "ok.json", VALID_INPUTS[command])]
+                + argv[3:]) == 0
+    capsys.readouterr()
 
 
 def test_cli_reference_runtime_error_exits_2(tmp_path, capsys, monkeypatch):

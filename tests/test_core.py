@@ -1,4 +1,8 @@
-"""Ground types: costs, discrete measures, samplers, and the plain c-transform."""
+"""Ground types: costs, discrete measures, samplers, and the plain c-transform
+max_i phi_i - c(x, y_i), which lives in the noise module as the model-free
+case of its one transform: ``smooth_c_transform(..., None)`` for the value at
+one point and ``utilities_values_probs(U, None)`` for values and one-hot
+subgradients of rows of utilities."""
 
 import json
 
@@ -8,15 +12,14 @@ import pytest
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
-    Sampler,
     SamplerSpec,
     cost_matrix,
+    cost_vector,
     derive_seed,
-    discrete_c_transform,
     draw,
     eval_cost,
-    subgradient_indicator,
 )
+from sdot.noise import smooth_c_transform, utilities_values_probs
 
 SUP = CostSpec("sup-norm")
 SQ = CostSpec("p-norm-power", p=2.0)
@@ -82,16 +85,29 @@ def test_cost_matrix_matches_pointwise():
 
 # ------------------------------------------------------- discrete c-transform
 
+def plain_transform(phi, x, nu, c):
+    """Value and winning atom of the plain c-transform; the one-point value
+    and the batched row must agree."""
+    value = smooth_c_transform(phi, x, nu, c, None)
+    vals, P = utilities_values_probs((phi - cost_vector(x, nu.atoms, c))[None, :], None)
+    assert value == vals[0]
+    return value, int(np.argmax(P[0]))
+
+
+def plain_subgradient(phi, x, nu, c):
+    return utilities_values_probs((phi - cost_vector(x, nu.atoms, c))[None, :], None)[1][0]
+
+
 def test_c_transform_single_atom():
     nu = DiscreteMeasure(np.array([[1.0]]), np.array([1.0]))
-    val, win = discrete_c_transform(np.array([3.0]), np.array([0.0]), nu, SQ)
+    val, win = plain_transform(np.array([3.0]), np.array([0.0]), nu, SQ)
     assert val == pytest.approx(2.0)
     assert win == 0
 
 
 def test_c_transform_tie_breaks_to_min_index():
     nu = DiscreteMeasure(np.array([[1.0, 0.0], [-1.0, 0.0]]), np.array([0.5, 0.5]))
-    val, win = discrete_c_transform(np.zeros(2), np.zeros(2), nu, SUP)
+    val, win = plain_transform(np.zeros(2), np.zeros(2), nu, SUP)
     assert val == pytest.approx(-1.0)
     assert win == 0
 
@@ -107,7 +123,7 @@ def test_c_transform_matches_bruteforce():
             v = phi[i] - eval_cost(x, nu.atoms[i], SUP)
             if v > best_v:
                 best_v, best_i = v, i
-        val, win = discrete_c_transform(phi, x, nu, SUP)
+        val, win = plain_transform(phi, x, nu, SUP)
         assert val == pytest.approx(best_v)
         assert win == best_i
 
@@ -119,9 +135,9 @@ def test_c_transform_convex_in_phi():
     for _ in range(40):
         a, b = rng.normal(size=5), rng.normal(size=5)
         t = rng.uniform()
-        va, _ = discrete_c_transform(a, x, nu, SQ)
-        vb, _ = discrete_c_transform(b, x, nu, SQ)
-        vm, _ = discrete_c_transform(t * a + (1 - t) * b, x, nu, SQ)
+        va, _ = plain_transform(a, x, nu, SQ)
+        vb, _ = plain_transform(b, x, nu, SQ)
+        vm, _ = plain_transform(t * a + (1 - t) * b, x, nu, SQ)
         assert vm <= t * va + (1 - t) * vb + 1e-12
 
 
@@ -130,9 +146,9 @@ def test_c_transform_shift_covariance():
     nu = random_measure(rng, 4, 3)
     phi = rng.normal(size=4)
     x = rng.normal(size=3)
-    v0, w0 = discrete_c_transform(phi, x, nu, SUP)
+    v0, w0 = plain_transform(phi, x, nu, SUP)
     for k in (-2.5, 0.3, 10.0):
-        v1, w1 = discrete_c_transform(phi + k, x, nu, SUP)
+        v1, w1 = plain_transform(phi + k, x, nu, SUP)
         assert v1 == pytest.approx(v0 + k)
         assert w1 == w0
 
@@ -142,8 +158,8 @@ def test_subgradient_is_one_hot_at_winner():
     nu = random_measure(rng, 5, 2)
     phi = rng.normal(size=5)
     x = rng.normal(size=2)
-    _, win = discrete_c_transform(phi, x, nu, SQ)
-    p = subgradient_indicator(phi, x, nu, SQ)
+    _, win = plain_transform(phi, x, nu, SQ)
+    p = plain_subgradient(phi, x, nu, SQ)
     expect = np.zeros(5)
     expect[win] = 1.0
     assert np.array_equal(p, expect)
@@ -151,7 +167,7 @@ def test_subgradient_is_one_hot_at_winner():
 
 def test_subgradient_tie_min_index():
     nu = DiscreteMeasure(np.array([[1.0], [-1.0], [1.0]]), np.full(3, 1 / 3))
-    p = subgradient_indicator(np.zeros(3), np.zeros(1), nu, SUP)
+    p = plain_subgradient(np.zeros(3), np.zeros(1), nu, SUP)
     assert np.array_equal(p, np.array([1.0, 0.0, 0.0]))
 
 
@@ -162,9 +178,9 @@ def test_subgradient_inequality():
     x = rng.normal(size=2)
     for _ in range(40):
         phi, other = rng.normal(size=6), rng.normal(size=6)
-        v, _ = discrete_c_transform(phi, x, nu, SUP)
-        v2, _ = discrete_c_transform(other, x, nu, SUP)
-        p = subgradient_indicator(phi, x, nu, SUP)
+        v, _ = plain_transform(phi, x, nu, SUP)
+        v2, _ = plain_transform(other, x, nu, SUP)
+        p = plain_subgradient(phi, x, nu, SUP)
         assert v2 >= v + p @ (other - phi) - 1e-12
 
 
@@ -175,7 +191,8 @@ def test_draw_same_seed_same_stream():
     assert np.array_equal(draw(spec, 50), draw(spec, 50))
 
 
-def test_draw_append_equals_longer_stream():
+def test_draw_prefix_equals_shorter_draw():
+    # an experiment cell's SGD reads the first T of the reference's points
     specs = [
         SamplerSpec("gaussian-standard", d=2, seed=5),
         SamplerSpec("hypercube-uniform", d=3, seed=5),
@@ -187,9 +204,8 @@ def test_draw_append_equals_longer_stream():
         ),
     ]
     for spec in specs:
-        s = Sampler(spec)
-        two_part = np.concatenate([s.draw(13), s.draw(29)])
-        assert np.array_equal(two_part, draw(spec, 42))
+        for n, k in ((1, 1), (13, 29), (100, 1)):
+            assert np.array_equal(draw(spec, n + k)[:n], draw(spec, n))
 
 
 def test_hypercube_support():
@@ -247,8 +263,9 @@ def test_measure_is_immutable():
 
 def test_potential_validation():
     nu = DiscreteMeasure(np.zeros((3, 1)), np.full(3, 1 / 3))
-    with pytest.raises(ValueError):
-        discrete_c_transform(np.zeros(2), np.zeros(1), nu, SUP)
+    for phi in (np.zeros(2), np.zeros((3, 1)), np.array([0.0, np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            smooth_c_transform(phi, np.zeros(1), nu, SUP, None)
 
 
 # --------------------------------------------------------------------- JSON
@@ -275,3 +292,10 @@ def test_cost_and_sampler_json_round_trip():
 def test_sampler_json_rejects_unknown_field():
     with pytest.raises(ValueError, match="sampler JSON has unknown field 'sed'"):
         SamplerSpec.from_json({"kind": "gaussian-standard", "d": 2, "sed": 4})
+
+
+def test_measure_and_cost_json_reject_unknown_field():
+    with pytest.raises(ValueError, match="measure JSON has unknown field 'mass'"):
+        DiscreteMeasure.from_json({"atoms": [[0.0]], "weights": [1.0], "mass": 1})
+    with pytest.raises(ValueError, match="cost JSON has unknown field 'pp'"):
+        CostSpec.from_json({"kind": "p-norm-power", "p": 2, "pp": 3})

@@ -182,6 +182,45 @@ def test_exact_volume_closed_forms():
     assert exact_knapsack_volume(KnapsackInstance(np.ones(3), 1.0)) is None
 
 
+def frozen_piecewise_volume(inst):
+    """The exact volume as it was computed before the inclusion-exclusion
+    sum: a 1-D ratio, or the clipped line height integrated over its
+    piecewise-linear segments."""
+    w, b = inst.w, inst.b
+    if inst.d == 1:
+        return float(min(b / w[0], 1.0))
+    if w[0] == 0.0 or w[1] == 0.0:
+        i = 0 if w[0] > 0.0 else 1
+        return float(min(b / w[i], 1.0))
+
+    def height(x):
+        return min(max((b - w[0] * x) / w[1], 0.0), 1.0)
+
+    breaks = sorted({0.0, 1.0,
+                     min(max((b - w[1]) / w[0], 0.0), 1.0),
+                     min(max(b / w[0], 0.0), 1.0)})
+    total = 0.0
+    for a, c in zip(breaks[:-1], breaks[1:]):
+        total += (c - a) * 0.5 * (height(a) + height(c))
+    return float(total)
+
+
+def test_exact_volume_matches_frozen_piecewise_integration():
+    rng = np.random.default_rng(72)
+    equal = 0
+    for _ in range(2000):
+        d = int(rng.integers(1, 3))
+        w = rng.uniform(0.01, 3.0, d)
+        if d == 2 and rng.uniform() < 0.15:
+            w[rng.integers(2)] = 0.0
+        # b from below the smallest weight to past the cube's far corner
+        inst = KnapsackInstance(w, rng.uniform(0.01, 1.3) * w.sum())
+        got, want = exact_knapsack_volume(inst), frozen_piecewise_volume(inst)
+        assert got == pytest.approx(want, rel=0, abs=1e-14)
+        equal += got == want
+    assert equal >= 1500
+
+
 def test_exact_volume_matches_monte_carlo():
     rng = np.random.default_rng(71)
     for _ in range(5):

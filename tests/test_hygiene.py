@@ -4,15 +4,22 @@ Three kinds of dead code are rejected: an import a module never reads (the
 package ``__init__`` re-exports by importing, so it is exempt), a
 module-level private function or class that nothing in the package
 references, and a name the package ``__init__`` exports that no demo,
-test, benchmark script or the README names.
+test, benchmark script or the README names. A fourth check keeps the
+benchmark runnable: every name ``bench/workload.py`` reads from a package
+module must exist, and every keyword it passes must be a parameter.
 """
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
+from sdot import cli, core, hardness, noise, solver
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sdot"
+BENCH_MODULES = {"cli": cli, "core": core, "hardness": hardness, "noise": noise,
+                 "solver": solver}
 
 
 def _modules():
@@ -77,6 +84,49 @@ def unused_exports(init_tree, texts):
             if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
 
 
+def _dotted(node):
+    """``["noise", "MarginalModel", "from_json"]`` for an attribute chain on
+    a plain name; None for anything else."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return [node.id, *reversed(parts)] if isinstance(node, ast.Name) else None
+
+
+def missing_bench_names(tree, modules):
+    """Attribute chains on ``modules`` that do not resolve, and keywords a
+    call passes that its callable does not take."""
+    found = set()
+    for node in ast.walk(tree):
+        chain = _dotted(node) if isinstance(node, ast.Attribute) else None
+        if not chain or chain[0] not in modules:
+            continue
+        obj = modules[chain[0]]
+        for i, attr in enumerate(chain[1:], start=2):
+            if not hasattr(obj, attr):
+                found.add(f"{'.'.join(chain[:i])} does not exist")
+                break
+            obj = getattr(obj, attr)
+    for node in ast.walk(tree):
+        chain = _dotted(node.func) if isinstance(node, ast.Call) else None
+        if not chain or chain[0] not in modules:
+            continue
+        try:
+            obj = modules[chain[0]]
+            for attr in chain[1:]:
+                obj = getattr(obj, attr)
+        except AttributeError:
+            continue  # reported above
+        params = inspect.signature(obj).parameters.values()
+        if any(p.kind is p.VAR_KEYWORD for p in params):
+            continue
+        names = {p.name for p in params}
+        found.update(f"{'.'.join(chain)} takes no keyword '{kw.arg}'"
+                     for kw in node.keywords if kw.arg is not None and kw.arg not in names)
+    return sorted(found)
+
+
 def _usage_texts():
     paths = [ROOT / "README.md", *(ROOT / "tests").glob("*.py"),
              *(p for folder in ("demos", "bench") for p in (ROOT / folder).rglob("*")
@@ -96,6 +146,11 @@ def test_no_unused_exports():
     assert unused_exports(_modules()["__init__.py"], _usage_texts()) == []
 
 
+def test_bench_workload_names_exist():
+    tree = ast.parse((ROOT / "bench" / "workload.py").read_text())
+    assert missing_bench_names(tree, BENCH_MODULES) == []
+
+
 def test_checks_flag_planted_dead_code():
     planted = ast.parse("import os\nfrom math import pi\n\n"
                         "def _dead():\n    return _dead()\n\n"
@@ -107,3 +162,17 @@ def test_checks_flag_planted_dead_code():
     init = ast.parse("from pkg.mod import used, unused_name, aliased as shown\n")
     texts = ["used(1)", "shown = 2  # unused_names", "aliased"]
     assert unused_exports(init, texts) == ["unused_name"]
+
+
+def test_bench_check_flags_planted_names():
+    planted = ast.parse("noise.bisection_probs(u, model, 1e-6)\n"
+                        "noise.MarginalModel.from_yaml(entry)\n"
+                        "solver.averaged_sgd(spec, nu, c, None, cfg, seed=3)\n"
+                        "hardness.QuadratureSpec(**quad)\n"
+                        "core.draw(spec, n=5)\n"
+                        "other.anything(x=1)\n")
+    assert missing_bench_names(planted, BENCH_MODULES) == [
+        "noise.MarginalModel.from_yaml does not exist",
+        "noise.bisection_probs does not exist",
+        "solver.averaged_sgd takes no keyword 'seed'",
+    ]

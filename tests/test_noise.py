@@ -14,14 +14,13 @@ from scipy.optimize import minimize
 from sdot.core import CostSpec, DiscreteMeasure, cost_vector
 from sdot.noise import (
     HYPERBOLIC_OFFSET,
-    ChoiceProbabilities,
     MarginalModel,
+    _bisection_batch,
     _cdf_extended,
     _choice_rows,
     approximation_bound,
     averaged_choice_jacobian,
     bisection_delta,
-    bisection_probs,
     chebyshev_value,
     choice_jacobian,
     choice_probabilities,
@@ -278,29 +277,28 @@ def test_model_json_rejects_unknown_field():
 def test_softmax_frozen():
     p = probs_from_utilities(np.array([np.log(3.0), 0.0]),
                              MarginalModel("exponential", 1.0, np.full(2, 0.5)))
-    assert np.allclose(p.p, [0.75, 0.25], atol=1e-14)
-    assert p.method == "closed-form" and p.tol == 0.0
+    assert np.allclose(p, [0.75, 0.25], atol=1e-14)
 
 
 def test_softmax_constant_utilities_give_eta():
     eta = np.array([0.1, 0.2, 0.7])
     p = probs_from_utilities(np.full(3, 2.2), MarginalModel("exponential", 0.5, eta))
-    assert np.allclose(p.p, eta, atol=1e-14)
+    assert np.allclose(p, eta, atol=1e-14)
 
 
 def test_softmax_shift_invariance():
     rng = np.random.default_rng(9)
     u = rng.normal(size=6)
     eta = random_eta(rng, 6)
-    base = probs_from_utilities(u, MarginalModel("exponential", 0.3, eta)).p
+    base = probs_from_utilities(u, MarginalModel("exponential", 0.3, eta))
     for k in (-5.0, 1e3):
-        assert np.allclose(probs_from_utilities(u + k, MarginalModel("exponential", 0.3, eta)).p,
+        assert np.allclose(probs_from_utilities(u + k, MarginalModel("exponential", 0.3, eta)),
                            base, atol=1e-12)
 
 
 def test_softmax_overflow_safe():
     p = probs_from_utilities(np.array([1e6, 0.0]),
-                             MarginalModel("exponential", 1.0, np.full(2, 0.5))).p
+                             MarginalModel("exponential", 1.0, np.full(2, 0.5)))
     assert np.all(np.isfinite(p)) and p[0] == pytest.approx(1.0)
 
 
@@ -327,13 +325,12 @@ def enumerate_qp_sparsemax(u, eta):
 def test_sparsemax_constant_utilities_give_eta():
     eta = np.array([0.3, 0.2, 0.5])
     p = probs_from_utilities(np.full(3, 1.7), MarginalModel("uniform", 1.0, eta))
-    assert np.allclose(p.p, eta, atol=1e-14)
-    assert p.method == "sort"
+    assert np.allclose(p, eta, atol=1e-14)
 
 
 def test_sparsemax_frozen_two_point():
     p = probs_from_utilities(np.array([4.0, 0.0]), MarginalModel("uniform", 1.0, np.full(2, 0.5)))
-    assert np.allclose(p.p, [1.0, 0.0], atol=1e-14)
+    assert np.allclose(p, [1.0, 0.0], atol=1e-14)
 
 
 def test_sparsemax_matches_enumeration():
@@ -342,7 +339,7 @@ def test_sparsemax_matches_enumeration():
         n = rng.integers(1, 6)
         u = rng.normal(scale=3.0, size=n)
         eta = random_eta(rng, n)
-        ours = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta)).p
+        ours = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta))
         ref, _ = enumerate_qp_sparsemax(u, eta)
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
@@ -352,7 +349,7 @@ def test_sparsemax_is_maximizer():
     for _ in range(30):
         u = rng.normal(size=5)
         eta = random_eta(rng, 5)
-        p = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta)).p
+        p = probs_from_utilities(u, MarginalModel("uniform", 1.0, eta))
         val = u @ p - np.sum(p ** 2 / eta)
         for _ in range(20):
             other = rng.dirichlet(np.ones(5))
@@ -361,14 +358,19 @@ def test_sparsemax_is_maximizer():
 
 # ------------------------------------------------------------ bisection
 
+def bisect(u, model, eps):
+    """The bisection kernel on one row, for any kind, closed forms included."""
+    return _bisection_batch(np.asarray(u, dtype=float)[None, :], model, eps)[0]
+
+
 def test_bisection_matches_softmax():
     rng = np.random.default_rng(12)
     for _ in range(100):
         n = int(rng.integers(2, 12))
         model = MarginalModel("exponential", rng.uniform(0.05, 3.0), random_eta(rng, n))
         u = rng.normal(scale=2.0, size=n)
-        pb = bisection_probs(u, model, 1e-8).p
-        ps = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
+        pb = bisect(u, model, 1e-8)
+        ps = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta))
         assert np.linalg.norm(pb - ps) <= 1e-8
 
 
@@ -379,14 +381,14 @@ def test_bisection_matches_sparsemax_under_pareto_q2():
         lam = rng.uniform(0.1, 2.0)
         model = MarginalModel("pareto", lam, random_eta(rng, n), q=2.0)
         u = rng.normal(size=n)
-        pb = bisection_probs(u, model, 1e-8).p
-        ps = probs_from_utilities(u / lam, MarginalModel("uniform", 1.0, model.eta)).p
+        pb = bisect(u, model, 1e-8)
+        ps = probs_from_utilities(u / lam, MarginalModel("uniform", 1.0, model.eta))
         assert np.linalg.norm(pb - ps) <= 1e-8
 
 
 def test_bisection_symmetry():
     model = uniform_model("hyperbolic", 0.7, 5)
-    p = bisection_probs(np.full(5, 1.3), model, 1e-9).p
+    p = bisect(np.full(5, 1.3), model, 1e-9)
     assert np.allclose(p, 0.2, atol=1e-9)
 
 
@@ -398,12 +400,11 @@ def test_bisection_mass_and_norm_bounds():
             n = int(rng.integers(2, 9))
             model = make_model(rng, kind, n)
             u = rng.normal(scale=1.5, size=n)
-            out = bisection_probs(u, model, eps)
-            assert np.all(out.p >= 0.0)
-            assert np.linalg.norm(out.p) <= 1.0 + 1e-12
-            assert out.p.sum() <= 1.0 + 1e-12
-            assert out.p.sum() >= 1.0 - np.sqrt(n) * eps - 1e-12
-            assert out.method == "bisection"
+            out = bisect(u, model, eps)
+            assert np.all(out >= 0.0)
+            assert np.linalg.norm(out) <= 1.0 + 1e-12
+            assert out.sum() <= 1.0 + 1e-12
+            assert out.sum() >= 1.0 - np.sqrt(n) * eps - 1e-12
 
 
 def test_bisection_matches_slsqp_for_generic_models():
@@ -418,7 +419,7 @@ def test_bisection_matches_slsqp_for_generic_models():
             u = rng.normal(scale=0.4, size=n)
             upper = eta * n if kind == "tdist" else None
             ref, _ = slsqp_max_simplex(generic_objective(model, u), n, upper=upper)
-            ours = bisection_probs(u, model, 1e-9).p
+            ours = bisect(u, model, 1e-9)
             assert np.linalg.norm(ours - ref) <= 2e-6
 
 
@@ -435,14 +436,14 @@ def test_root_map_monotone():
 
 def test_bisection_single_atom():
     model = MarginalModel("hyperbolic", 1.0, np.array([1.0]))
-    out = bisection_probs(np.array([3.0]), model, 1e-6)
-    assert np.array_equal(out.p, np.array([1.0]))
+    out = bisect(np.array([3.0]), model, 1e-6)
+    assert np.array_equal(out, np.array([1.0]))
 
 
 def test_bisection_needs_positive_eps():
     model = uniform_model("hyperbolic", 1.0, 3)
     with pytest.raises(ValueError):
-        bisection_probs(np.zeros(3), model, 0.0)
+        bisect(np.zeros(3), model, 0.0)
 
 
 # ------------------------------------------- frozen bisection oracle
@@ -545,8 +546,8 @@ def test_kernel_matches_frozen_bisection(kind, q):
 
 @pytest.mark.parametrize("kind,q", [("exponential", None), ("uniform", None)] + BISECTION_CASES)
 def test_cdf_and_closed_form_bisection_match_frozen_copy(kind, q):
-    # the in-place cdf serves every kind, and bisection_probs accepts the
-    # closed-form kinds too
+    # the in-place cdf serves every kind, and the bisection kernel takes
+    # the closed-form kinds too
     rng = np.random.default_rng(5)
     model = MarginalModel(kind, 0.3, np.full(4, 0.25), q=q)
     Z = rng.normal(scale=3.0, size=(50, 4))
@@ -555,7 +556,7 @@ def test_cdf_and_closed_form_bisection_match_frozen_copy(kind, q):
     for u in rng.normal(size=(5, 4)):
         for eps in (1e-12, 1e-3):
             want = frozen_bisection(u[None, :], model, eps)[0]
-            assert np.array_equal(bisection_probs(u, model, eps).p, want)
+            assert np.array_equal(bisect(u, model, eps), want)
 
 
 def test_kernel_errors_match_frozen_bisection():
@@ -628,7 +629,7 @@ def test_kernel_rows_are_independent(kind):
             assert np.array_equal(vals[j], v_row[0])
             if model is not None:
                 assert np.array_equal(P[j], _choice_rows(U[j:j + 1], model, 1e-9)[0])
-                assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9).p, P[j])
+                assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9), P[j])
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])
@@ -639,11 +640,23 @@ def test_probs_from_utilities_rejects_bad_vectors(bad):
             probs_from_utilities(np.array(bad), model, eps=1e-6)
 
 
-def test_choice_probabilities_validation():
-    with pytest.raises(ValueError):
-        ChoiceProbabilities(np.array([0.4, 0.4]), "closed-form", 0.0)
-    with pytest.raises(ValueError):
-        ChoiceProbabilities(np.array([1.2, -0.2]), "closed-form", 0.0)
+def test_choice_probabilities_validation(monkeypatch):
+    # a kernel row must sum to one within max(sqrt(n) eps, 1e-10), eps the
+    # bisection accuracy and 0 for the closed forms, which ignore the eps
+    # they are given; NaN fails
+    import sdot.noise as noise_mod
+    for kind in ("exponential", "uniform", "hyperbolic"):
+        model = MarginalModel(kind, 0.5, np.full(2, 0.5))
+        rows = {(0.4, 0.4): False, (np.nan, 1.0): False, (0.5, 0.5 + 1e-11): True,
+                (0.5, 0.5 - 1e-3): kind == "hyperbolic", (0.5, 0.5 - 1e-2): False}
+        for row, ok in rows.items():
+            monkeypatch.setattr(noise_mod, "_choice_rows",
+                                lambda U, model, eps, r=row: np.array([r]))
+            if ok:
+                assert np.array_equal(probs_from_utilities(np.zeros(2), model, eps=1e-3), row)
+            else:
+                with pytest.raises(ValueError, match="choice probabilities sum to"):
+                    probs_from_utilities(np.zeros(2), model, eps=1e-3)
 
 
 # ----------------------------------------------- dispatch and transforms
@@ -668,17 +681,17 @@ def test_choice_probabilities_dispatch():
 
     ent = MarginalModel("exponential", 0.4, random_eta(rng, 5))
     out = choice_probabilities(phi, x, nu, COST, ent)
-    assert np.allclose(out.p, probs_from_utilities(u, MarginalModel("exponential", ent.lam, ent.eta)).p,
+    assert np.allclose(out, probs_from_utilities(u, MarginalModel("exponential", ent.lam, ent.eta)),
                        atol=1e-12)
 
     uni = MarginalModel("uniform", 0.4, random_eta(rng, 5))
     out = choice_probabilities(phi, x, nu, COST, uni)
-    assert np.allclose(out.p, probs_from_utilities(u / uni.lam, MarginalModel("uniform", 1.0, uni.eta)).p,
+    assert np.allclose(out, probs_from_utilities(u / uni.lam, MarginalModel("uniform", 1.0, uni.eta)),
                        atol=1e-12)
 
     hyp = uniform_model("hyperbolic", 0.4, 5)
     out = choice_probabilities(phi, x, nu, COST, hyp, eps=1e-8)
-    assert out.method == "bisection"
+    assert np.array_equal(out, bisect(phi - cost_vector(x, nu.atoms, COST), hyp, 1e-8))
     with pytest.raises(ValueError):
         choice_probabilities(phi, x, nu, COST, hyp)
 
@@ -688,7 +701,7 @@ def test_choice_probabilities_equidistant_symmetry():
     nu = DiscreteMeasure(atoms, np.full(4, 0.25))
     model = uniform_model("exponential", 0.5, 4)
     out = choice_probabilities(np.zeros(4), np.zeros(2), nu, CostSpec("p-norm-power", p=2.0), model)
-    assert np.allclose(out.p, 0.25, atol=1e-14)
+    assert np.allclose(out, 0.25, atol=1e-14)
 
 
 def test_uniform_model_dominant_utility_is_one_hot():
@@ -697,7 +710,23 @@ def test_uniform_model_dominant_utility_is_one_hot():
     phi, x, nu = instance_with_utilities(rng, u)
     model = uniform_model("uniform", 0.2, 3)
     out = choice_probabilities(phi, x, nu, COST, model)
-    assert np.allclose(out.p, [1.0, 0.0, 0.0], atol=1e-12)
+    assert np.allclose(out, [1.0, 0.0, 0.0], atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [None, uniform_model("exponential", 0.5, 2),
+                                   uniform_model("hyperbolic", 0.5, 2)])
+@pytest.mark.parametrize("phi, x", [([0.0, 0.0], [np.nan, 0.0]), ([0.0, 0.0], [np.inf, 0.0]),
+                                    ([np.nan, 0.0], [0.0, 0.0]), ([0.0, -np.inf], [0.0, 0.0]),
+                                    ([0.0, 0.0, 0.0], [0.0, 0.0])])
+def test_one_point_oracles_reject_bad_input(model, phi, x):
+    # a non-finite phi or x makes a non-finite utility; both one-point
+    # oracles check it, and a misshapen phi, in the same place
+    nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.5]]), np.full(2, 0.5))
+    with pytest.raises(ValueError):
+        smooth_c_transform(phi, x, nu, COST, model, eps=1e-6)
+    if model is not None:
+        with pytest.raises(ValueError):
+            choice_probabilities(phi, x, nu, COST, model, eps=1e-6)
 
 
 def test_smooth_transform_exponential_equals_log_partition():
@@ -708,7 +737,7 @@ def test_smooth_transform_exponential_equals_log_partition():
         model = MarginalModel("exponential", rng.uniform(0.1, 1.5), random_eta(rng, 6))
         got = smooth_c_transform(phi, x, nu, COST, model)
         # independent route: evaluate the maximand at the softmax point
-        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
+        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta))
         ref = u @ p - discrete_f_divergence(model, p)
         assert got == pytest.approx(ref, abs=1e-8)
 
@@ -720,7 +749,7 @@ def test_smooth_transform_uniform_equals_quadratic_maximand():
         phi, x, nu = instance_with_utilities(rng, u)
         model = MarginalModel("uniform", rng.uniform(0.1, 1.5), random_eta(rng, 5))
         got = smooth_c_transform(phi, x, nu, COST, model)
-        p = probs_from_utilities(u / model.lam, MarginalModel("uniform", 1.0, model.eta)).p
+        p = probs_from_utilities(u / model.lam, MarginalModel("uniform", 1.0, model.eta))
         ref = u @ p - discrete_f_divergence(model, p)
         assert got == pytest.approx(ref, abs=1e-10)
 
@@ -758,9 +787,9 @@ def test_smooth_transform_shift_covariance():
         phi, x, nu = instance_with_utilities(rng, u)
         model = make_model(rng, kind, 4)
         v0 = smooth_c_transform(phi, x, nu, COST, model, eps=1e-9)
-        p0 = choice_probabilities(phi, x, nu, COST, model, eps=1e-9).p
+        p0 = choice_probabilities(phi, x, nu, COST, model, eps=1e-9)
         v1 = smooth_c_transform(phi + 2.5, x, nu, COST, model, eps=1e-9)
-        p1 = choice_probabilities(phi + 2.5, x, nu, COST, model, eps=1e-9).p
+        p1 = choice_probabilities(phi + 2.5, x, nu, COST, model, eps=1e-9)
         assert v1 == pytest.approx(v0 + 2.5, abs=1e-9)
         assert np.allclose(p0, p1, atol=1e-9)
 
@@ -769,7 +798,7 @@ def interior_utilities(rng, model, n, scale=0.1):
     """Utility draws kept small so the optimal p stays far from the boundary."""
     for _ in range(100):
         u = rng.uniform(-scale * model.lam, scale * model.lam, size=n)
-        p = probs_from_utilities(u, model, eps=1e-9).p
+        p = probs_from_utilities(u, model, eps=1e-9)
         if np.all(p > 0.02) and np.all(p < 0.9):
             return u
     raise AssertionError("could not draw an interior instance")
@@ -783,7 +812,7 @@ def test_gradient_matches_choice_probabilities():
         for _ in range(5):
             u = interior_utilities(rng, model, 4)
             phi, x, nu = instance_with_utilities(rng, u)
-            p = choice_probabilities(phi, x, nu, COST, model, eps=1e-9).p
+            p = choice_probabilities(phi, x, nu, COST, model, eps=1e-9)
             for i in range(4):
                 e = np.zeros(4)
                 e[i] = h
@@ -803,14 +832,14 @@ def test_hessian_implicit_function_formula():
         for j in range(4):
             e = np.zeros(4)
             e[j] = h
-            pp = probs_from_utilities(u + e, model, eps=1e-11).p
-            pm = probs_from_utilities(u - e, model, eps=1e-11).p
+            pp = probs_from_utilities(u + e, model, eps=1e-11)
+            pm = probs_from_utilities(u - e, model, eps=1e-11)
             fd[:, j] = (pp - pm) / (2 * h)
         assert np.max(np.abs(J - fd)) <= 1e-4
     # closed-form cross-check for softmax
     model = MarginalModel("exponential", 0.7, random_eta(rng, 4))
     u = rng.normal(scale=0.2, size=4)
-    p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
+    p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta))
     expect = (np.diag(p) - np.outer(p, p)) / model.lam
     assert np.allclose(choice_jacobian(u, model), expect, atol=1e-12)
 

@@ -16,7 +16,6 @@ from sdot.cli import ExperimentConfig
 from sdot.core import (
     CostSpec,
     DiscreteMeasure,
-    Sampler,
     SamplerSpec,
     cost_matrix,
     cost_vector,
@@ -87,7 +86,7 @@ def sgd_replay(spec, nu, c, model, config):
             p = p + 2.0 * config.tikhonov * phi
         elif model.kind in ("exponential", "uniform"):
             from sdot.noise import probs_from_utilities
-            p = probs_from_utilities(u, model).p
+            p = probs_from_utilities(u, model)
         else:
             p = frozen_bisection(u[None, :], model, config.eps_bar / (2.0 * np.sqrt(t)))[0]
         phi = phi + gamma * (nu.weights - p)
@@ -169,7 +168,7 @@ def test_sgd_bisection_needs_positive_eps_bar():
 def test_sgd_takes_only_a_sampler_spec():
     nu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.full(2, 0.5))
     spec = SamplerSpec("gaussian-standard", d=1, seed=1)
-    for sampler in (Sampler(spec), draw(spec, 5)):
+    for sampler in (spec.to_json(), draw(spec, 5)):
         with pytest.raises(TypeError, match="SamplerSpec"):
             averaged_sgd(sampler, nu, SUP, None, SolverConfig(T=5))
 
@@ -199,7 +198,7 @@ def test_sgd_update_arithmetic_and_gradient_bound():
     phi_prev = np.zeros(5)
     for row in trace.rows:
         u = phi_prev - cost_vector(X[row.t - 1], nu.atoms, SUP)
-        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta)).p
+        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta))
         step = gamma * (nu.weights - p)
         assert np.array_equal(row.phi, phi_prev + step)
         assert np.linalg.norm(nu.weights - p) <= 2.0
@@ -537,7 +536,7 @@ def test_agd_primal_dual_gap():
         assert info["grad_norm"] <= 1e-7
         C = cost_matrix(pts, nu.atoms, SUP)
         from sdot.noise import probs_from_utilities
-        P = np.array([probs_from_utilities(phi - C[j], model).p for j in range(5)])
+        P = np.array([probs_from_utilities(phi - C[j], model) for j in range(5)])
         primal = sum(w[j] * (P[j] @ C[j] + discrete_f_divergence(model, P[j]))
                      for j in range(5))
         colsum = P.T @ w
