@@ -33,6 +33,21 @@ TIMING_MODES = ("zero", "measured")
 
 # ------------------------------------------------------------------- config
 
+def _number(value, field: str, integer: bool = False):
+    """A JSON number as a float, or with ``integer`` as a whole int; any
+    other value (a string, a list, null, a bool) is a ValueError naming
+    ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
 def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
     if not isinstance(obj, dict):
         raise ValueError("config field 'measure' must be a JSON object")
@@ -46,12 +61,15 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
         if field not in ra:
             raise ValueError(f"measure.random_atoms is missing field '{field}'")
     _reject_unknown(ra, ("count", "box", "seed"), "measure.random_atoms")
-    count, box = int(ra["count"]), float(ra["box"])
+    ctx = "measure.random_atoms field"
+    count = _number(ra["count"], f"{ctx} 'count'", integer=True)
+    box = _number(ra["box"], f"{ctx} 'box'")
     if count < 1:
         raise ValueError("measure.random_atoms field 'count' must be >= 1")
     if not box > 0.0:
         raise ValueError("measure.random_atoms field 'box' must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(ra["seed"]))))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
+        _number(ra["seed"], f"{ctx} 'seed'", integer=True))))
     atoms = rng.uniform(-box, box, size=(count, int(sampler.d)))
     return DiscreteMeasure(atoms, np.full(count, 1.0 / count))
 
@@ -129,26 +147,28 @@ class ExperimentConfig:
         measure = _resolve_measure(obj["measure"], sampler)
         cost = CostSpec.from_json(obj["cost"])
         models = _parse_models(obj["models"])
-        t_grid = obj["t_grid"]
-        if (not isinstance(t_grid, list) or not t_grid
-                or any(int(t) != t or t < 1 for t in t_grid)
-                or any(b <= a for a, b in zip(t_grid, t_grid[1:]))):
-            raise ValueError("config field 't_grid' must be a strictly increasing list of positive integers")
-        seeds = obj["seeds"]
-        if not isinstance(seeds, list) or not seeds or any(int(s) != s for s in seeds):
+        t_grid, seeds = obj["t_grid"], obj["seeds"]
+        if not isinstance(t_grid, list) or not t_grid:
+            raise ValueError("config field 't_grid' must be a nonempty list")
+        if not isinstance(seeds, list) or not seeds:
             raise ValueError("config field 'seeds' must be a nonempty list of integers")
-        multiplier = obj.get("multiplier", 10)
-        if int(multiplier) != multiplier or multiplier < 1:
+        t_grid = tuple(_number(t, f"config field 't_grid' entry {i}", integer=True)
+                       for i, t in enumerate(t_grid))
+        if any(t < 1 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+            raise ValueError("config field 't_grid' must be a strictly increasing list of positive integers")
+        seeds = tuple(_number(s, f"config field 'seeds' entry {i}", integer=True)
+                      for i, s in enumerate(seeds))
+        multiplier = _number(obj.get("multiplier", 10), "config field 'multiplier'", integer=True)
+        if multiplier < 1:
             raise ValueError("config field 'multiplier' must be a positive integer")
-        eps_bar = float(obj.get("eps_bar", 0.1))
+        eps_bar = _number(obj.get("eps_bar", 0.1), "config field 'eps_bar'")
         if not eps_bar >= 0.0:
             raise ValueError("config field 'eps_bar' must be nonnegative")
         timing = obj.get("timing", "zero")
         if timing not in TIMING_MODES:
             raise ValueError(f"config field 'timing' must be one of {TIMING_MODES}")
-        return cls(sampler, measure, cost, models,
-                   tuple(int(t) for t in t_grid), tuple(int(s) for s in seeds),
-                   int(multiplier), eps_bar, timing, str(obj.get("out_dir", "results")))
+        return cls(sampler, measure, cost, models, t_grid, seeds, multiplier, eps_bar,
+                   timing, str(obj.get("out_dir", "results")))
 
     def to_json(self) -> dict:
         entries = []
@@ -534,14 +554,16 @@ def _cmd_solve(args) -> int:
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)
     sd = _require(obj, "solver")
-    T = int(_require(sd, "T", "input field 'solver'"))
+    T = _number(_require(sd, "T", "input field 'solver'"), "solver field 'T'", integer=True)
     _reject_unknown(sd, {f.name for f in fields(SolverConfig)}, "input field 'solver'")
     rule, lips, eps_bar = sd.get("rule", "lipschitz"), sd.get("L"), sd.get("eps_bar")
     base = sgd_config(model, T)  # the model's own L and eps_bar fill in what is unset
     config = SolverConfig(
-        T=T, rule=rule, eps_bar=float(base.eps_bar if eps_bar is None else eps_bar),
+        T=T, rule=rule,
+        eps_bar=_number(base.eps_bar if eps_bar is None else eps_bar, "solver field 'eps_bar'"),
         L=base.L if lips is None and rule == "smooth" else lips,
-        tikhonov=float(sd.get("tikhonov", 0.0)), log_every=sd.get("log_every"))
+        tikhonov=_number(sd.get("tikhonov", 0.0), "solver field 'tikhonov'"),
+        log_every=sd.get("log_every"))
     _, _, trace = averaged_sgd(spec, nu, c, model, config)
     csv = trace.to_csv(timing=args.timing)
     if args.out is None:
@@ -559,8 +581,9 @@ def _cmd_reference(args) -> int:
     c = CostSpec.from_json(_require(obj, "cost"))
     model = _optional_model(obj)
     value, phi, info = finite_sample_reference(
-        spec, nu, c, model, int(_require(obj, "T")),
-        eps_bar=float(obj.get("eps_bar", 0.1)), multiplier=int(obj.get("multiplier", 10)))
+        spec, nu, c, model, _number(_require(obj, "T"), "input field 'T'", integer=True),
+        eps_bar=_number(obj.get("eps_bar", 0.1), "input field 'eps_bar'"),
+        multiplier=_number(obj.get("multiplier", 10), "input field 'multiplier'", integer=True))
     _print_json({"value": float(value), "phi": phi.tolist(), "info": info})
     return 0
 
@@ -568,13 +591,18 @@ def _cmd_reference(args) -> int:
 def _cmd_volume(args) -> int:
     obj = _load_input(args.infile, ("w", "b", "p", "delta", "quadrature"))
     inst = KnapsackInstance(np.asarray(_require(obj, "w"), dtype=float),
-                            float(_require(obj, "b")), p=float(obj.get("p", 2.0)))
-    delta = float(args.tol) if args.tol is not None else float(_require(obj, "delta"))
+                            _number(_require(obj, "b"), "input field 'b'"),
+                            p=_number(obj.get("p", 2.0), "input field 'p'"))
+    delta = float(args.tol) if args.tol is not None else _number(
+        _require(obj, "delta"), "input field 'delta'")
     qd = _require(obj, "quadrature")
     kind = _require(qd, "kind", "input field 'quadrature'")
     _reject_unknown(qd, ("kind", "m", "n", "seed"), "input field 'quadrature'")
-    seed = args.seed if args.seed is not None else qd.get("seed")
-    quad = QuadratureSpec(kind, m=qd.get("m"), n=qd.get("n"), seed=seed)
+    # an absent or null count or seed stays unset; QuadratureSpec says which it needs
+    m, n, seed = (None if qd.get(k) is None
+                  else _number(qd[k], f"quadrature field '{k}'", integer=True)
+                  for k in ("m", "n", "seed"))
+    quad = QuadratureSpec(kind, m=m, n=n, seed=args.seed if args.seed is not None else seed)
     t_hat = knapsack_volume_via_ot(inst, delta, quad)
     exact = exact_knapsack_volume(inst)
     calls = 2 * (math.ceil(math.log2(1.0 / delta)) + 1)

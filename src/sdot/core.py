@@ -214,9 +214,15 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if X.shape[1] != Y.shape[1]:
         raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    diff = X[:, None, :] - Y[None, :, :]
     if spec.kind == "sup-norm":
-        return np.abs(diff).max(axis=2)
+        if X.shape[1] == 0:
+            raise ValueError("sup-norm cost needs points with at least one coordinate")
+        # a running max over axes: no (m, n, d) temporary, same exact values
+        out = np.abs(X[:, :1] - Y[:, 0])
+        for k in range(1, X.shape[1]):
+            np.maximum(out, np.abs(X[:, k:k + 1] - Y[:, k]), out=out)
+        return out
+    diff = X[:, None, :] - Y[None, :, :]
     sq = np.einsum("mnd,mnd->mn", diff, diff)
     if spec.p == 2.0:
         return sq

@@ -3,9 +3,12 @@
 A knapsack polytope's volume equals the minimizer over t of the transport
 cost between the uniform source on the unit cube and a two-atom target
 holding mass t at the origin and 1-t at the reflected atom 2bw/|w|^2.
-This module evaluates that cost by quadrature, minimizes the inner scalar
+This module evaluates that cost by quadrature, maximizes the inner scalar
 dual by golden section, and locates t by a fixed-budget binary search on
-first differences.
+first differences. The dual is piecewise linear in the potential
+difference with kinks at the N nodes' cost differences: those are sorted
+once per oracle, so each golden-section step is an O(log N) binary search
+instead of a pass over the N costs.
 """
 
 from __future__ import annotations
@@ -115,28 +118,44 @@ def _golden_max(fun, lo: float, hi: float, xtol: float = 1e-10) -> float:
     return max(f1, f2)
 
 
-def _wc_from_costs(t: float, c1: np.ndarray, c2: np.ndarray) -> float:
+def _two_point_dual(c1: np.ndarray, c2: np.ndarray):
+    """The map t -> W_c for the quadrature costs c1, c2 of the two atoms.
+
+    The dual is t delta - mean(max(delta - c1, -c2)), and max(delta - c1,
+    -c2) = -c2 + (delta - d)_+ with d = c1 - c2. With d sorted once and its
+    prefix sums kept, the mean over the j = #{d_k < delta} active nodes is
+    one binary search, so each golden-section step costs O(log N).
+    """
+    d = np.sort(c1 - c2)
+    csum = np.concatenate([[0.0], np.cumsum(d)])
+    mc2 = float(c2.mean())
+    n = d.size
     span = 2.0 * float(max(c1.max(), c2.max()))
 
-    def dual(delta):
-        return t * delta - float(np.maximum(delta - c1, -c2).mean())
+    def wc(t: float) -> float:
+        def dual(delta):
+            j = int(np.searchsorted(d, delta))
+            return t * delta + mc2 - (j * delta - float(csum[j])) / n
 
-    return _golden_max(dual, -span, span)
+        return _golden_max(dual, -span, span)
+
+    return wc
 
 
 def wc_two_point(inst: KnapsackInstance, t: float, quad: QuadratureSpec) -> float:
     """Transport cost from the unit cube to the two-atom target (t, 1-t).
 
-    The dual reduces by shift invariance to a concave scalar problem in
-    the potential difference, solved by golden section to 1e-10; the
-    expectation over the cube uses the requested quadrature.
+    The dual reduces by shift invariance to a concave piecewise-linear
+    scalar problem in the potential difference, solved by golden section
+    to 1e-10; the expectation over the cube uses the requested quadrature.
+    The cost differences are sorted once, after which each golden-section
+    step is one O(log N) binary search over the N quadrature nodes.
     """
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
     nodes = _quad_nodes(inst, quad)
-    c1, c2 = _pair_costs(inst, nodes)
-    return _wc_from_costs(t, c1, c2)
+    return _two_point_dual(*_pair_costs(inst, nodes))(t)
 
 
 def binary_search_min(g, delta: float) -> float:
@@ -167,13 +186,12 @@ def knapsack_volume_via_ot(inst: KnapsackInstance, delta: float,
                            quad: QuadratureSpec) -> float:
     """Estimate the polytope volume as the transport-minimizing mass split.
 
-    Precomputes the quadrature costs once; every oracle call reuses them.
-    The returned estimate carries the binary-search tolerance plus the
-    quadrature's own bias.
+    Builds the oracle once, sorting the quadrature cost differences; every
+    oracle call reuses them. The returned estimate carries the
+    binary-search tolerance plus the quadrature's own bias.
     """
     nodes = _quad_nodes(inst, quad)
-    c1, c2 = _pair_costs(inst, nodes)
-    return binary_search_min(lambda t: _wc_from_costs(t, c1, c2), delta)
+    return binary_search_min(_two_point_dual(*_pair_costs(inst, nodes)), delta)
 
 
 def exact_knapsack_volume(inst: KnapsackInstance):

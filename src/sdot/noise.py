@@ -112,6 +112,18 @@ class MarginalModel:
         except ValueError as exc:
             raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
 
+    @cached_property
+    def _delta_factors(self) -> tuple:
+        """The model-only factors of :func:`bisection_delta`: (lip sqrt(n),
+        None) for a bounded cdf slope, else the pareto Holder branch's
+        (lam q / (q - 1), sqrt(n) max eta). Computed on the first call."""
+        rootn = math.sqrt(self.n)
+        lip = marginal_lipschitz(self)
+        if lip is not None:
+            return lip * rootn, None
+        q = self.q
+        return self.lam * q / (q - 1.0), rootn * float(np.max(self.eta))
+
     def to_json(self) -> dict:
         out = {"kind": self.kind, "lambda": self.lam, "eta": self.eta.tolist()}
         if self.q is not None:
@@ -301,13 +313,10 @@ def marginal_lipschitz(model: MarginalModel) -> float | None:
 
 def bisection_delta(model: MarginalModel, eps: float) -> float:
     """Bracket width that makes the bisection output eps-accurate in l2."""
-    rootn = math.sqrt(model.n)
-    lip = marginal_lipschitz(model)
-    if lip is not None:
-        return eps / (lip * rootn)
-    # unbounded slope: use the Holder continuity of the pareto branch
-    q = model.q
-    return (model.lam * q / (q - 1.0)) * (eps / (rootn * float(np.max(model.eta)))) ** (q - 1.0)
+    scale, holder = model._delta_factors
+    if holder is None:
+        return eps / scale
+    return scale * (eps / holder) ** (model.q - 1.0)
 
 
 def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:

@@ -601,6 +601,8 @@ VALID_INPUTS = {
               "cost": {"kind": "p-norm-power", "p": 2}, "model": MODEL, "solver": {"T": 8}},
     "volume": {"w": [1.0, 1.0], "b": 1.0, "delta": 0.25,
                "quadrature": {"kind": "grid", "m": 20}},
+    "reference": {"sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5},
+                  "measure": MEASURE, "cost": {"kind": "sup-norm"}, "model": MODEL, "T": 5},
     "experiment": tiny_config_dict(models=["none"], t_grid=[2, 3, 4], seeds=[0]),
 }
 
@@ -633,6 +635,47 @@ def test_cli_rejects_unknown_input_field(tmp_path, capsys, command, path, field)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"unknown field '{field}'" in captured.err
+    assert main([command, flag, _write_json(tmp_path, "ok.json", VALID_INPUTS[command])]
+                + argv[3:]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, path, field, value", [
+    ("volume", (), "delta", None),
+    ("volume", (), "b", "1.0"),
+    ("volume", (), "p", [2.0]),
+    ("volume", ("quadrature",), "m", "20"),
+    ("volume", ("quadrature",), "m", 20.5),
+    ("reference", (), "T", [5]),
+    ("reference", (), "T", 2.5),
+    ("reference", (), "eps_bar", None),
+    ("reference", (), "multiplier", "2"),
+    ("solve", ("solver",), "T", "8"),
+    ("solve", ("solver",), "tikhonov", None),
+    ("experiment", (), "t_grid", [2, [3], 4]),
+    ("experiment", (), "seeds", [None]),
+    ("experiment", (), "multiplier", True),
+    ("experiment", (), "eps_bar", "0.1"),
+    ("experiment", ("measure", "random_atoms"), "count", "3"),
+    ("experiment", ("measure", "random_atoms"), "box", None),
+    ("experiment", ("measure", "random_atoms"), "seed", [11]),
+])
+def test_cli_wrong_typed_number_names_field(tmp_path, capsys, command, path, field, value):
+    # a JSON value that is not a (whole) number is an input error, exit 2,
+    # never a TypeError traceback or a silent conversion
+    payload = json.loads(json.dumps(VALID_INPUTS[command]))
+    target = payload
+    for key in path:
+        target = target[key]
+    target[field] = value
+    flag = "--config" if command == "experiment" else "--in"
+    argv = [command, flag, _write_json(tmp_path, "in.json", payload)]
+    if command == "experiment":
+        argv += ["--out", str(tmp_path / "results")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{field}'" in captured.err
     assert main([command, flag, _write_json(tmp_path, "ok.json", VALID_INPUTS[command])]
                 + argv[3:]) == 0
     capsys.readouterr()

@@ -83,6 +83,31 @@ def test_cost_matrix_matches_pointwise():
                 assert C[j, i] == pytest.approx(eval_cost(X[j], Y[i], spec), abs=1e-14)
 
 
+def frozen_sup_norm_matrix(X, Y):
+    """The sup-norm cost matrix as it was built before the running max:
+    one broadcast (m, n, d) difference reduced over its last axis."""
+    return np.abs(X[:, None, :] - Y[None, :, :]).max(axis=2)
+
+
+def test_sup_norm_cost_matrix_bit_identical_to_broadcast():
+    rng = np.random.default_rng(12)
+    for d in range(1, 6):
+        X = rng.normal(size=(40, d))
+        Y = rng.normal(size=(9, d))
+        # ties: points on a coarse lattice, and a row equal to an atom
+        Xt = np.round(rng.uniform(-2.0, 2.0, size=(40, d)) * 2.0) / 2.0
+        Yt = np.round(rng.uniform(-2.0, 2.0, size=(9, d)) * 2.0) / 2.0
+        Xt[0] = Yt[3]
+        # zero width: every point equal, and no points at all
+        same = np.full((5, d), 0.25)
+        cases = [(X, Y), (Xt, Yt), (same, same[:2]), (X[:0], Y), (X, Y[:0])]
+        for A, B in cases:
+            got = cost_matrix(A, B, SUP)
+            assert np.array_equal(got, frozen_sup_norm_matrix(A, B))
+    with pytest.raises(ValueError, match="coordinate"):
+        cost_matrix(np.zeros((3, 0)), np.zeros((2, 0)), SUP)
+
+
 # ------------------------------------------------------- discrete c-transform
 
 def plain_transform(phi, x, nu, c):

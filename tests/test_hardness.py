@@ -8,6 +8,10 @@ import pytest
 from sdot.hardness import (
     KnapsackInstance,
     QuadratureSpec,
+    _golden_max,
+    _pair_costs,
+    _quad_nodes,
+    _two_point_dual,
     binary_search_min,
     exact_knapsack_volume,
     knapsack_volume_via_ot,
@@ -249,3 +253,65 @@ def test_volume_rescale_invariance():
     a = knapsack_volume_via_ot(KnapsackInstance(np.array([2.0, 1.0]), 1.0), 1e-2, quad)
     b = knapsack_volume_via_ot(KnapsackInstance(np.array([6.0, 3.0]), 3.0), 1e-2, quad)
     assert a == b
+
+
+# ------------------------------------------------- sorted two-point oracle
+
+def frozen_wc_from_costs(t, c1, c2):
+    """The two-point oracle as it was before the sort: every golden-section
+    step re-reads all N quadrature costs."""
+    span = 2.0 * float(max(c1.max(), c2.max()))
+
+    def dual(delta):
+        return t * delta - float(np.maximum(delta - c1, -c2).mean())
+
+    return _golden_max(dual, -span, span)
+
+
+# the one-shot benchmark's volume instances, with the volume each returned
+# at delta 1e-3 under the frozen oracle (dyadic, so compared exactly)
+BENCH_VOLUMES = [
+    (KnapsackInstance(np.array([2.0]), 0.6), QuadratureSpec("grid", m=400), 0.2998046875),
+    (KnapsackInstance(np.array([1.0, 1.0]), 1.0), QuadratureSpec("grid", m=400), 0.5),
+    (KnapsackInstance(np.array([2.0, 1.0]), 1.0), QuadratureSpec("grid", m=400), 0.25),
+    (KnapsackInstance(np.array([1.0, 2.0, 3.0]), 2.0), QuadratureSpec("grid", m=40),
+     0.1943359375),
+    (KnapsackInstance(np.ones(5), 2.5), QuadratureSpec("monte-carlo", n=50_000, seed=0),
+     0.5009765625),
+]
+MC5D_FROZEN_VOLUMES = [0.5009765625, 0.5029296875, 0.5029296875, 0.50244140625,
+                       0.49853515625, 0.4990234375, 0.50244140625, 0.49951171875]
+
+
+@pytest.mark.parametrize("inst, quad, volume", BENCH_VOLUMES)
+def test_sorted_oracle_matches_frozen_copy(inst, quad, volume):
+    c1, c2 = _pair_costs(inst, _quad_nodes(inst, quad))
+    wc = _two_point_dual(c1, c2)
+    for t in np.linspace(0.0, 1.0, 50):
+        assert abs(wc(t) - frozen_wc_from_costs(t, c1, c2)) <= 1e-12
+    assert knapsack_volume_via_ot(inst, 1e-3, quad) == volume
+
+
+def test_sorted_oracle_mc5d_volumes_match_frozen_copy():
+    inst = KnapsackInstance(np.ones(5), 2.5)
+    for seed, volume in enumerate(MC5D_FROZEN_VOLUMES):
+        quad = QuadratureSpec("monte-carlo", n=50_000, seed=seed)
+        assert knapsack_volume_via_ot(inst, 1e-3, quad) == volume
+
+
+def test_sorted_oracle_reaches_breakpoint_maximum():
+    # the dual t delta - mean(max(delta - c1, -c2)) is concave and piecewise
+    # linear with kinks at d = c1 - c2, so for t in [0, 1] its maximum is
+    # attained at one of the d_k
+    rng = np.random.default_rng(73)
+    for trial in range(60):
+        N = int(rng.integers(1, 201))
+        c1 = rng.uniform(0.0, 3.0, N)
+        c2 = rng.uniform(0.0, 3.0, N)
+        if trial % 3 == 0:  # tied costs and tied differences
+            c1, c2 = np.round(c1 * 4.0) / 4.0, np.round(c2 * 4.0) / 4.0
+        wc = _two_point_dual(c1, c2)
+        d = c1 - c2
+        for t in (0.0, 1.0, *rng.uniform(0.0, 1.0, 4)):
+            brute = max(t * dk - float(np.maximum(dk - c1, -c2).mean()) for dk in d)
+            assert abs(wc(t) - brute) <= 1e-9
