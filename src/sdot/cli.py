@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import CostSpec, DiscreteMeasure, SamplerSpec, _reject_unknown, derive_seed, draw
+from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _number, _reject_unknown, _require,
+                   derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
 from .solver import (SolverConfig, averaged_sgd, dual_objective_estimate,
@@ -33,21 +34,6 @@ TIMING_MODES = ("zero", "measured")
 
 # ------------------------------------------------------------------- config
 
-def _number(value, field: str, integer: bool = False):
-    """A JSON number as a float, or with ``integer`` as a whole int; any
-    other value (a string, a list, null, a bool) is a ValueError naming
-    ``field``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{field} must be a number, got {value!r}")
-    if not integer:
-        return float(value)
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise ValueError(f"{field} must be an integer, got {value!r}")
-        value = int(value)
-    return value
-
-
 def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
     if not isinstance(obj, dict):
         raise ValueError("config field 'measure' must be a JSON object")
@@ -55,21 +41,18 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
         return DiscreteMeasure.from_json(obj)
     _reject_unknown(obj, ("random_atoms",), "config field 'measure'")
     ra = obj["random_atoms"]
-    if not isinstance(ra, dict):
-        raise ValueError("measure.random_atoms must be a JSON object")
-    for field in ("count", "box", "seed"):
-        if field not in ra:
-            raise ValueError(f"measure.random_atoms is missing field '{field}'")
+    count, box, seed = (_require(ra, field, "measure.random_atoms")
+                        for field in ("count", "box", "seed"))
     _reject_unknown(ra, ("count", "box", "seed"), "measure.random_atoms")
     ctx = "measure.random_atoms field"
-    count = _number(ra["count"], f"{ctx} 'count'", integer=True)
-    box = _number(ra["box"], f"{ctx} 'box'")
+    count = _number(count, f"{ctx} 'count'", integer=True)
+    box = _number(box, f"{ctx} 'box'")
     if count < 1:
         raise ValueError("measure.random_atoms field 'count' must be >= 1")
     if not box > 0.0:
         raise ValueError("measure.random_atoms field 'box' must be positive")
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        _number(ra["seed"], f"{ctx} 'seed'", integer=True))))
+        _number(seed, f"{ctx} 'seed'", integer=True))))
     atoms = rng.uniform(-box, box, size=(count, int(sampler.d)))
     return DiscreteMeasure(atoms, np.full(count, 1.0 / count))
 
@@ -336,6 +319,17 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
 
 # -------------------------------------------------------------------- slope
 
+def _positive_means(records, field):
+    """``(T, mean)`` pairs in increasing T for the Ts whose mean ``field``
+    over ``records`` is positive, and the list of the other Ts."""
+    by_t = {}
+    for r in records:
+        by_t.setdefault(r.T, []).append(float(getattr(r, field)))
+    means = [(T, float(np.mean(by_t[T]))) for T in sorted(by_t)]
+    positive = [(T, m) for T, m in means if m > 0.0]
+    return positive, [T for T, m in means if not m > 0.0]
+
+
 def fit_slope(records, field: str = "subopt"):
     """Least-squares slope of log mean value against log T.
 
@@ -356,21 +350,13 @@ def fit_slope(records, field: str = "subopt"):
     tags = {r.model for r in records}
     if len(tags) != 1:
         raise ValueError("fit_slope needs records from exactly one model")
-    by_t = {}
-    for r in records:
-        by_t.setdefault(r.T, []).append(float(getattr(r, field)))
-    ts, means = [], []
-    for T in sorted(by_t):
-        mean = float(np.mean(by_t[T]))
-        if mean > 0.0:
-            ts.append(T)
-            means.append(mean)
-        else:
-            warnings.warn(f"dropping nonpositive mean {field} at T={T}")
-    if len(ts) < 3:
+    pts, dropped = _positive_means(records, field)
+    for T in dropped:
+        warnings.warn(f"dropping nonpositive mean {field} at T={T}")
+    if len(pts) < 3:
         raise ValueError("need at least 3 distinct T values with positive means")
-    x = np.log(np.asarray(ts, dtype=float))
-    y = np.log(np.asarray(means))
+    x = np.log(np.asarray([T for T, _ in pts], dtype=float))
+    y = np.log(np.asarray([mean for _, mean in pts]))
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     total = y - y.mean()
@@ -402,12 +388,7 @@ def _series_for_panel(records, field):
             order.append(r.model)
     series, dropped = [], []
     for tag in order:
-        pts = []
-        for T in sorted({r.T for r in records if r.model == tag}):
-            vals = [getattr(r, field) for r in records if r.model == tag and r.T == T]
-            mean = float(np.mean(vals))
-            if mean > 0.0:
-                pts.append((T, mean))
+        pts, _ = _positive_means([r for r in records if r.model == tag], field)
         if pts:
             series.append((tag, pts))
         else:
@@ -502,14 +483,6 @@ def _load_input(path: str, known=None):
             raise ValueError("input must be a JSON object")
         _reject_unknown(obj, known, "input")
     return obj
-
-
-def _require(obj, field, ctx="input"):
-    if not isinstance(obj, dict):
-        raise ValueError(f"{ctx} must be a JSON object")
-    if field not in obj:
-        raise ValueError(f"{ctx} is missing field '{field}'")
-    return obj[field]
 
 
 def _sampler(obj, seed):

@@ -38,9 +38,36 @@ def _reject_unknown(obj: dict, known, ctx: str):
             raise ValueError(f"{ctx} has unknown field '{key}'")
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
-    a.flags.writeable = False
+def _require(obj, field: str, ctx: str = "input"):
+    """``obj[field]`` of a JSON object; a non-object ``obj`` or a missing
+    field is a ValueError naming ``ctx``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{ctx} must be a JSON object")
+    if field not in obj:
+        raise ValueError(f"{ctx} is missing field '{field}'")
+    return obj[field]
+
+
+def _number(value, field: str, integer: bool = False):
+    """A JSON number as a float, or with ``integer`` as a whole int; any
+    other value (a string, a list, null, a bool) is a ValueError naming
+    ``field``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{field} must be a number, got {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ValueError(f"{field} must be an integer, got {value!r}")
+        value = int(value)
+    return value
+
+
+def _readonly(a) -> np.ndarray:
+    """A read-only float copy of ``a``, C-contiguous and of the same shape
+    (0-d stays 0-d); the caller's array is left as it was."""
+    a = np.array(a, dtype=float, order="C")
+    a.setflags(write=False)
     return a
 
 
@@ -80,11 +107,10 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        for field in ("atoms", "weights"):
-            if field not in obj:
-                raise ValueError(f"measure JSON is missing field '{field}'")
+        atoms = _require(obj, "atoms", "measure JSON")
+        weights = _require(obj, "weights", "measure JSON")
         _reject_unknown(obj, ("atoms", "weights"), "measure JSON")
-        return cls(np.asarray(obj["atoms"], dtype=float), np.asarray(obj["weights"], dtype=float))
+        return cls(atoms, weights)
 
 
 @dataclass(frozen=True)
@@ -111,10 +137,12 @@ class CostSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "CostSpec":
-        if "kind" not in obj:
-            raise ValueError("cost JSON is missing field 'kind'")
+        kind = _require(obj, "kind", "cost JSON")
         _reject_unknown(obj, ("kind", "p"), "cost JSON")
-        return cls(obj["kind"], p=obj.get("p"))
+        p = obj.get("p")
+        if p is not None:
+            p = _number(p, "cost field 'p'")
+        return cls(kind, p=p)
 
 
 @dataclass(frozen=True)
@@ -137,10 +165,13 @@ class SamplerSpec:
                 raise ValueError("empirical sampler needs points and weights")
             pts = np.asarray(self.points, dtype=float)
             w = np.asarray(self.weights, dtype=float)
-            if pts.ndim != 2 or pts.shape[0] != w.shape[0]:
-                raise ValueError("empirical points must be (K, d) with matching weights")
+            if pts.ndim != 2 or w.shape != pts.shape[:1]:
+                raise ValueError("empirical sampler field 'points' must be (K, d) and "
+                                 "'weights' must match it in length")
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("empirical weights must form a probability vector")
+            if self.d is not None and self.d != pts.shape[1]:
+                raise ValueError("empirical sampler field 'd' must equal the points' dimension")
             object.__setattr__(self, "points", _readonly(pts))
             object.__setattr__(self, "weights", _readonly(w))
             object.__setattr__(self, "d", pts.shape[1])
@@ -161,17 +192,17 @@ class SamplerSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "SamplerSpec":
-        if "kind" not in obj:
-            raise ValueError("sampler JSON is missing field 'kind'")
+        kind = _require(obj, "kind", "sampler JSON")
         _reject_unknown(obj, ("kind", "d", "seed", "points", "weights"), "sampler JSON")
-        if obj["kind"] == "empirical":
-            return cls(
-                "empirical",
-                seed=obj.get("seed", 0),
-                points=np.asarray(obj["points"], dtype=float),
-                weights=np.asarray(obj["weights"], dtype=float),
-            )
-        return cls(obj["kind"], d=obj.get("d"), seed=obj.get("seed", 0))
+        seed = _number(obj.get("seed", 0), "sampler field 'seed'", integer=True)
+        d = obj.get("d")
+        if d is not None:
+            d = _number(d, "sampler field 'd'", integer=True)
+        if kind == "empirical":
+            points = _require(obj, "points", "empirical sampler JSON")
+            weights = _require(obj, "weights", "empirical sampler JSON")
+            return cls("empirical", d=d, seed=seed, points=points, weights=weights)
+        return cls(kind, d=d, seed=seed)
 
 
 def derive_seed(seed: int, *parts: int) -> int:
@@ -198,14 +229,7 @@ def draw(spec: SamplerSpec, n: int) -> np.ndarray:
 
 def eval_cost(x, y, spec: CostSpec) -> float:
     """Cost between two points: ``|x - y|_2^p`` or ``|x - y|_inf``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"point dimensions differ: {x.shape} vs {y.shape}")
-    d = x - y
-    if spec.kind == "sup-norm":
-        return float(np.max(np.abs(d)))
-    return float(np.linalg.norm(d) ** spec.p)
+    return float(cost_vector(x, np.asarray(y, dtype=float)[None, :], spec)[0])
 
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:

@@ -3,9 +3,10 @@
 A knapsack polytope's volume equals the minimizer over t of the transport
 cost between the uniform source on the unit cube and a two-atom target
 holding mass t at the origin and 1-t at the reflected atom 2bw/|w|^2.
-This module evaluates that cost by quadrature, maximizes the inner scalar
-dual by golden section, and locates t by a fixed-budget binary search on
-first differences. The dual is piecewise linear in the potential
+This module evaluates that cost by quadrature, with the node-to-atom costs
+from :func:`sdot.core.cost_matrix`, maximizes the inner scalar dual by
+golden section, and locates t by a fixed-budget binary search on first
+differences. The dual is piecewise linear in the potential
 difference with kinks at the N nodes' cost differences: those are sorted
 once per oracle, so each golden-section step is an O(log N) binary search
 instead of a pass over the N costs.
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import SamplerSpec, draw
+from .core import CostSpec, SamplerSpec, _readonly, cost_matrix, draw
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -43,9 +44,7 @@ class KnapsackInstance:
             raise ValueError("b must be positive")
         if not np.isfinite(self.p) or self.p < 1.0:
             raise ValueError("cost exponent p must be at least 1")
-        wro = w.copy()
-        wro.setflags(write=False)
-        object.__setattr__(self, "w", wro)
+        object.__setattr__(self, "w", _readonly(w))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "p", float(self.p))
 
@@ -82,31 +81,30 @@ class QuadratureSpec:
             raise ValueError(f"unknown quadrature kind: {self.kind!r}")
 
 
-def _quad_nodes(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
+def _quad_costs(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
+    """Costs from the quadrature nodes to the two atoms, shape (2, N)."""
     d = inst.d
     if quad.kind == "grid":
         if d > 3:
             raise ValueError("grid quadrature supports at most three axes")
         ax = (np.arange(quad.m) + 0.5) / quad.m
         grids = np.meshgrid(*([ax] * d), indexing="ij")
-        return np.stack(grids, axis=-1).reshape(-1, d)
-    seed = 0 if quad.seed is None else quad.seed
-    return draw(SamplerSpec("hypercube-uniform", d=d, seed=seed), quad.n)
+        nodes = np.stack(grids, axis=-1).reshape(-1, d)
+    else:
+        seed = 0 if quad.seed is None else quad.seed
+        nodes = draw(SamplerSpec("hypercube-uniform", d=d, seed=seed), quad.n)
+    atoms = np.stack([inst.y1, inst.y2])
+    return cost_matrix(nodes, atoms, CostSpec("p-norm-power", p=inst.p)).T
 
 
-def _pair_costs(inst: KnapsackInstance, nodes: np.ndarray):
-    c1 = np.linalg.norm(nodes - inst.y1[None, :], axis=1) ** inst.p
-    c2 = np.linalg.norm(nodes - inst.y2[None, :], axis=1) ** inst.p
-    return c1, c2
-
-
-def _golden_max(fun, lo: float, hi: float, xtol: float = 1e-10) -> float:
-    """Golden-section maximum of a concave scalar function on [lo, hi]."""
+def _golden_max(fun, lo: float, hi: float) -> float:
+    """Golden-section maximum of a concave scalar function on [lo, hi],
+    narrowed to a bracket of width 1e-10."""
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = fun(x1), fun(x2)
-    while b - a > xtol:
+    while b - a > 1e-10:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
@@ -154,8 +152,7 @@ def wc_two_point(inst: KnapsackInstance, t: float, quad: QuadratureSpec) -> floa
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    nodes = _quad_nodes(inst, quad)
-    return _two_point_dual(*_pair_costs(inst, nodes))(t)
+    return _two_point_dual(*_quad_costs(inst, quad))(t)
 
 
 def binary_search_min(g, delta: float) -> float:
@@ -190,8 +187,7 @@ def knapsack_volume_via_ot(inst: KnapsackInstance, delta: float,
     oracle call reuses them. The returned estimate carries the
     binary-search tolerance plus the quadrature's own bias.
     """
-    nodes = _quad_nodes(inst, quad)
-    return binary_search_min(_two_point_dual(*_pair_costs(inst, nodes)), delta)
+    return binary_search_min(_two_point_dual(*_quad_costs(inst, quad)), delta)
 
 
 def exact_knapsack_volume(inst: KnapsackInstance):

@@ -28,7 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import CostSpec, DiscreteMeasure, _reject_unknown, cost_vector
+from .core import (CostSpec, DiscreteMeasure, _number, _readonly, _reject_unknown, _require,
+                   cost_vector)
 
 MODEL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
 # kinds whose choice probabilities have a closed form; the rest bisect
@@ -37,12 +38,6 @@ CLOSED_FORM_KINDS = ("exponential", "uniform")
 # shift that normalizes the sinh family so its divergence generator
 # vanishes at 1: sqrt(2) - 1 - arcsinh(1)
 HYPERBOLIC_OFFSET = math.sqrt(2.0) - 1.0 - math.asinh(1.0)
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
-    a.setflags(write=False)
-    return a
 
 
 # 0-d operands of the bisection loop, which a ufunc takes as they are; a
@@ -132,13 +127,14 @@ class MarginalModel:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MarginalModel":
-        for key in ("kind", "lambda", "eta"):
-            if key not in obj:
-                raise ValueError(f"marginal model JSON is missing {key!r}")
+        kind, lam, eta = (_require(obj, key, "marginal model JSON")
+                          for key in ("kind", "lambda", "eta"))
         # experiment configs name a series by its model's "tag"
         _reject_unknown(obj, ("kind", "lambda", "eta", "q", "tag"), "marginal model JSON")
-        return cls(obj["kind"], float(obj["lambda"]),
-                   np.asarray(obj["eta"], dtype=float), q=obj.get("q"))
+        q = obj.get("q")
+        if q is not None:
+            q = _number(q, "marginal model field 'q'")
+        return cls(kind, _number(lam, "marginal model field 'lambda'"), eta, q=q)
 
 
 # ------------------------------------------------------------------ curves
@@ -522,7 +518,7 @@ def approximation_bound(model: MarginalModel) -> float:
     return float(np.max(vals))
 
 
-# -------------------------------------------------- jacobian and chebyshev
+# ----------------------------------------------------------------- jacobian
 
 def averaged_choice_jacobian(P: np.ndarray, weights, model: MarginalModel) -> np.ndarray:
     """Weighted sum over the rows of P of the choice-probability Jacobians
@@ -550,58 +546,3 @@ def choice_jacobian(u, model: MarginalModel, eps: float = 1e-9) -> np.ndarray:
     """Jacobian of the choice probabilities in the utilities (one-sided at the boundary)."""
     p = probs_from_utilities(u, model, eps=eps)
     return averaged_choice_jacobian(p[None, :], np.ones(1), model)
-
-
-def project_to_simplex(v) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    v = np.asarray(v, dtype=float)
-    sv = np.sort(v)[::-1]
-    css = np.cumsum(sv)
-    idx = np.arange(1, v.size + 1)
-    rho = int(np.max(np.nonzero(sv + (1.0 - css) / idx > 0.0)[0]))
-    tau = (css[rho] - 1.0) / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
-
-
-def _cheb_objective(u: np.ndarray, lam: float, p: np.ndarray) -> float:
-    return float(u @ p + lam * np.sum(np.sqrt(np.clip(p * (1.0 - p), 0.0, None))))
-
-
-def chebyshev_value(u, lam: float, tol: float = 1e-8, max_iter: int = 20000) -> float:
-    """Maximize sum(u*p) + lam * sum(sqrt(p(1-p))) over the simplex.
-
-    Projected gradient ascent with backtracking; the optimum is interior
-    for finite utilities so the clipped gradient is exact near the solution.
-    """
-    u = np.asarray(u, dtype=float)
-    n = u.size
-    if n == 1:
-        return float(u[0])
-    p = np.full(n, 1.0 / n)
-    val = _cheb_objective(u, lam, p)
-    step = 1.0
-    stall = 0
-    for _ in range(max_iter):
-        pc = np.clip(p, 1e-15, 1.0 - 1e-15)
-        g = u + lam * (1.0 - 2.0 * pc) / (2.0 * np.sqrt(pc * (1.0 - pc)))
-        s = step
-        cand = cval = None
-        while s >= 1e-18:
-            trial = project_to_simplex(p + s * g)
-            tval = _cheb_objective(u, lam, trial)
-            if tval > val:
-                cand, cval = trial, tval
-                break
-            s *= 0.5
-        if cand is None:
-            break
-        gain = cval - val
-        p, val = cand, cval
-        step = min(s * 2.0, 1e6)
-        if gain < tol * 1e-4:
-            stall += 1
-            if stall >= 10:
-                break
-        else:
-            stall = 0
-    return val

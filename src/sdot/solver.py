@@ -277,7 +277,7 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
     f, g, H = evaluate(phi)
     mu = 0.0
     it = 0
-    while (gnorm := float(np.linalg.norm(g))) > grad_tol:
+    while (gnorm := math.sqrt(g @ g)) > grad_tol:
         if it == max_iter or mu > 1e20:
             raise RuntimeError(f"damped Newton stopped after {it} steps at gradient norm "
                                f"{gnorm:.3e} > {grad_tol:.1e}")
@@ -298,7 +298,7 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
         f_new, g_new, H_new = evaluate(phi + d)
         rounding = 1e-10 * max(1.0, abs(f))
         if (f_new - f >= 0.1 * pred if pred > rounding
-                else f_new - f >= -rounding and np.linalg.norm(g_new) < gnorm):
+                else f_new - f >= -rounding and math.sqrt(g_new @ g_new) < gnorm):
             phi, f, g, H = phi + d, f_new, g_new, H_new
             mu /= 8.0
         else:
@@ -484,5 +484,5 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     phi = bar - bar.mean()
     value, grad, _ = _finite_dual(phi, C, w, nu.weights, model, eps=1e-10)
     info = {"method": "sgd-50x", "samples": m, "iterations": 50 * T,
-            "grad_norm": float(np.linalg.norm(grad))}
+            "grad_norm": math.sqrt(grad @ grad)}
     return value, phi, info

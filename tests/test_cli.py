@@ -593,11 +593,16 @@ def test_cli_reference_rejects_unknown_field(tmp_path, capsys, where, field):
 
 MEASURE = {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]}
 MODEL = {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]}
+EMPIRICAL = {"kind": "empirical", "points": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]],
+             "weights": [0.25, 0.25, 0.5], "seed": 5}
+# a case value that deletes its field from the payload
+ABSENT = object()
 VALID_INPUTS = {
-    "probs": {"model": MODEL, "u": [0.3, 0.0]},
+    "probs": {"model": {"kind": "pareto", "lambda": 0.5, "eta": [0.5, 0.5], "q": 1.5},
+              "u": [0.3, 0.0]},
     "transform": {"measure": MEASURE, "cost": {"kind": "sup-norm"}, "model": MODEL,
                   "phi": [0.1, 0.0], "x": [0.2, 0.3]},
-    "solve": {"sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5}, "measure": MEASURE,
+    "solve": {"sampler": EMPIRICAL, "measure": MEASURE,
               "cost": {"kind": "p-norm-power", "p": 2}, "model": MODEL, "solver": {"T": 8}},
     "volume": {"w": [1.0, 1.0], "b": 1.0, "delta": 0.25,
                "quadrature": {"kind": "grid", "m": 20}},
@@ -659,15 +664,28 @@ def test_cli_rejects_unknown_input_field(tmp_path, capsys, command, path, field)
     ("experiment", ("measure", "random_atoms"), "count", "3"),
     ("experiment", ("measure", "random_atoms"), "box", None),
     ("experiment", ("measure", "random_atoms"), "seed", [11]),
+    ("reference", ("sampler",), "d", 2.5),
+    ("reference", ("sampler",), "d", "2"),
+    ("reference", ("sampler",), "seed", True),
+    ("solve", ("sampler",), "points", ABSENT),
+    ("solve", ("sampler",), "weights", 1.0),
+    ("solve", ("cost",), "p", "2"),
+    ("probs", ("model",), "q", [1.5]),
+    ("probs", ("model",), "lambda", "0.5"),
+    ("probs", ("model",), "lambda", True),
 ])
 def test_cli_wrong_typed_number_names_field(tmp_path, capsys, command, path, field, value):
-    # a JSON value that is not a (whole) number is an input error, exit 2,
-    # never a TypeError traceback or a silent conversion
+    # a JSON value that is not a (whole) number, or a required one left out
+    # (ABSENT), is an input error, exit 2, never a TypeError traceback or a
+    # silent conversion
     payload = json.loads(json.dumps(VALID_INPUTS[command]))
     target = payload
     for key in path:
         target = target[key]
-    target[field] = value
+    if value is ABSENT:
+        del target[field]
+    else:
+        target[field] = value
     flag = "--config" if command == "experiment" else "--in"
     argv = [command, flag, _write_json(tmp_path, "in.json", payload)]
     if command == "experiment":

@@ -13,6 +13,7 @@ from sdot.core import (
     CostSpec,
     DiscreteMeasure,
     SamplerSpec,
+    _readonly,
     cost_matrix,
     cost_vector,
     derive_seed,
@@ -80,7 +81,12 @@ def test_cost_matrix_matches_pointwise():
         C = cost_matrix(X, Y, spec)
         for j in range(7):
             for i in range(4):
-                assert C[j, i] == pytest.approx(eval_cost(X[j], Y[i], spec), abs=1e-14)
+                # written out here: eval_cost is itself one row of cost_matrix
+                diff = X[j] - Y[i]
+                ref = (np.max(np.abs(diff)) if spec.kind == "sup-norm"
+                       else np.sqrt(diff @ diff) ** spec.p)
+                assert C[j, i] == pytest.approx(ref, abs=1e-14)
+                assert eval_cost(X[j], Y[i], spec) == C[j, i]
 
 
 def frozen_sup_norm_matrix(X, Y):
@@ -261,6 +267,11 @@ def test_sampler_dim_and_validation():
         SamplerSpec("no-such", d=2, seed=1)
     with pytest.raises(ValueError):
         SamplerSpec("empirical", seed=1, points=np.zeros((2, 1)), weights=np.array([0.7, 0.7]))
+    # an empirical sampler takes its dimension from its points
+    empirical = {"kind": "empirical", "points": [[0.0, 0.0]], "weights": [1.0]}
+    assert SamplerSpec.from_json({**empirical, "d": 2}).d == 2
+    with pytest.raises(ValueError, match="'d'"):
+        SamplerSpec.from_json({**empirical, "d": 7})
 
 
 def test_derive_seed_deterministic_and_distinct():
@@ -284,6 +295,25 @@ def test_measure_is_immutable():
     nu = DiscreteMeasure(np.zeros((2, 2)), np.array([0.5, 0.5]))
     with pytest.raises(ValueError):
         nu.weights[0] = 1.0
+
+
+def test_constructors_store_readonly_copies():
+    # the caller's arrays stay writeable, and writing to them leaves the
+    # stored arrays unchanged
+    rng = np.random.default_rng(15)
+    atoms, w = rng.random((3, 2)), np.full(3, 1.0 / 3.0)
+    points, pw = rng.random((4, 2)), np.full(4, 0.25)
+    nu = DiscreteMeasure(atoms, w)
+    spec = SamplerSpec("empirical", points=points, weights=pw)
+    for given, stored in ((atoms, nu.atoms), (w, nu.weights),
+                          (points, spec.points), (pw, spec.weights)):
+        kept = stored.copy()
+        assert given.flags.writeable
+        assert not stored.flags.writeable
+        given += 1.0
+        assert np.array_equal(stored, kept)
+    # a 0-d input stays 0-d
+    assert _readonly(0.5).shape == ()
 
 
 def test_potential_validation():

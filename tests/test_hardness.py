@@ -9,8 +9,7 @@ from sdot.hardness import (
     KnapsackInstance,
     QuadratureSpec,
     _golden_max,
-    _pair_costs,
-    _quad_nodes,
+    _quad_costs,
     _two_point_dual,
     binary_search_min,
     exact_knapsack_volume,
@@ -285,7 +284,7 @@ MC5D_FROZEN_VOLUMES = [0.5009765625, 0.5029296875, 0.5029296875, 0.50244140625,
 
 @pytest.mark.parametrize("inst, quad, volume", BENCH_VOLUMES)
 def test_sorted_oracle_matches_frozen_copy(inst, quad, volume):
-    c1, c2 = _pair_costs(inst, _quad_nodes(inst, quad))
+    c1, c2 = _quad_costs(inst, quad)
     wc = _two_point_dual(c1, c2)
     for t in np.linspace(0.0, 1.0, 50):
         assert abs(wc(t) - frozen_wc_from_costs(t, c1, c2)) <= 1e-12

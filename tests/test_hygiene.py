@@ -1,16 +1,18 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Three kinds of dead code are rejected: an import a module never reads (the
+Four kinds of dead code are rejected: an import a module never reads (the
 package ``__init__`` re-exports by importing, so it is exempt), a
 module-level private function or class that nothing in the package
-references, and a name the package ``__init__`` exports that no demo,
-test, benchmark script or the README names. A fourth check keeps the
+references, a name the package ``__init__`` exports that no demo, test,
+benchmark script or the README names, and a defaulted parameter that no
+call in the package, tests, demos or benchmark sets. A fifth check keeps the
 benchmark runnable: every name ``bench/workload.py`` reads from a package
 module must exist, and every keyword it passes must be a parameter.
 """
 
 import ast
 import inspect
+import math
 import re
 from pathlib import Path
 
@@ -84,6 +86,48 @@ def unused_exports(init_tree, texts):
             if not any(re.search(rf"\b{re.escape(name)}\b", text) for text in texts)]
 
 
+def unset_defaults(modules, trees):
+    """``module:line name(param=)`` for each defaulted parameter of a
+    function in ``modules`` that no call in ``trees`` sets, by keyword or by
+    position. A call matches every function of its (last) name; a ``*args``
+    sets every position and a ``**kwargs`` every keyword."""
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+            calls.setdefault(name, []).append((math.inf if starred else len(node.args),
+                                               {kw.arg for kw in node.keywords}))
+    found = []
+    for name, tree in modules.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            pos = [a.arg for a in args.posonlyargs + args.args]
+            # a method's self or cls is never passed by position at its call
+            bound = id(node) in methods and pos[:1] in (["self"], ["cls"])
+            defaulted = [(i - bound, p) for i, p in enumerate(pos)
+                         if i >= len(pos) - len(args.defaults)]
+            defaulted += [(math.inf, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                          if d is not None]
+            for index, param in defaulted:
+                if not any(index < npos or param in kws or None in kws
+                           for npos, kws in calls.get(node.name, [])):
+                    found.append(f"{name}:{node.lineno} {node.name}({param}=)")
+    return found
+
+
+def _call_trees():
+    paths = [p for folder in ("src", "tests", "demos", "bench")
+             for p in sorted((ROOT / folder).rglob("*.py"))]
+    return [ast.parse(p.read_text(), filename=str(p)) for p in paths]
+
+
 def _dotted(node):
     """``["noise", "MarginalModel", "from_json"]`` for an attribute chain on
     a plain name; None for anything else."""
@@ -146,6 +190,10 @@ def test_no_unused_exports():
     assert unused_exports(_modules()["__init__.py"], _usage_texts()) == []
 
 
+def test_every_default_is_set_by_some_call():
+    assert unset_defaults(_modules(), _call_trees()) == []
+
+
 def test_bench_workload_names_exist():
     tree = ast.parse((ROOT / "bench" / "workload.py").read_text())
     assert missing_bench_names(tree, BENCH_MODULES) == []
@@ -162,6 +210,13 @@ def test_checks_flag_planted_dead_code():
     init = ast.parse("from pkg.mod import used, unused_name, aliased as shown\n")
     texts = ["used(1)", "shown = 2  # unused_names", "aliased"]
     assert unused_exports(init, texts) == ["unused_name"]
+    planted = ast.parse("def solve(x, tol=1e-8, *, steps=10, log=None):\n    return x\n\n"
+                        "class Box:\n    def fill(self, n=1, m=2):\n        return n\n\n"
+                        "def _dead(k=3):\n    return k\n")
+    calls = ast.parse("solve(1, log=print)\nBox().fill(5)\nsolve(*args)\n"
+                      "_dead(**options)\n")
+    assert unset_defaults({"planted.py": planted}, [calls]) == [
+        "planted.py:1 solve(steps=)", "planted.py:5 fill(m=)"]
 
 
 def test_bench_check_flags_planted_names():

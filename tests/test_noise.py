@@ -21,7 +21,6 @@ from sdot.noise import (
     approximation_bound,
     averaged_choice_jacobian,
     bisection_delta,
-    chebyshev_value,
     choice_jacobian,
     choice_probabilities,
     discrete_f_divergence,
@@ -32,7 +31,6 @@ from sdot.noise import (
     marginal_lipschitz,
     marginal_quantile,
     probs_from_utilities,
-    project_to_simplex,
     smooth_c_transform,
     utilities_values_probs,
 )
@@ -855,7 +853,7 @@ def test_averaged_jacobian_matches_sum_of_row_jacobians():
         assert np.allclose(averaged_choice_jacobian(P, w, model), expect, rtol=0, atol=1e-12)
 
 
-# ----------------------------------------------------- bounds, chebyshev
+# ------------------------------------------------ bounds, tdist transform
 
 def test_approximation_bound_frozen():
     lam = 0.37
@@ -873,27 +871,20 @@ def test_approximation_bound_frozen():
 
 
 def test_chebyshev_value_frozen():
-    assert chebyshev_value(np.zeros(2), 0.8) == pytest.approx(0.8, abs=1e-7)
-    # one dominant utility drives the value to the plain maximum
-    assert chebyshev_value(np.array([50.0, 0.0, 0.0]), 0.1) == pytest.approx(50.0, abs=1e-3)
-
-
-def test_chebyshev_value_matches_slsqp():
-    rng = np.random.default_rng(26)
-    for _ in range(10):
-        n = int(rng.integers(2, 5))
-        u = rng.normal(scale=0.5, size=n)
-        lam = rng.uniform(0.2, 1.0)
-
-        def vg(p):
-            sq = np.sqrt(np.clip(p * (1 - p), 1e-18, None))
-            return float(u @ p + lam * np.sum(sq)), u + lam * (1 - 2 * p) / (2 * sq)
-
-        _, ref = slsqp_max_simplex(vg, n)
-        assert chebyshev_value(u, lam) == pytest.approx(ref, abs=1e-6)
+    # the transform is the Chebyshev maximum minus lam sqrt(n - 1)
+    rng = np.random.default_rng(0)
+    phi, x, nu = instance_with_utilities(rng, np.zeros(2))
+    val = smooth_c_transform(phi, x, nu, COST, uniform_model("tdist", 0.8, 2), eps=1e-9)
+    assert val == pytest.approx(0.8 - 0.8, abs=1e-7)
+    # one dominant utility drives the Chebyshev maximum to the plain maximum
+    phi, x, nu = instance_with_utilities(rng, np.array([50.0, 0.0, 0.0]))
+    val = smooth_c_transform(phi, x, nu, COST, uniform_model("tdist", 0.1, 3), eps=1e-9)
+    assert val == pytest.approx(50.0 - 0.1 * np.sqrt(2.0), abs=1e-3)
 
 
 def test_tdist_transform_equals_chebyshev_minus_offset():
+    # reference: SLSQP on sum(u p) + lam sum(sqrt(p (1 - p))), the Chebyshev
+    # maximum, minus lam sqrt(n - 1)
     rng = np.random.default_rng(27)
     for _ in range(12):
         n = int(rng.integers(2, 5))
@@ -902,20 +893,13 @@ def test_tdist_transform_equals_chebyshev_minus_offset():
         u = rng.normal(scale=0.5, size=n)
         phi, x, nu = instance_with_utilities(rng, u)
         val = smooth_c_transform(phi, x, nu, COST, model, eps=1e-9)
-        ref = chebyshev_value(u, lam) - lam * np.sqrt(n - 1.0)
-        assert val == pytest.approx(ref, abs=1e-4)
 
+        def vg(p):
+            sq = np.sqrt(np.clip(p * (1 - p), 1e-18, None))
+            return float(u @ p + lam * np.sum(sq)), u + lam * (1 - 2 * p) / (2 * sq)
 
-def test_project_to_simplex():
-    rng = np.random.default_rng(28)
-    for _ in range(30):
-        v = rng.normal(scale=3.0, size=6)
-        p = project_to_simplex(v)
-        assert np.all(p >= 0) and p.sum() == pytest.approx(1.0, abs=1e-12)
-        # projection optimality: no feasible point is closer
-        for _ in range(10):
-            q = rng.dirichlet(np.ones(6))
-            assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-12
+        _, cheb = slsqp_max_simplex(vg, n)
+        assert val == pytest.approx(cheb - lam * np.sqrt(n - 1.0), abs=1e-4)
 
 
 # --------------------------------------------------- CVaR-style identity
