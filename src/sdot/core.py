@@ -158,8 +158,11 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got '{self.kind}'")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError("sampler seed must be an integer")
+        for field in ("seed",) if self.d is None else ("seed", "d"):
+            value = getattr(self, field)
+            # a bool passes as an int, and a float would fail only in draw
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"sampler field '{field}' must be an integer, got {value!r}")
         if self.kind == "empirical":
             if self.points is None or self.weights is None:
                 raise ValueError("empirical sampler needs points and weights")

@@ -17,7 +17,10 @@ without a model the plain max with its one-hot rows;
 one-point forms. Every caller gets its probabilities from one batched
 kernel, :func:`_choice_rows`: softmax for the exponential kind, sorted
 sparsemax for the uniform kind, and a guarded bisection on the scalar mass
-balance for the other three.
+balance for the other three. Many rows bisect together in one in-place
+loop, one halving per pass; a single row, the oracle of each SGD step,
+tests the nested midpoints of four halvings per pass and gets the same
+bits.
 """
 
 from __future__ import annotations
@@ -320,32 +323,36 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
 
     Every row halves its bracket until it is no wider than
     :func:`bisection_delta`, and the row's probabilities are taken at the
-    lower end, where the mass is at most one. The bracket ends are two
-    columns of one (m, 2) array updated in place, and each halving
-    evaluates the mass in one (m, n) buffer, so a step costs a fixed dozen
-    numpy calls at any row count.
+    lower end, where the mass is at most one. Many rows share one loop: the
+    bracket ends are two columns of one (m, 2) array updated in place, and
+    each halving evaluates the mass in one (m, n) buffer, a dozen numpy
+    calls per halving at any row count. A single row (each SGD step) takes
+    its halvings in blocks instead, :func:`_one_row_lower_end`, with the
+    same midpoints and mass tests and so the same bits.
     """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
     m, n = U.shape
     if n == 1:
         return np.ones((m, 1))
-    # bracket ends as columns [lo, hi]: each halving moves the one that
-    # ``side`` marks, hi where the mass exceeds one and lo elsewhere
     nodes = model._bracket_nodes - U
-    bracket = np.stack([nodes.min(axis=1), nodes.max(axis=1)], axis=1)
-    lo, hi = bracket[:, :1], bracket[:, 1:]
+    lo, hi = nodes.min(axis=1, keepdims=True), nodes.max(axis=1, keepdims=True)
     # ceil(log2(width / delta)) halvings, none where the width is within delta
     steps = np.ceil(np.log2(np.fmax((hi - lo) / bisection_delta(model, eps), 1.0))).astype(int)
     total = int(steps.max(initial=0))
-    ragged = steps.min(initial=total) < total
-    side = np.empty((m, 2), dtype=bool)
-    below, above = side[:, :1], side[:, 1:]
-    # the (m, 1) columns are written out of place: an in-place ufunc on a
-    # one-element array (the single-row case) costs twice as much
-    ends, mid, mass = np.empty((m, 1)), np.empty((m, 1)), np.empty((m, 1))
-    buf = np.empty((m, n))
     with np.errstate(over="ignore", divide="ignore"):
+        if m == 1:
+            Z = np.add(U, _one_row_lower_end(U, model, float(lo[0, 0]), float(hi[0, 0]), total))
+            return _clip_probs(model, Z, Z)
+        # bracket ends as columns [lo, hi]: each halving moves the one that
+        # ``side`` marks, hi where the mass exceeds one and lo elsewhere
+        bracket = np.concatenate([lo, hi], axis=1)
+        lo, hi = bracket[:, :1], bracket[:, 1:]
+        ragged = steps.min(initial=total) < total
+        side = np.empty((m, 2), dtype=bool)
+        below, above = side[:, :1], side[:, 1:]
+        ends, mid, mass = np.empty((m, 1)), np.empty((m, 1)), np.empty((m, 1))
+        buf = np.empty((m, n))
         for k in range(total):
             np.multiply(np.add(lo, hi, out=ends), _HALF, out=mid)
             _clip_probs(model, np.add(U, mid, out=buf), buf)
@@ -355,6 +362,45 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
                 side &= steps > k
             np.copyto(bracket, mid, where=side)
         return _clip_probs(model, np.add(U, lo, out=buf), buf)
+
+
+# halvings that the one-row bisection tests in one numpy pass
+_BLOCK_DEPTH = 4
+
+
+def _one_row_lower_end(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
+                       total: int) -> float:
+    """Lower bracket end after ``total`` halvings of the one row u, (1, n).
+
+    The bracket stays in Python floats, and the halvings run in blocks of
+    up to ``_BLOCK_DEPTH`` levels. A block lays out the midpoints of every
+    bracket its levels can reach in heap order: node i has the children
+    2i + 1, which takes the node's midpoint as its upper end, and 2i + 2,
+    which takes it as its lower end. Each midpoint is ``(lo + hi) * 0.5``
+    of its own node's ends, as in the many-row loop. One (2^k - 1, n) pass
+    evaluates every node's mass, and the walk from the root follows the
+    loop's halvings: down left where the mass exceeds one, else right.
+    """
+    buf = np.empty(((1 << min(total, _BLOCK_DEPTH)) - 1, u.shape[1]))
+    for done in range(0, total, _BLOCK_DEPTH):
+        depth = min(_BLOCK_DEPTH, total - done)
+        size = (1 << depth) - 1
+        ends, mids = [(lo, hi)], []
+        for a, b in ends:
+            mid = (a + b) * 0.5
+            mids.append(mid)
+            if len(ends) < size:
+                ends += ((a, mid), (mid, b))
+        Z = buf[:size]
+        _clip_probs(model, np.add(u, np.array(mids)[:, None], out=Z), Z)
+        mass = np.add.reduce(Z, axis=1).tolist()
+        i = 0
+        for _ in range(depth):
+            if mass[i] > 1.0:
+                hi, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
+    return lo
 
 
 def _softmax_rows(U: np.ndarray, model: MarginalModel):

@@ -310,10 +310,11 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
 
 # Above this many LP variables the boundary-reduction scheme takes over.
 # At 31,600 variables (T=316, n=10 in the gating run) the direct LP takes
-# 1.2-1.6 s and the reduction 0.1-0.15 s. At 10,000 (T=100) the direct LP
-# takes 0.15-0.18 s, while the reduction may return another, equally
+# 1.18-1.23 s and the reduction 27-30 ms. At 10,000 (T=100) the direct LP
+# takes 172-186 ms, while the reduction may return another, equally
 # optimal dual vertex of the small LP: over 192 seeded T=100 cells that
-# moved the experiment's potgap by up to 12.8%.
+# moved the experiment's potgap by up to 12.8%. (Whole reference solves,
+# fastest of five, sampler seeds 0-2, on a loaded 2-core Xeon.)
 _DIRECT_LIMIT = 10_000
 # The entropic pilot runs at this share of the cost matrix's spread; its
 # gradient tolerance is this share of the smallest target weight.
@@ -373,8 +374,9 @@ def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray)
 
     On the gating instances (n=10, sup-norm, Gaussian samples; 2-core
     Xeon) the pilot takes 10-17 Newton steps and the first pass certifies.
-    The solve takes 0.1 s at m=10,000, 0.45 s at m=31,620 and 2.1-2.8 s
-    at m=100,000, of which the pilot is 0.5-0.7 s and the LP the rest.
+    The whole reference takes 80-96 ms at m=10,000 and 0.50-0.58 s at
+    m=31,620 (fastest of five, sampler seeds 0-2), and 2.1-2.8 s at
+    m=100,000, of which the pilot is 0.5-0.7 s and the LP the rest.
 
     Returns ``(value, phi, cert)`` with ``value`` equal to the semi-dual
     objective at the mean-zero ``phi``. ``cert`` holds the accepted

@@ -272,6 +272,24 @@ def test_sampler_dim_and_validation():
     assert SamplerSpec.from_json({**empirical, "d": 2}).d == 2
     with pytest.raises(ValueError, match="'d'"):
         SamplerSpec.from_json({**empirical, "d": 7})
+    assert SamplerSpec("gaussian-standard", d=np.int64(2), seed=np.int64(3)).d == 2
+
+
+@pytest.mark.parametrize("field,value", [("d", 2.5), ("d", 2.0), ("d", True), ("seed", True),
+                                         ("seed", 3.0), ("seed", None), ("seed", "1")])
+def test_sampler_rejects_non_integer_fields(field, value):
+    # a constructed spec fails on the field, as the JSON path does, before
+    # a draw can fail on the value; a whole JSON number such as 2.0 is an
+    # integer there, read as int before the spec sees it
+    kw = {"d": 2, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=f"sampler field '{field}' must be an integer, got "):
+        SamplerSpec("gaussian-standard", **kw)
+    if not isinstance(value, float) or not value.is_integer():
+        with pytest.raises(ValueError, match=f"sampler field '{field}' must be"):
+            SamplerSpec.from_json({"kind": "gaussian-standard", **kw})
+    if field == "d":
+        with pytest.raises(ValueError, match="sampler field 'd' must be an integer"):
+            SamplerSpec("empirical", d=value, points=np.zeros((1, 2)), weights=np.ones(1))
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -599,10 +599,96 @@ def test_kernel_overflow_stays_silent():
         for U, model in ((U_h, hyper), (U_p, heavy)):
             for eps in (1e-12, 1e-3):
                 assert np.array_equal(_choice_rows(U, model, eps), frozen_bisection(U, model, eps))
+                # one row at a time: its blocks also evaluate midpoints
+                # the walk never takes, and none of them may warn either
+                for j in range(U.shape[0]):
+                    want = frozen_bisection(U[j:j + 1], model, eps)
+                    assert _choice_rows(U[j:j + 1], model, eps).tobytes() == want.tobytes()
         # z = 2 puts the q = 0.5, lam = 1 base exactly at zero
         zero_base = MarginalModel("pareto", 1.0, np.full(2, 0.5), q=0.5)
         assert np.all(_cdf_extended(zero_base, np.array([2.0, 5.0])) == np.inf)
         assert np.isinf(_cdf_extended(hyper, 1.0))
+
+
+# ------------------------------------------------- one-row block path
+# A single row runs its halvings in blocks of noise._BLOCK_DEPTH levels:
+# these pin it to the frozen loop where blocks end, at every depth.
+
+def _halvings(u, model, eps):
+    width = np.ptp(generating_quantile(model, (1.0 / model.n) / model.eta) - u)
+    return int(np.ceil(np.log2(np.maximum(width / bisection_delta(model, eps), 1.0))))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, None, 5])
+@pytest.mark.parametrize("kind,q", BISECTION_CASES)
+def test_one_row_blocks_match_frozen_at_every_step_count(monkeypatch, kind, q, depth):
+    # every step count from 0 to two full blocks and one more: empty,
+    # partial, full and full-then-partial walks
+    import sdot.noise as noise_mod
+    if depth is not None:
+        monkeypatch.setattr(noise_mod, "_BLOCK_DEPTH", depth)
+    k = noise_mod._BLOCK_DEPTH
+    rng = np.random.default_rng(8)
+    eta = np.full(6, 1.0 / 6) if kind == "tdist" else random_eta(rng, 6)
+    model = MarginalModel(kind, 0.3, eta, q=q)
+    seen = set()
+    for u in rng.normal(size=(4, 6)):
+        for eps in np.geomspace(1e-5, 1e3, 160):
+            steps = _halvings(u, model, eps)
+            if steps <= 2 * k + 1:
+                seen.add(steps)
+                want = frozen_bisection(u[None, :], model, eps)
+                assert _bisection_batch(u[None, :], model, eps).tobytes() == want.tobytes()
+    assert seen == set(range(2 * k + 2))
+
+
+def test_one_row_single_atom_and_tied_rows_match_frozen():
+    # a tied row has a zero-width bracket under uniform eta and a nonzero
+    # one under skewed eta (which the tdist bracket may not allow)
+    rng = np.random.default_rng(9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kind, q in BISECTION_CASES:
+            one = MarginalModel(kind, 0.3, np.ones(1), q=q)
+            assert np.array_equal(_bisection_batch(np.array([[2.5]]), one, 1e-9), np.ones((1, 1)))
+            etas = [np.full(5, 0.2)] + ([] if kind == "tdist" else [random_eta(rng, 5)])
+            for eta in etas:
+                model = MarginalModel(kind, 0.3, eta, q=q)
+                for u in (np.full((1, 5), 0.7), np.array([[0.1, 0.1, 0.1, -0.4, -0.4]])):
+                    for eps in (1e-12, 1e-6, 1e-2):
+                        got = _bisection_batch(u, model, eps)
+                        assert got.tobytes() == frozen_bisection(u, model, eps).tobytes()
+
+
+def _outcome(U, model, eps, action):
+    """The first row's output bytes or the error, and the distinct warnings
+    raised on the way: a block warns once where the loop warns per halving."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(action)
+        try:
+            result = ("out", _bisection_batch(U, model, eps)[0].tobytes())
+        except Exception as exc:  # the error is the outcome
+            result = ("error", type(exc), str(exc))
+    return result, sorted({(w.category.__name__, str(w.message)) for w in seen})
+
+
+@pytest.mark.parametrize("kind,q", BISECTION_CASES)
+def test_one_row_non_finite_utilities_match_many_row_loop(kind, q):
+    # inf and nan reach the kernel only from a caller that skips the
+    # utility check; one row must then do what the many-row loop does with
+    # it, output, error and warnings alike. The finite rows follow: a
+    # spread that overflows, one of hundreds of halvings, and one whose
+    # midpoints overflow to inf (a NaN mass for tdist)
+    model = MarginalModel(kind, 0.3, np.full(3, 1.0 / 3), q=q)
+    inf, nan = np.inf, np.nan
+    for row in ([0.0, inf, 1.0], [0.0, -inf, 1.0], [nan, 0.0, 1.0], [inf] * 3,
+                [-inf, inf, 0.0], [nan] * 3, [1e308, -1e308, 0.0], [1e200, 0.0, -1e200],
+                [-1e308, -1.7e308, -1.2e308]):
+        u = np.array([row])
+        for action in ("always", "error"):
+            for eps in (1e-9, 0.1, 1e9):
+                one = _outcome(u, model, eps, action)
+                assert one == _outcome(np.repeat(u, 2, axis=0), model, eps, action)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))

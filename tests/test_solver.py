@@ -140,6 +140,46 @@ def test_sgd_matches_replay_bisection_schedule():
         assert np.array_equal(bar, rb), kind
 
 
+@pytest.mark.parametrize("kind,q", [("hyperbolic", None), ("tdist", None), ("pareto", 1.5)])
+def test_sgd_matches_replay_over_many_bisection_blocks(kind, q):
+    # ten atoms, lambda 0.1 and eps_bar 0.1 over 300 steps: each oracle
+    # call takes 8 to 14 halvings, two to four blocks of the one-row path
+    rng = np.random.default_rng(44)
+    nu = random_measure(rng, 10, 2)
+    spec = SamplerSpec("hypercube-uniform", d=2, seed=15)
+    model = MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
+    cfg = SolverConfig(T=300, rule="lipschitz", eps_bar=0.1)
+    under, bar, trace = averaged_sgd(spec, nu, SUP, model, cfg)
+    ru, rb, rphi = sgd_replay(spec, nu, SUP, model, cfg)
+    assert np.array_equal(under, ru) and np.array_equal(bar, rb)
+    assert np.array_equal(trace.rows[-1].phi, rphi)
+
+
+@pytest.mark.parametrize("kind,q", [("hyperbolic", None), ("tdist", None), ("pareto", 1.5)])
+def test_sgd_oracle_rows_match_frozen_bisection(monkeypatch, kind, q):
+    # every oracle row of a 5,000-step run on the benchmark's model (the
+    # atoms of demos/convergence_config.json, lambda 0.1, uniform eta), as
+    # eps = 0.1 / (2 sqrt(t)) shrinks: 7 to 17 halvings, up to five blocks
+    import sdot.noise as noise_mod
+    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
+    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
+    model = MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
+    kernel, calls = noise_mod._bisection_batch, []
+
+    def recording_kernel(U, model, eps):
+        P = kernel(U, model, eps)
+        calls.append((U.copy(), eps, P))
+        return P
+
+    monkeypatch.setattr(noise_mod, "_bisection_batch", recording_kernel)
+    averaged_sgd(SamplerSpec("gaussian-standard", d=2, seed=0), nu, SUP, model,
+                 sgd_config(model, 5000))
+    assert len(calls) == 5000
+    for t, (U, eps, P) in enumerate(calls, 1):
+        assert U.shape == (1, 10) and eps == 0.1 / (2.0 * np.sqrt(t))
+        assert P.tobytes() == frozen_bisection(U, model, eps).tobytes(), t
+
+
 def test_sgd_overflowing_oracle_stays_silent():
     # |u| / lam reaches ~1e3, past sinh's overflow, and the q = 0.5 pareto
     # bases fall to zero and below; the kernel ignores the overflow once
