@@ -16,7 +16,6 @@ from sdot.core import (
     cost_matrix,
     derive_seed,
     draw,
-    eval_cost,
 )
 from sdot.noise import (
     MarginalModel,

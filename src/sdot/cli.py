@@ -24,8 +24,7 @@ from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _number, _reject_unkn
                    derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
-from .solver import (SolverConfig, averaged_sgd, dual_objective_estimate,
-                     finite_sample_reference, sgd_config)
+from .solver import averaged_sgd, dual_objective_estimate, finite_sample_reference, sgd_config
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -66,7 +65,11 @@ def _parse_models(entries):
             tag, model = "none", None
         elif isinstance(entry, dict):
             model = MarginalModel.from_json(entry)
-            tag = str(entry.get("tag", model.kind))
+            tag = entry.get("tag", model.kind)
+            # a tag is a CSV field and a legend entry
+            if not isinstance(tag, str) or not tag or any(ch in tag for ch in ",\n\r"):
+                raise ValueError(f"config field 'models' entry {i} field 'tag' must be a "
+                                 "nonempty string without commas or line breaks")
         else:
             raise ValueError(f"config field 'models' entry {i} must be 'none' or a model object")
         if tag in tags:
@@ -150,8 +153,11 @@ class ExperimentConfig:
         timing = obj.get("timing", "zero")
         if timing not in TIMING_MODES:
             raise ValueError(f"config field 'timing' must be one of {TIMING_MODES}")
+        out_dir = obj.get("out_dir", "results")
+        if not isinstance(out_dir, str):
+            raise ValueError("config field 'out_dir' must be a string")
         return cls(sampler, measure, cost, models, t_grid, seeds, multiplier, eps_bar,
-                   timing, str(obj.get("out_dir", "results")))
+                   timing, out_dir)
 
     def to_json(self) -> dict:
         entries = []
@@ -214,18 +220,10 @@ def records_to_csv(records, timing: str = "zero") -> str:
 
 # ------------------------------------------------------------------- runner
 
-def _cell_stream_spec(config: ExperimentConfig, T: int, seed: int) -> SamplerSpec:
-    # all models in a (T, seed) cell share one sample path
-    child = derive_seed(config.sampler.seed, T, seed)
-    sp = config.sampler
-    if sp.kind == "empirical":
-        return SamplerSpec("empirical", points=sp.points, weights=sp.weights, seed=child)
-    return SamplerSpec(sp.kind, d=sp.d, seed=child)
-
-
 def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     """One cell's record, and the reference's ``info`` with its seconds ``s``."""
-    spec = _cell_stream_spec(config, T, seed)
+    # all models in a (T, seed) cell share one sample path
+    spec = replace(config.sampler, seed=derive_seed(config.sampler.seed, T, seed))
     nu, c = config.measure, config.cost
     t0 = time.perf_counter()
     under_avg, bar_avg, _ = averaged_sgd(spec, nu, c, model, sgd_config(model, T, config.eps_bar))
@@ -485,15 +483,12 @@ def _load_input(path: str, known=None):
     return obj
 
 
-def _sampler(obj, seed):
-    """The input's sampler, its seed replaced by ``seed`` when one is given."""
-    spec = SamplerSpec.from_json(_require(obj, "sampler"))
-    return spec if seed is None else replace(spec, seed=seed)
-
-
-def _optional_model(obj):
+def _problem(obj):
+    """The input's target measure, cost and model (None when absent or null)."""
+    nu = DiscreteMeasure.from_json(_require(obj, "measure"))
+    c = CostSpec.from_json(_require(obj, "cost"))
     entry = obj.get("model")
-    return None if entry is None else MarginalModel.from_json(entry)
+    return nu, c, None if entry is None else MarginalModel.from_json(entry)
 
 
 def _print_json(obj):
@@ -511,9 +506,7 @@ def _cmd_probs(args) -> int:
 
 def _cmd_transform(args) -> int:
     obj = _load_input(args.infile, ("measure", "cost", "model", "phi", "x"))
-    nu = DiscreteMeasure.from_json(_require(obj, "measure"))
-    c = CostSpec.from_json(_require(obj, "cost"))
-    model = _optional_model(obj)
+    nu, c, model = _problem(obj)
     u = _utilities(_require(obj, "phi"), _require(obj, "x"), nu, c)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"value": float(vals[0]), "p": P[0].tolist()})
@@ -522,22 +515,14 @@ def _cmd_transform(args) -> int:
 
 def _cmd_solve(args) -> int:
     obj = _load_input(args.infile, ("sampler", "measure", "cost", "model", "solver"))
-    spec = _sampler(obj, args.seed)
-    nu = DiscreteMeasure.from_json(_require(obj, "measure"))
-    c = CostSpec.from_json(_require(obj, "cost"))
-    model = _optional_model(obj)
+    spec = SamplerSpec.from_json(_require(obj, "sampler"))
+    nu, c, model = _problem(obj)
     sd = _require(obj, "solver")
     T = _number(_require(sd, "T", "input field 'solver'"), "solver field 'T'", integer=True)
-    _reject_unknown(sd, {f.name for f in fields(SolverConfig)}, "input field 'solver'")
-    rule, lips, eps_bar = sd.get("rule", "lipschitz"), sd.get("L"), sd.get("eps_bar")
-    base = sgd_config(model, T)  # the model's own L and eps_bar fill in what is unset
-    config = SolverConfig(
-        T=T, rule=rule,
-        eps_bar=_number(base.eps_bar if eps_bar is None else eps_bar, "solver field 'eps_bar'"),
-        L=base.L if lips is None and rule == "smooth" else lips,
-        tikhonov=_number(sd.get("tikhonov", 0.0), "solver field 'tikhonov'"),
-        log_every=sd.get("log_every"))
-    _, _, trace = averaged_sgd(spec, nu, c, model, config)
+    _reject_unknown(sd, ("T", "eps_bar", "log_every"), "input field 'solver'")
+    # the step rule is the model's, as in every experiment cell
+    config = sgd_config(model, T, _number(sd.get("eps_bar", 0.1), "solver field 'eps_bar'"))
+    _, _, trace = averaged_sgd(spec, nu, c, model, replace(config, log_every=sd.get("log_every")))
     csv = trace.to_csv(timing=args.timing)
     if args.out is None:
         sys.stdout.write(csv)
@@ -549,10 +534,8 @@ def _cmd_solve(args) -> int:
 def _cmd_reference(args) -> int:
     obj = _load_input(args.infile,
                       ("sampler", "measure", "cost", "model", "T", "eps_bar", "multiplier"))
-    spec = _sampler(obj, args.seed)
-    nu = DiscreteMeasure.from_json(_require(obj, "measure"))
-    c = CostSpec.from_json(_require(obj, "cost"))
-    model = _optional_model(obj)
+    spec = SamplerSpec.from_json(_require(obj, "sampler"))
+    nu, c, model = _problem(obj)
     value, phi, info = finite_sample_reference(
         spec, nu, c, model, _number(_require(obj, "T"), "input field 'T'", integer=True),
         eps_bar=_number(obj.get("eps_bar", 0.1), "input field 'eps_bar'"),
@@ -566,8 +549,7 @@ def _cmd_volume(args) -> int:
     inst = KnapsackInstance(np.asarray(_require(obj, "w"), dtype=float),
                             _number(_require(obj, "b"), "input field 'b'"),
                             p=_number(obj.get("p", 2.0), "input field 'p'"))
-    delta = float(args.tol) if args.tol is not None else _number(
-        _require(obj, "delta"), "input field 'delta'")
+    delta = _number(_require(obj, "delta"), "input field 'delta'")
     qd = _require(obj, "quadrature")
     kind = _require(qd, "kind", "input field 'quadrature'")
     _reject_unknown(qd, ("kind", "m", "n", "seed"), "input field 'quadrature'")
@@ -575,7 +557,7 @@ def _cmd_volume(args) -> int:
     m, n, seed = (None if qd.get(k) is None
                   else _number(qd[k], f"quadrature field '{k}'", integer=True)
                   for k in ("m", "n", "seed"))
-    quad = QuadratureSpec(kind, m=m, n=n, seed=args.seed if args.seed is not None else seed)
+    quad = QuadratureSpec(kind, m=m, n=n, seed=seed)
     t_hat = knapsack_volume_via_ot(inst, delta, quad)
     exact = exact_knapsack_volume(inst)
     calls = 2 * (math.ceil(math.log2(1.0 / delta)) + 1)
@@ -632,7 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="averaged stochastic ascent, trace CSV out")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--seed", type=int, default=None, help="override the sampler seed")
     p.add_argument("--timing", choices=TIMING_MODES, default="zero",
                    help="zero the wall-time column for reproducible output")
     p.add_argument("--out", default=None, help="write the CSV here instead of stdout")
@@ -640,15 +621,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reference", help="finite-sample reference value and potential")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--seed", type=int, default=None, help="override the sampler seed")
     p.set_defaults(func=_cmd_reference)
 
     p = sub.add_parser("volume", help="knapsack polytope volume via transport")
     p.add_argument("--in", dest="infile", default="-")
-    p.add_argument("--tol", type=float, default=None,
-                   help="override the binary search tolerance delta")
-    p.add_argument("--seed", type=int, default=None,
-                   help="override the monte-carlo quadrature seed")
     p.set_defaults(func=_cmd_volume)
 
     p = sub.add_parser("experiment", help="run a convergence experiment from a config")

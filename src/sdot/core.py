@@ -24,7 +24,6 @@ __all__ = [
     "cost_vector",
     "derive_seed",
     "draw",
-    "eval_cost",
 ]
 
 COST_KINDS = ("p-norm-power", "sup-norm")
@@ -228,11 +227,6 @@ def draw(spec: SamplerSpec, n: int) -> np.ndarray:
     cum = np.cumsum(spec.weights)
     idx = np.minimum(np.searchsorted(cum, rng.random(n), side="right"), len(cum) - 1)
     return spec.points[idx]
-
-
-def eval_cost(x, y, spec: CostSpec) -> float:
-    """Cost between two points: ``|x - y|_2^p`` or ``|x - y|_inf``."""
-    return float(cost_vector(x, np.asarray(y, dtype=float)[None, :], spec)[0])
 
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:

@@ -311,11 +311,15 @@ def marginal_lipschitz(model: MarginalModel) -> float | None:
 
 
 def bisection_delta(model: MarginalModel, eps: float) -> float:
-    """Bracket width that makes the bisection output eps-accurate in l2."""
+    """Bracket width that makes the bisection output eps-accurate in l2;
+    inf, so no halvings, where the pareto Holder power overflows."""
     scale, holder = model._delta_factors
     if holder is None:
         return eps / scale
-    return scale * (eps / holder) ** (model.q - 1.0)
+    try:
+        return scale * (eps / holder) ** (model.q - 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:

@@ -102,6 +102,8 @@ def sgd_config(model: MarginalModel | None, T: int, eps_bar: float = 0.1) -> Sol
     """Step rule for ``model``: smooth with L when the marginal cdfs are
     Lipschitz, bounded-gradient otherwise (with Tikhonov 1e-8 when there is
     no model). ``eps_bar`` reaches only the bisection kinds."""
+    if not eps_bar >= 0.0:
+        raise ValueError(f"eps_bar must be nonnegative, got {eps_bar!r}")
     if model is None:
         return SolverConfig(T=T, rule="lipschitz", tikhonov=1e-8)
     lips = marginal_lipschitz(model)
@@ -217,18 +219,16 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
 
 
 def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
-                            model: MarginalModel | None, samples,
-                            eps: float | None = None):
+                            model: MarginalModel | None, samples, eps: float = 1e-9):
     """Monte Carlo estimate of the dual objective at a fixed potential.
 
     Returns ``(mean, stderr)`` of the per-sample dual contribution
-    nu . phi - psi(phi, x) over the given sample array.
+    nu . phi - psi(phi, x) over the given sample array; ``eps`` is the
+    bisection kinds' accuracy, and closed forms ignore it.
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
     X = np.atleast_2d(np.asarray(samples, dtype=float))
     U = phi[None, :] - cost_matrix(X, nu.atoms, c)
-    if model is not None and eps is None and model.kind not in CLOSED_FORM_KINDS:
-        eps = 1e-9
     vals, _ = utilities_values_probs(U, model, eps=eps)
     contrib = float(nu.weights @ phi) - vals
     m = contrib.size

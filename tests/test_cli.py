@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,7 @@ from sdot.cli import (
 )
 from sdot.core import CostSpec, DiscreteMeasure, SamplerSpec
 from sdot.noise import MarginalModel, probs_from_utilities, smooth_c_transform
+from sdot.solver import averaged_sgd, sgd_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -373,6 +375,16 @@ def test_cli_probs_missing_field_names_it(tmp_path, capsys):
     assert "'u'" in err
 
 
+@pytest.mark.parametrize("kind, q", [("pareto", 3.0), ("hyperbolic", None)])
+def test_cli_probs_huge_eps_takes_no_halvings(tmp_path, capsys, kind, q):
+    model = {"kind": kind, "lambda": 0.5, "eta": [0.2, 0.3, 0.5], "q": q}
+    u = [0.3, -0.2, 0.9]
+    path = _write_json(tmp_path, "in.json", {"model": model, "u": u})
+    assert main(["probs", "--in", path, "--eps", "1e200"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["p"] == probs_from_utilities(u, MarginalModel.from_json(model), eps=1e100).tolist()
+
+
 @pytest.mark.parametrize("kind, u", [("exponential", [math.inf, 0.0]),
                                      ("uniform", [math.nan, 0.0]),
                                      ("hyperbolic", [0.0, -math.inf]),
@@ -463,7 +475,7 @@ def test_cli_solve_same_seed_identical_csv(tmp_path, capsys):
         "measure": {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
         "cost": {"kind": "sup-norm"},
         "model": {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]},
-        "solver": {"T": 64, "rule": "smooth"},
+        "solver": {"T": 64},
     }
     path = _write_json(tmp_path, "in.json", payload)
     assert main(["solve", "--in", path]) == 0
@@ -472,18 +484,46 @@ def test_cli_solve_same_seed_identical_csv(tmp_path, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert first.splitlines()[0] == "t,phi_hash,walltime_ms"
-    assert main(["solve", "--in", path, "--seed", "6"]) == 0
+    payload["sampler"]["seed"] = 6
+    assert main(["solve", "--in", _write_json(tmp_path, "seed6.json", payload)]) == 0
     assert capsys.readouterr().out != first
 
 
-@pytest.mark.parametrize("field", ["tikonov", "M", "theorem_variant"])
+SOLVE_MODELS = {
+    "none": None,
+    "exponential": {"kind": "exponential", "lambda": 0.5, "eta": [0.2, 0.3, 0.5]},
+    "uniform": {"kind": "uniform", "lambda": 0.5, "eta": [0.2, 0.3, 0.5]},
+    "hyperbolic": {"kind": "hyperbolic", "lambda": 0.5, "eta": [0.2, 0.3, 0.5]},
+    "pareto-q3": {"kind": "pareto", "lambda": 0.5, "eta": [0.2, 0.3, 0.5], "q": 3.0},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_MODELS))
+@pytest.mark.parametrize("solver", [{"T": 40}, {"T": 40, "eps_bar": 0.05, "log_every": 8}])
+def test_cli_solve_runs_the_models_sgd_config(tmp_path, capsys, name, solver):
+    # the step rule, L, eps_bar and tikhonov of a run are sgd_config's
+    entry = SOLVE_MODELS[name]
+    sampler = {"kind": "gaussian-standard", "d": 2, "seed": 3}
+    measure = {"atoms": [[0.0, 0.0], [1.0, 0.5], [-0.5, 1.0]], "weights": [0.2, 0.3, 0.5]}
+    payload = {"sampler": sampler, "measure": measure, "cost": {"kind": "sup-norm"},
+               "model": entry, "solver": solver}
+    assert main(["solve", "--in", _write_json(tmp_path, "in.json", payload)]) == 0
+    model = None if entry is None else MarginalModel.from_json(entry)
+    config = replace(sgd_config(model, solver["T"], solver.get("eps_bar", 0.1)),
+                     log_every=solver.get("log_every"))
+    _, _, trace = averaged_sgd(SamplerSpec.from_json(sampler), DiscreteMeasure.from_json(measure),
+                               CostSpec("sup-norm"), model, config)
+    assert capsys.readouterr().out == trace.to_csv("zero")
+
+
+@pytest.mark.parametrize("field", ["tikonov", "M", "theorem_variant", "rule", "L", "tikhonov"])
 def test_cli_solve_rejects_unknown_solver_field(tmp_path, capsys, field):
     payload = {
         "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5},
         "measure": {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
         "cost": {"kind": "sup-norm"},
         "model": None,
-        "solver": {"T": 8, "rule": "lipschitz", field: 0.5},
+        "solver": {"T": 8, field: 0.5},
     }
     path = _write_json(tmp_path, "in.json", payload)
     assert main(["solve", "--in", path]) == 2
@@ -506,6 +546,16 @@ def test_cli_solve_rejects_bad_log_every(tmp_path, capsys, log_every):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "log_every must be a positive integer" in captured.err
+
+
+def test_cli_solve_rejects_negative_eps_bar(tmp_path, capsys):
+    # a closed-form model never reads eps_bar, but a negative one is still an error
+    payload = json.loads(json.dumps(VALID_INPUTS["solve"]))
+    payload["solver"]["eps_bar"] = -0.1
+    assert main(["solve", "--in", _write_json(tmp_path, "in.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps_bar must be nonnegative" in captured.err
 
 
 def test_cli_solve_writes_file(tmp_path):
@@ -541,18 +591,15 @@ def test_cli_volume_row(tmp_path, capsys):
     assert int(row[6]) == 2 * (math.ceil(math.log2(1 / 0.01)) + 1)
 
 
-def test_cli_volume_tol_overrides_delta(tmp_path, capsys):
-    payload = {
-        "w": [1.0],
-        "b": 0.5,
-        "delta": 0.25,
-        "quadrature": {"kind": "grid", "m": 50},
-    }
-    path = _write_json(tmp_path, "in.json", payload)
-    assert main(["volume", "--in", path, "--tol", "0.125"]) == 0
-    row = capsys.readouterr().out.splitlines()[1].split(",")
-    assert float(row[4]) == 0.125
-    assert int(row[6]) == 2 * (math.ceil(math.log2(1 / 0.125)) + 1)
+@pytest.mark.parametrize("command, flag", [("solve", "--seed"), ("reference", "--seed"),
+                                           ("volume", "--seed"), ("volume", "--tol")])
+def test_cli_has_no_flag_for_a_json_field(tmp_path, capsys, command, flag):
+    # the sampler's or quadrature's "seed" and the "delta" field set these
+    path = _write_json(tmp_path, "in.json", VALID_INPUTS[command])
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--in", path, flag, "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_reference_unregularized(tmp_path, capsys):
@@ -656,7 +703,7 @@ def test_cli_rejects_unknown_input_field(tmp_path, capsys, command, path, field)
     ("reference", (), "eps_bar", None),
     ("reference", (), "multiplier", "2"),
     ("solve", ("solver",), "T", "8"),
-    ("solve", ("solver",), "tikhonov", None),
+    ("solve", ("solver",), "eps_bar", None),
     ("experiment", (), "t_grid", [2, [3], 4]),
     ("experiment", (), "seeds", [None]),
     ("experiment", (), "multiplier", True),
@@ -743,6 +790,26 @@ def test_cli_experiment_rejects_unknown_config_field(tmp_path, capsys):
     assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 2
     assert "unknown field 'multipler'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tag", "a,b"), ("tag", "a\nb"), ("tag", "a\rb"), ("tag", ""), ("tag", None), ("tag", 3),
+    ("out_dir", None), ("out_dir", 5),
+])
+def test_cli_experiment_rejects_bad_tag_or_out_dir(tmp_path, capsys, field, value, monkeypatch):
+    # a tag is a CSV field and an out_dir a path: a comma would add a column,
+    # and null would name a series or a directory 'None'
+    cfg = tiny_config_dict()
+    if field == "tag":
+        cfg["models"][1]["tag"] = value
+    else:
+        cfg["out_dir"] = value
+    monkeypatch.chdir(tmp_path)
+    assert main(["experiment", "--config", _write_json(tmp_path, "config.json", cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'{field}'" in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_cli_experiment_pareto_beyond_q2(tmp_path, capsys):

@@ -542,6 +542,23 @@ def test_kernel_matches_frozen_bisection(kind, q):
     assert ragged > 0 and zero_steps > 0
 
 
+def test_pareto_holder_delta_overflow_is_zero_halvings():
+    # q > 2: (eps / holder) ** (q - 1) overflows a float at eps = 1e200; the
+    # bracket width bound delta becomes inf and the row stays at its bracket's
+    # lower end, as a hyperbolic row does at the same eps
+    u = np.array([0.3, -0.2, 0.9])
+    for m in (1, 4):
+        U = np.tile(u, (m, 1))
+        for kind, q in (("pareto", 3.0), ("hyperbolic", None)):
+            model = MarginalModel(kind, 0.5, np.array([0.2, 0.3, 0.5]), q=q)
+            assert _halvings(u, model, 1e200) == 0
+            assert np.array_equal(_choice_rows(U, model, 1e200), frozen_bisection(U, model, 1e100))
+    pareto = MarginalModel("pareto", 0.5, np.array([0.2, 0.3, 0.5]), q=3.0)
+    assert bisection_delta(pareto, 1e200) == math.inf
+    assert np.array_equal(probs_from_utilities(u, pareto, eps=1e200),
+                          probs_from_utilities(u, pareto, eps=1e100))
+
+
 @pytest.mark.parametrize("kind,q", [("exponential", None), ("uniform", None)] + BISECTION_CASES)
 def test_cdf_and_closed_form_bisection_match_frozen_copy(kind, q):
     # the in-place cdf serves every kind, and the bisection kernel takes
