@@ -24,7 +24,8 @@ from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _number, _reject_unkn
                    derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
-from .solver import averaged_sgd, dual_objective_estimate, finite_sample_reference, sgd_config
+from .solver import (_check_finite_nonnegative, _lp_stack, averaged_sgd,
+                     dual_objective_estimate, finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -148,8 +149,7 @@ class ExperimentConfig:
         if multiplier < 1:
             raise ValueError("config field 'multiplier' must be a positive integer")
         eps_bar = _number(obj.get("eps_bar", 0.1), "config field 'eps_bar'")
-        if not eps_bar >= 0.0:
-            raise ValueError("config field 'eps_bar' must be nonnegative")
+        _check_finite_nonnegative(eps_bar, "config field 'eps_bar'")
         timing = obj.get("timing", "zero")
         if timing not in TIMING_MODES:
             raise ValueError(f"config field 'timing' must be one of {TIMING_MODES}")
@@ -221,7 +221,8 @@ def records_to_csv(records, timing: str = "zero") -> str:
 # ------------------------------------------------------------------- runner
 
 def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
-    """One cell's record, and the reference's ``info`` with its seconds ``s``."""
+    """One cell's record, and its stage seconds for the manifest: ``sgd_s``,
+    ``estimate_s`` and the reference's ``info`` with its seconds ``s``."""
     # all models in a (T, seed) cell share one sample path
     spec = replace(config.sampler, seed=derive_seed(config.sampler.seed, T, seed))
     nu, c = config.measure, config.cost
@@ -232,19 +233,21 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     t_ref = time.perf_counter()
     value, phi_star, info = finite_sample_reference(
         spec, nu, c, model, T, eps_bar=config.eps_bar, multiplier=config.multiplier)
-    reference = {**info, "s": time.perf_counter() - t_ref}
+    t_est = time.perf_counter()
     X = draw(spec, config.multiplier * T)
     estimate, _ = dual_objective_estimate(phi_out, nu, c, model, X)
     gauge = bar_avg - bar_avg.mean()
-    ms = (time.perf_counter() - t0) * 1000.0
+    t_end = time.perf_counter()
+    stages = {"sgd_s": t_ref - t0, "estimate_s": t_end - t_est,
+              "reference": {**info, "s": t_est - t_ref}}
     return ConvergenceRecord(tag, T, seed, float(value - estimate),
-                             float(np.sum((gauge - phi_star) ** 2)), ms), reference
+                             float(np.sum((gauge - phi_star) ** 2)), (t_end - t0) * 1000.0), stages
 
 
-def _manifest_line(rec: ConvergenceRecord, reference: dict) -> str:
+def _manifest_line(rec: ConvergenceRecord, stages: dict) -> str:
     return json.dumps({"model": rec.model, "T": rec.T, "seed": rec.seed,
                        "subopt": rec.subopt, "potgap": rec.potgap, "ms": rec.ms,
-                       "reference": reference}, sort_keys=True)
+                       **stages}, sort_keys=True)
 
 
 def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
@@ -270,7 +273,8 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         seed) and the path of the CSV they were written to.
 
     Completed cells are appended to manifest.jsonl as they finish, each
-    with a ``reference`` object (the reference's method, certificate and
+    with its SGD and estimate seconds (``sgd_s``, ``estimate_s``) and a
+    ``reference`` object (the reference's method, certificate and
     seconds), so a failed run leaves a resumable, diagnosable trail.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
@@ -302,12 +306,16 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
             if workers <= 1 or not pending:
                 results = (_run_cell(config, *cell) for cell in pending)
             else:
+                if any(cell[1] is None for cell in pending):
+                    # forked workers inherit the parent's modules: import the
+                    # LP stack once here, not once in each worker
+                    _lp_stack()
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
                 results = (fut.result() for fut in as_completed(
                     [pool.submit(_run_cell, config, *cell) for cell in pending]))
-            for rec, reference in results:
+            for rec, stages in results:
                 done[(rec.model, rec.T, rec.seed)] = rec
-                mf.write(_manifest_line(rec, reference) + "\n")
+                mf.write(_manifest_line(rec, stages) + "\n")
                 mf.flush()
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"

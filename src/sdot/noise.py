@@ -331,7 +331,7 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
     bracket ends are two columns of one (m, 2) array updated in place, and
     each halving evaluates the mass in one (m, n) buffer, a dozen numpy
     calls per halving at any row count. A single row (each SGD step) takes
-    its halvings in blocks instead, :func:`_one_row_lower_end`, with the
+    its halvings in blocks instead, :func:`_one_row_probs`, with the
     same midpoints and mass tests and so the same bits.
     """
     if eps is None or not eps > 0.0:
@@ -346,8 +346,7 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
     total = int(steps.max(initial=0))
     with np.errstate(over="ignore", divide="ignore"):
         if m == 1:
-            Z = np.add(U, _one_row_lower_end(U, model, float(lo[0, 0]), float(hi[0, 0]), total))
-            return _clip_probs(model, Z, Z)
+            return _one_row_probs(U, model, float(lo[0, 0]), float(hi[0, 0]), total)
         # bracket ends as columns [lo, hi]: each halving moves the one that
         # ``side`` marks, hi where the mass exceeds one and lo elsewhere
         bracket = np.concatenate([lo, hi], axis=1)
@@ -372,9 +371,10 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
 _BLOCK_DEPTH = 4
 
 
-def _one_row_lower_end(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
-                       total: int) -> float:
-    """Lower bracket end after ``total`` halvings of the one row u, (1, n).
+def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
+                   total: int) -> np.ndarray:
+    """Probabilities of the one row u, (1, n), at its lower bracket end
+    after ``total`` halvings.
 
     The bracket stays in Python floats, and the halvings run in blocks of
     up to ``_BLOCK_DEPTH`` levels. A block lays out the midpoints of every
@@ -384,8 +384,11 @@ def _one_row_lower_end(u: np.ndarray, model: MarginalModel, lo: float, hi: float
     of its own node's ends, as in the many-row loop. One (2^k - 1, n) pass
     evaluates every node's mass, and the walk from the root follows the
     loop's halvings: down left where the mass exceeds one, else right.
+    The output is the pass's row at the last midpoint that became the
+    lower end: each pass writes a new array, so that row stays intact. Only
+    a row whose lower end never moved is evaluated again.
     """
-    buf = np.empty(((1 << min(total, _BLOCK_DEPTH)) - 1, u.shape[1]))
+    last = None
     for done in range(0, total, _BLOCK_DEPTH):
         depth = min(_BLOCK_DEPTH, total - done)
         size = (1 << depth) - 1
@@ -395,16 +398,20 @@ def _one_row_lower_end(u: np.ndarray, model: MarginalModel, lo: float, hi: float
             mids.append(mid)
             if len(ends) < size:
                 ends += ((a, mid), (mid, b))
-        Z = buf[:size]
-        _clip_probs(model, np.add(u, np.array(mids)[:, None], out=Z), Z)
+        Z = np.add(u, np.array(mids)[:, None])
+        _clip_probs(model, Z, Z)
         mass = np.add.reduce(Z, axis=1).tolist()
         i = 0
         for _ in range(depth):
             if mass[i] > 1.0:
                 hi, i = mids[i], 2 * i + 1
             else:
-                lo, i = mids[i], 2 * i + 2
-    return lo
+                lo, last, i = mids[i], (Z, i), 2 * i + 2
+    if last is None:
+        Z = np.add(u, lo)
+        return _clip_probs(model, Z, Z)
+    Z, i = last
+    return Z[i:i + 1]
 
 
 def _softmax_rows(U: np.ndarray, model: MarginalModel):

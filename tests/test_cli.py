@@ -200,15 +200,20 @@ def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
     for cell in cells:
         ref = cell["reference"]
         assert ref["s"] >= 0.0 and ref["samples"] == 2 * cell["T"]
+        # stage seconds: each within the cell's milliseconds, and so their sum
+        for stage in ("sgd_s", "estimate_s"):
+            assert 0.0 <= cell[stage] * 1000.0 <= cell["ms"]
+        assert (cell["sgd_s"] + ref["s"] + cell["estimate_s"]) * 1000.0 <= cell["ms"] + 1e-9
         if cell["model"] == "none":
             assert ref["method"] == "lp" and abs(ref["gap"]) <= 1e-9
         else:
             assert ref["method"] == "newton" and ref["grad_norm"] <= 1e-7
             assert ref["iterations"] >= 1
-    # a manifest written before cells carried a reference object
+    # a manifest written before cells carried stage timings
     old = tmp_path / "old"
     old.mkdir()
-    kept = [json.dumps({k: v for k, v in cell.items() if k != "reference"}) for cell in cells[:5]]
+    kept = [json.dumps({k: v for k, v in cell.items()
+                        if k not in ("reference", "sgd_s", "estimate_s")}) for cell in cells[:5]]
     (old / "manifest.jsonl").write_text("\n".join(lines[:1] + kept) + "\n")
     _, resumed = run_convergence_experiment(cfg, out_dir=old, resume=True)
     assert Path(resumed).read_bytes() == Path(full).read_bytes()
@@ -746,6 +751,37 @@ def test_cli_wrong_typed_number_names_field(tmp_path, capsys, command, path, fie
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+@pytest.mark.parametrize("command, path, kind", [
+    ("solve", ("solver",), None),
+    ("reference", (), "hyperbolic"),
+    ("reference", (), "exponential"),
+    ("experiment", (), None),
+])
+def test_cli_non_finite_eps_bar_names_field(tmp_path, capsys, command, path, kind, value):
+    # json reads Infinity and NaN; an infinite eps_bar used to run with a
+    # zero step and no halvings, NaN passed every comparison, and a
+    # closed-form reference, which never reads eps_bar, took either silently
+    payload = json.loads(json.dumps(VALID_INPUTS[command]))
+    if kind is not None:
+        payload["model"] = {"kind": kind, "lambda": 0.5, "eta": [0.5, 0.5]}
+    target = payload
+    for key in path:
+        target = target[key]
+    target["eps_bar"] = value
+    flag = "--config" if command == "experiment" else "--in"
+    argv = [command, flag, _write_json(tmp_path, "in.json", payload)]
+    if command == "experiment":
+        argv += ["--out", str(tmp_path / "results")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.search(r"eps_bar'? must be nonnegative and finite", captured.err)
+    target["eps_bar"] = 0.1
+    assert main([command, flag, _write_json(tmp_path, "ok.json", payload)] + argv[3:]) == 0
+    capsys.readouterr()
+
+
 def test_cli_reference_runtime_error_exits_2(tmp_path, capsys, monkeypatch):
     import sdot.solver as solver_mod
 
@@ -822,14 +858,64 @@ def test_cli_experiment_pareto_beyond_q2(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_module_entry_point_runs_without_runpy_warning():
+def _fresh_python(*args):
+    """Run ``python *args`` in a fresh interpreter that imports sdot from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "sdot.cli",
-                           "--help"], capture_output=True, text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "experiment" in proc.stdout
+    return proc.stdout
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    out = _fresh_python("-W", "error::RuntimeWarning", "-m", "sdot.cli", "--help")
+    assert "experiment" in out
+
+
+# scipy's LP stack; only a transport LP may load it
+LP_MODULES = ("scipy.sparse", "scipy.optimize")
+_LOADED = f"[m for m in {LP_MODULES!r} if m in sys.modules]"
+
+
+def test_import_loads_no_lp_stack_until_an_lp_runs():
+    out = _fresh_python("-c", f"""
+import sys
+import numpy as np
+import sdot, sdot.cli
+print({_LOADED})
+mu = sdot.DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([0.5, 0.5]))
+value = sdot.exact_discrete_ot(mu, mu, sdot.CostSpec("sup-norm"))[0]
+print({_LOADED}, value)
+""")
+    assert out.splitlines() == ["[]", f"{list(LP_MODULES)} 0.0"]
+
+
+@pytest.mark.parametrize("models, loaded", [(["none"], list(LP_MODULES)),
+                                            ([MODEL, {**MODEL, "kind": "uniform"}], [])])
+def test_experiment_pool_starts_after_the_lp_stack_loads(tmp_path, models, loaded):
+    # forked workers inherit the parent's modules: with a series without a
+    # model the parent loads the LP stack before the pool starts, so no
+    # worker imports it again; closed-form series never load it
+    config = _write_json(tmp_path, "config.json", tiny_config_dict(
+        models=models, measure=MEASURE, t_grid=[2, 3, 4], seeds=[0]))
+    out = _fresh_python("-c", f"""
+import json, sys
+import sdot.cli as cli
+from pathlib import Path
+
+class Recording(cli.ProcessPoolExecutor):
+    def __init__(self, *args, **kwargs):
+        print({_LOADED})
+        super().__init__(*args, **kwargs)
+
+cli.ProcessPoolExecutor = Recording
+config = cli.ExperimentConfig.from_json(json.loads(Path({config!r}).read_text()))
+records, _ = cli.run_convergence_experiment(config, out_dir={str(tmp_path / "out")!r}, workers=2)
+print(len(records), {_LOADED})
+""")
+    assert out.splitlines() == [str(loaded), f"{3 * len(models)} {loaded}"]
 
 
 def test_cli_unknown_subcommand_fails():

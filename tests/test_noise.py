@@ -659,6 +659,48 @@ def test_one_row_blocks_match_frozen_at_every_step_count(monkeypatch, kind, q, d
     assert seen == set(range(2 * k + 2))
 
 
+def _lower_end_moves(u, model, eps):
+    """Halving count of the one row u and the halvings, in the frozen loop's
+    order, at which its lower end moved."""
+    nodes = generating_quantile(model, (1.0 / model.n) / model.eta) - u
+    lo, hi = nodes.min(), nodes.max()
+    total = _halvings(u, model, eps)
+    moves = []
+    for k in range(total):
+        mid = 0.5 * (lo + hi)
+        if _frozen_clip_probs(model, (u + mid)[None, :]).sum() > 1.0:
+            hi = mid
+        else:
+            lo = mid
+            moves.append(k)
+    return total, moves
+
+
+@pytest.mark.parametrize("kind,q", BISECTION_CASES)
+def test_one_row_output_is_the_block_row_at_the_last_lower_end(kind, q):
+    # the output is the row a block computed when the lower end last moved,
+    # unless the lower end never moved: every case matches the frozen loop's
+    # final evaluation bit for bit
+    import sdot.noise as noise_mod
+    k = noise_mod._BLOCK_DEPTH
+    rng = np.random.default_rng(31)
+    eta = np.full(5, 0.2) if kind == "tdist" else random_eta(rng, 5)
+    model = MarginalModel(kind, 0.3, eta, q=q)
+    seen = set()
+    for u in rng.normal(size=(40, 5)):
+        for eps in np.geomspace(1e-6, 1e2, 25):
+            total, moves = _lower_end_moves(u, model, eps)
+            if total == 0:
+                seen.add("no halvings")
+            elif not moves:
+                seen.add("lower end never moved")
+            elif moves[-1] // k < (total - 1) // k:
+                seen.add("last move in an earlier block")
+            want = frozen_bisection(u[None, :], model, eps)
+            assert _bisection_batch(u[None, :], model, eps).tobytes() == want.tobytes()
+    assert seen == {"no halvings", "lower end never moved", "last move in an earlier block"}
+
+
 def test_one_row_single_atom_and_tied_rows_match_frozen():
     # a tied row has a zero-width bracket under uniform eta and a nonzero
     # one under skewed eta (which the tdist bracket may not allow)

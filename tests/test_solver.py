@@ -5,6 +5,7 @@ construction identity for the damped Newton solver."""
 
 import itertools
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -284,6 +285,24 @@ def test_solver_config_log_every_must_be_a_positive_integer():
             SolverConfig(T=8, log_every=bad)
 
 
+def test_solver_config_rejects_non_finite_numbers_and_non_integer_T():
+    # an infinite eps_bar zeroes the bounded-gradient step, NaN passes every
+    # comparison and a float T used to fail only later, in range()
+    assert SolverConfig(T=np.int64(8)).T == 8
+    for bad in (2.5, True, 0, "4"):
+        with pytest.raises(ValueError, match="T must be an integer of at least 1"):
+            SolverConfig(T=bad)
+    for field in ("eps_bar", "tikhonov"):
+        for bad in (math.inf, math.nan, -0.1):
+            with pytest.raises(ValueError, match=f"{field} must be nonnegative and finite"):
+                SolverConfig(T=8, **{field: bad})
+    hyper = MarginalModel("hyperbolic", 0.5, np.full(3, 1 / 3))
+    for model in (None, hyper):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="eps_bar must be nonnegative and finite"):
+                sgd_config(model, 50, bad)
+
+
 def test_sgd_trace_csv_shape():
     nu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.full(2, 0.5))
     model = MarginalModel("exponential", 1.0, np.full(2, 0.5))
@@ -478,7 +497,7 @@ def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
     a = np.full(900, 1 / 900)
     nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
     direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0]
-    real = solver_mod.linprog
+    sp, real = solver_mod._lp_stack()
     calls = []
 
     def fail_first(*args, **kwargs):
@@ -488,7 +507,7 @@ def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
             res.success, res.message = False, "forced failure"
         return res
 
-    monkeypatch.setattr(solver_mod, "linprog", fail_first)
+    monkeypatch.setattr(solver_mod, "_lp_stack", lambda: (sp, fail_first))
     value, _, cert = solver_mod._reduced_transport_value_phi(
         cost_matrix(X, nu.atoms, SUP), a, nu.weights)
     assert len(calls) == 2
