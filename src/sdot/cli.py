@@ -24,12 +24,11 @@ from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _number, _reject_unkn
                    derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
-from .solver import (_check_finite_nonnegative, _lp_stack, averaged_sgd,
+from .solver import (TIMING_MODES, _check_finite_nonnegative, _lp_stack, averaged_sgd,
                      dual_objective_estimate, finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
-TIMING_MODES = ("zero", "measured")
 
 
 # ------------------------------------------------------------------- config
@@ -51,10 +50,10 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
         raise ValueError("measure.random_atoms field 'count' must be >= 1")
     if not box > 0.0:
         raise ValueError("measure.random_atoms field 'box' must be positive")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(
-        _number(seed, f"{ctx} 'seed'", integer=True))))
-    atoms = rng.uniform(-box, box, size=(count, int(sampler.d)))
-    return DiscreteMeasure(atoms, np.full(count, 1.0 / count))
+    # the same bits as Generator.uniform(-box, box) on the seed's stream
+    cube = SamplerSpec("hypercube-uniform", int(sampler.d),
+                       _number(seed, f"{ctx} 'seed'", integer=True))
+    return DiscreteMeasure(2.0 * box * draw(cube, count) - box, np.full(count, 1.0 / count))
 
 
 def _parse_models(entries):

@@ -596,6 +596,31 @@ def test_cli_volume_row(tmp_path, capsys):
     assert int(row[6]) == 2 * (math.ceil(math.log2(1 / 0.01)) + 1)
 
 
+def test_cli_volume_reports_the_oracle_calls_it_makes(tmp_path, capsys, monkeypatch):
+    import sdot.hardness as hardness_mod
+
+    real = hardness_mod._two_point_dual
+    calls = []
+
+    def counted(c1, c2):
+        wc = real(c1, c2)
+
+        def counting(t):
+            calls.append(t)
+            return wc(t)
+
+        return counting
+
+    monkeypatch.setattr(hardness_mod, "_two_point_dual", counted)
+    for delta in (0.25, 0.01, 1e-3):
+        payload = {"w": [1.0, 1.0], "b": 1.0, "delta": delta,
+                   "quadrature": {"kind": "grid", "m": 100}}
+        calls.clear()
+        assert main(["volume", "--in", _write_json(tmp_path, "in.json", payload)]) == 0
+        row = capsys.readouterr().out.splitlines()[1].split(",")
+        assert int(row[6]) == len(calls) > 0
+
+
 @pytest.mark.parametrize("command, flag", [("solve", "--seed"), ("reference", "--seed"),
                                            ("volume", "--seed"), ("volume", "--tol")])
 def test_cli_has_no_flag_for_a_json_field(tmp_path, capsys, command, flag):
@@ -623,6 +648,21 @@ def test_cli_reference_unregularized(tmp_path, capsys):
     assert len(out["phi"]) == 3
     assert abs(np.mean(out["phi"])) <= 1e-9
     assert np.isfinite(out["value"])
+
+
+def test_cli_reference_zero_weight_atom(tmp_path, capsys):
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 1},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.0]],
+                    "weights": [0.25, 0.25, 0.25, 0.25, 0.0]},
+        "cost": {"kind": "sup-norm"},
+        "model": None,
+        "T": 316,
+    }
+    assert main(["reference", "--in", _write_json(tmp_path, "in.json", payload)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["info"]["reduced"] is True
+    assert len(out["phi"]) == 5 and np.all(np.isfinite(out["phi"]))
 
 
 @pytest.mark.parametrize("where, field", [(None, "multipler"), ("sampler", "sed"),

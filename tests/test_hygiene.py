@@ -1,11 +1,12 @@
 """Source hygiene of the package, checked with the standard library's ast.
 
-Four kinds of dead code are rejected: an import a module never reads (the
+Five kinds of dead code are rejected: an import a module never reads (the
 package ``__init__`` re-exports by importing, so it is exempt), a
 module-level private function or class that nothing in the package
 references, a name the package ``__init__`` exports that no demo, test,
-benchmark script or the README names, and a defaulted parameter that no
-call in the package, tests, demos or benchmark sets. A fifth check keeps the
+benchmark script or the README names, a defaulted parameter that no call
+in the package, tests, demos or benchmark sets, and a parameter its own
+function never reads. A sixth check keeps the
 benchmark runnable: every name ``bench/workload.py`` reads from a package
 module must exist, and every keyword it passes must be a parameter.
 """
@@ -122,6 +123,23 @@ def unset_defaults(modules, trees):
     return found
 
 
+def unread_parameters(modules):
+    """``module:line name(param)`` for each parameter, ``self``, ``*args`` and
+    ``**kwargs`` included, that its function's body never reads."""
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for stmt in node.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found += [f"{name}:{node.lineno} {node.name}({p})" for p in params if p not in read]
+    return found
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -194,6 +212,10 @@ def test_every_default_is_set_by_some_call():
     assert unset_defaults(_modules(), _call_trees()) == []
 
 
+def test_every_parameter_is_read():
+    assert unread_parameters(_modules()) == []
+
+
 def test_bench_workload_names_exist():
     tree = ast.parse((ROOT / "bench" / "workload.py").read_text())
     assert missing_bench_names(tree, BENCH_MODULES) == []
@@ -217,6 +239,14 @@ def test_checks_flag_planted_dead_code():
                       "_dead(**options)\n")
     assert unset_defaults({"planted.py": planted}, [calls]) == [
         "planted.py:1 solve(steps=)", "planted.py:5 fill(m=)"]
+    # a parameter a nested function reads is read; one only assigned is not
+    planted = ast.parse("def run(x, y, *rest, scale=1, **opts):\n"
+                        "    def inner(z):\n        return z * scale\n"
+                        "    y = 2\n    return inner(x)\n\n"
+                        "class Box:\n    def size(self, unit):\n        return 1\n")
+    assert unread_parameters({"planted.py": planted}) == [
+        "planted.py:1 run(y)", "planted.py:1 run(rest)", "planted.py:1 run(opts)",
+        "planted.py:8 size(self)", "planted.py:8 size(unit)"]
 
 
 def test_bench_check_flags_planted_names():

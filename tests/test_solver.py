@@ -489,14 +489,21 @@ def test_reference_switches_to_reduction(monkeypatch):
     assert all(0 <= r <= 300 and v >= 0 for r, v in info["boundary"])
 
 
-def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
-    import sdot.solver as solver_mod
-
+def _widening_instance():
+    """Cost matrix, masses and target weights of a 900 x 7 sup-norm
+    problem, and its exact transport value."""
     rng = np.random.default_rng(67)
     X = rng.standard_normal((900, 2))
     a = np.full(900, 1 / 900)
     nu = DiscreteMeasure(rng.uniform(-1, 1, size=(7, 2)), np.full(7, 1 / 7))
     direct = exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0]
+    return cost_matrix(X, nu.atoms, SUP), a, nu.weights, direct
+
+
+def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
+    import sdot.solver as solver_mod
+
+    C, a, nu_w, direct = _widening_instance()
     sp, real = solver_mod._lp_stack()
     calls = []
 
@@ -508,13 +515,50 @@ def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
         return res
 
     monkeypatch.setattr(solver_mod, "_lp_stack", lambda: (sp, fail_first))
-    value, _, cert = solver_mod._reduced_transport_value_phi(
-        cost_matrix(X, nu.atoms, SUP), a, nu.weights)
+    value, _, cert = solver_mod._reduced_transport_value_phi(C, a, nu_w)
     assert len(calls) == 2
     assert cert["passes"] == 2
-    # the second pass ran with a doubled margin, so no fewer boundary rows
-    assert cert["boundary"][1][0] >= cert["boundary"][0][0] > 0
+    # the second pass ran with a doubled margin, which on this instance
+    # takes in more boundary rows
+    assert cert["boundary"][1][0] > cert["boundary"][0][0] > 0
     assert value == pytest.approx(direct, abs=1e-8)
+
+
+def test_reduced_lp_open_gap_widens_margin(monkeypatch):
+    import sdot.solver as solver_mod
+
+    C, a, nu_w, direct = _widening_instance()
+    real = solver_mod._transport_lp
+    calls = []
+
+    def overpay_first(*args):
+        # the first restricted LP reports a cost above the optimum, as one
+        # missing a needed pair would, so its pass fails the gap check
+        value, *rest = real(*args)
+        calls.append(value)
+        return (value + 1.0 if len(calls) == 1 else value, *rest)
+
+    monkeypatch.setattr(solver_mod, "_transport_lp", overpay_first)
+    value, _, cert = solver_mod._reduced_transport_value_phi(C, a, nu_w)
+    assert len(calls) == 2
+    assert cert["passes"] == 2
+    assert cert["boundary"][1][0] > cert["boundary"][0][0] > 0
+    assert value == pytest.approx(direct, abs=1e-8)
+
+
+@pytest.mark.parametrize("T", [100, 316])
+def test_reference_solves_a_zero_weight_atom(T):
+    rng = np.random.default_rng(70)
+    nu = DiscreteMeasure(rng.uniform(-1, 1, size=(5, 2)), [0.25, 0.25, 0.25, 0.25, 0.0])
+    spec = SamplerSpec("gaussian-standard", d=2, seed=43)
+    value, phi, info = finite_sample_reference(spec, nu, SUP, None, T)
+    assert info["reduced"] is (T == 316)
+    X = draw(spec, 10 * T)
+    a = np.full(10 * T, 1 / (10 * T))
+    assert value == pytest.approx(exact_discrete_ot(DiscreteMeasure(X, a), nu, SUP)[0], abs=1e-8)
+    psi = np.max(phi[None, :] - cost_matrix(X, nu.atoms, SUP), axis=1)
+    assert nu.weights @ phi - a @ psi == pytest.approx(value, abs=1e-12)
+    assert abs(phi.mean()) <= 1e-12
 
 
 @pytest.mark.parametrize("m", [300, 2000, 4000])
