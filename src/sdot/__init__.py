@@ -33,7 +33,6 @@ from sdot.solver import (
     exact_discrete_ot,
     finite_sample_reference,
     sgd_config,
-    step_size,
 )
 from sdot.hardness import (
     KnapsackInstance,

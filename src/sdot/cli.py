@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _number, _reject_unknown, _require,
-                   derive_seed, draw)
+from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _array, _number, _reject_unknown,
+                   _require, derive_seed, draw)
 from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
 from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
-from .solver import (TIMING_MODES, _check_finite_nonnegative, _lp_stack, averaged_sgd,
-                     dual_objective_estimate, finite_sample_reference, sgd_config)
+from .solver import (TIMING_MODES, _check_finite_nonnegative, _lp_stack, _timed_csv,
+                     averaged_sgd, dual_objective_estimate, finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -50,9 +50,11 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
         raise ValueError("measure.random_atoms field 'count' must be >= 1")
     if not box > 0.0:
         raise ValueError("measure.random_atoms field 'box' must be positive")
+    seed = _number(seed, f"{ctx} 'seed'", integer=True)
+    if seed < 0:
+        raise ValueError("measure.random_atoms field 'seed' must be >= 0")
     # the same bits as Generator.uniform(-box, box) on the seed's stream
-    cube = SamplerSpec("hypercube-uniform", int(sampler.d),
-                       _number(seed, f"{ctx} 'seed'", integer=True))
+    cube = SamplerSpec("hypercube-uniform", int(sampler.d), seed)
     return DiscreteMeasure(2.0 * box * draw(cube, count) - box, np.full(count, 1.0 / count))
 
 
@@ -144,6 +146,8 @@ class ExperimentConfig:
             raise ValueError("config field 't_grid' must be a strictly increasing list of positive integers")
         seeds = tuple(_number(s, f"config field 'seeds' entry {i}", integer=True)
                       for i, s in enumerate(seeds))
+        if any(s < 0 for s in seeds):
+            raise ValueError("config field 'seeds' must hold integers >= 0")
         multiplier = _number(obj.get("multiplier", 10), "config field 'multiplier'", integer=True)
         if multiplier < 1:
             raise ValueError("config field 'multiplier' must be a positive integer")
@@ -207,14 +211,8 @@ class ConvergenceRecord:
 
 
 def records_to_csv(records, timing: str = "zero") -> str:
-    if timing not in TIMING_MODES:
-        raise ValueError(f"timing must be one of {TIMING_MODES}")
-    lines = [CSV_HEADER]
-    for r in records:
-        ms = 0.0 if timing == "zero" else float(r.ms)
-        lines.append(f"{r.model},{r.T},{r.seed},{repr(float(r.subopt))},"
-                     f"{repr(float(r.potgap))},{repr(ms)}")
-    return "\n".join(lines) + "\n"
+    return _timed_csv(CSV_HEADER, ((f"{r.model},{r.T},{r.seed},{repr(float(r.subopt))},"
+                                    f"{repr(float(r.potgap))}", r.ms) for r in records), timing)
 
 
 # ------------------------------------------------------------------- runner
@@ -505,7 +503,7 @@ def _print_json(obj):
 def _cmd_probs(args) -> int:
     obj = _load_input(args.infile, ("model", "u"))
     model = MarginalModel.from_json(_require(obj, "model"))
-    u = _check_utilities(_require(obj, "u"), model.n)
+    u = _check_utilities(_array(_require(obj, "u"), "input field 'u'"), model.n)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"p": P[0].tolist(), "value": float(vals[0])})
     return 0
@@ -514,7 +512,8 @@ def _cmd_probs(args) -> int:
 def _cmd_transform(args) -> int:
     obj = _load_input(args.infile, ("measure", "cost", "model", "phi", "x"))
     nu, c, model = _problem(obj)
-    u = _utilities(_require(obj, "phi"), _require(obj, "x"), nu, c)
+    phi, x = (_array(_require(obj, field), f"input field '{field}'") for field in ("phi", "x"))
+    u = _utilities(phi, x, nu, c)
     vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
     _print_json({"value": float(vals[0]), "p": P[0].tolist()})
     return 0
@@ -553,7 +552,7 @@ def _cmd_reference(args) -> int:
 
 def _cmd_volume(args) -> int:
     obj = _load_input(args.infile, ("w", "b", "p", "delta", "quadrature"))
-    inst = KnapsackInstance(np.asarray(_require(obj, "w"), dtype=float),
+    inst = KnapsackInstance(_array(_require(obj, "w"), "input field 'w'"),
                             _number(_require(obj, "b"), "input field 'b'"),
                             p=_number(obj.get("p", 2.0), "input field 'p'"))
     delta = _number(_require(obj, "delta"), "input field 'delta'")

@@ -62,6 +62,30 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
+def _array(value, field: str) -> np.ndarray:
+    """A JSON array of numbers, or of equal-length arrays of them, as a
+    float array; any other value (an object, a string, a ragged array, a
+    null or bool entry) is a ValueError naming ``field``."""
+    def numeric(v):
+        if isinstance(v, list):
+            return all(map(numeric, v))
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+    if isinstance(value, list) and numeric(value):
+        try:
+            return np.array(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged, or an int past float range
+            pass
+    raise ValueError(f"{field} must be an array of numbers")
+
+
+def _check_entries(count: int, what: str):
+    """Raise, before allocating, when ``what`` would hold more than 2e8
+    floats (1.6 GB): the bound on every solve and quadrature array."""
+    if count > 2e8:
+        raise ValueError(f"{what} too large ({count} > 2e8 entries)")
+
+
 def _readonly(a) -> np.ndarray:
     """A read-only float copy of ``a``, C-contiguous and of the same shape
     (0-d stays 0-d); the caller's array is left as it was."""
@@ -106,8 +130,8 @@ class DiscreteMeasure:
 
     @classmethod
     def from_json(cls, obj: dict) -> "DiscreteMeasure":
-        atoms = _require(obj, "atoms", "measure JSON")
-        weights = _require(obj, "weights", "measure JSON")
+        atoms, weights = (_array(_require(obj, field, "measure JSON"), f"measure field '{field}'")
+                          for field in ("atoms", "weights"))
         _reject_unknown(obj, ("atoms", "weights"), "measure JSON")
         return cls(atoms, weights)
 
@@ -162,6 +186,8 @@ class SamplerSpec:
             # a bool passes as an int, and a float would fail only in draw
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"sampler field '{field}' must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"sampler field 'seed' must be >= 0, got {self.seed!r}")
         if self.kind == "empirical":
             if self.points is None or self.weights is None:
                 raise ValueError("empirical sampler needs points and weights")
@@ -170,6 +196,8 @@ class SamplerSpec:
             if pts.ndim != 2 or w.shape != pts.shape[:1]:
                 raise ValueError("empirical sampler field 'points' must be (K, d) and "
                                  "'weights' must match it in length")
+            if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(w)):
+                raise ValueError("empirical sampler points and weights must be finite")
             if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
                 raise ValueError("empirical weights must form a probability vector")
             if self.d is not None and self.d != pts.shape[1]:
@@ -201,8 +229,9 @@ class SamplerSpec:
         if d is not None:
             d = _number(d, "sampler field 'd'", integer=True)
         if kind == "empirical":
-            points = _require(obj, "points", "empirical sampler JSON")
-            weights = _require(obj, "weights", "empirical sampler JSON")
+            points, weights = (_array(_require(obj, field, "empirical sampler JSON"),
+                                      f"sampler field '{field}'")
+                               for field in ("points", "weights"))
             return cls("empirical", d=d, seed=seed, points=points, weights=weights)
         return cls(kind, d=d, seed=seed)
 

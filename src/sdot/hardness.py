@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CostSpec, SamplerSpec, _readonly, cost_matrix, draw
+from .core import CostSpec, SamplerSpec, _check_entries, _readonly, cost_matrix, draw
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -71,22 +71,32 @@ class QuadratureSpec:
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind == "grid":
-            if self.m is None or self.m < 1:
-                raise ValueError("grid quadrature needs a positive points-per-axis m")
-        elif self.kind == "monte-carlo":
-            if self.n is None or self.n < 1:
-                raise ValueError("monte-carlo quadrature needs a positive sample count n")
-        else:
+        takes = {"grid": ("m",), "monte-carlo": ("n", "seed")}.get(self.kind)
+        if takes is None:
             raise ValueError(f"unknown quadrature kind: {self.kind!r}")
+        if getattr(self, takes[0]) is None:
+            raise ValueError(f"{self.kind} quadrature needs the count '{takes[0]}'")
+        for field in ("m", "n", "seed"):
+            value = getattr(self, field)
+            if value is None:
+                continue
+            if field not in takes:
+                raise ValueError(f"{self.kind} quadrature takes no field '{field}'")
+            # a fractional m would put nodes off the cell midpoints
+            least = 0 if field == "seed" else 1
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"quadrature field '{field}' must be an integer of at least "
+                                 f"{least}, got {value!r}")
 
 
 def _quad_costs(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
     """Costs from the quadrature nodes to the two atoms, shape (2, N)."""
     d = inst.d
+    if quad.kind == "grid" and d > 3:
+        raise ValueError("grid quadrature supports at most three axes")
+    count = int(quad.m) ** d if quad.kind == "grid" else int(quad.n)
+    _check_entries(count * max(d, 2), "quadrature (nodes*max(d, 2))")
     if quad.kind == "grid":
-        if d > 3:
-            raise ValueError("grid quadrature supports at most three axes")
         ax = (np.arange(quad.m) + 0.5) / quad.m
         grids = np.meshgrid(*([ax] * d), indexing="ij")
         nodes = np.stack(grids, axis=-1).reshape(-1, d)

@@ -31,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (CostSpec, DiscreteMeasure, _number, _readonly, _reject_unknown, _require,
-                   cost_vector)
+from .core import (CostSpec, DiscreteMeasure, _array, _number, _readonly, _reject_unknown,
+                   _require, cost_vector)
 
 MODEL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
 # kinds whose choice probabilities have a closed form; the rest bisect
@@ -137,7 +137,8 @@ class MarginalModel:
         q = obj.get("q")
         if q is not None:
             q = _number(q, "marginal model field 'q'")
-        return cls(kind, _number(lam, "marginal model field 'lambda'"), eta, q=q)
+        return cls(kind, _number(lam, "marginal model field 'lambda'"),
+                   _array(eta, "marginal model field 'eta'"), q=q)
 
 
 # ------------------------------------------------------------------ curves
@@ -145,11 +146,12 @@ class MarginalModel:
 def _cdf_extended(model: MarginalModel, z, out=None):
     """Generating cdf extended monotonically to the whole line.
 
-    Outside the natural domain the pareto branches continue with 0 (q > 1)
-    and +inf (q < 1); the other kinds evaluate everywhere as written. With
-    ``out`` (which may be ``z`` itself) the values are written there in
-    place, and the caller holds the ``np.errstate(over="ignore",
-    divide="ignore")`` that the call without ``out`` enters itself.
+    Outside the natural domain the pareto kind continues with 0 (q > 1)
+    and +inf (q < 1, as 0 to a negative power); the other kinds evaluate
+    everywhere as written. With ``out`` (which may be ``z`` itself) the
+    values are written there in place, and the caller holds the
+    ``np.errstate(over="ignore", divide="ignore")`` that the call without
+    ``out`` enters itself.
     """
     if out is None:
         z = np.asarray(z, dtype=float)
@@ -179,16 +181,10 @@ def _cdf_extended(model: MarginalModel, z, out=None):
     base = np.multiply(z, q - 1.0, out=out)
     base /= lam * q
     base += 1.0 / q
-    if q > 1.0:
-        # base is never -0.0 (the positive 1/q is added last), so fmax maps
-        # it exactly as where(base > 0, base, 0) does, NaN included
-        np.fmax(base, 0.0, out=base)
-        base **= 1.0 / (q - 1.0)
-        return base
-    inside = base > 0.0
-    np.maximum(base, 1e-300, out=base)
+    # base is never -0.0 (the positive 1/q is added last), so fmax maps it
+    # exactly as where(base > 0, base, 0) does, NaN included
+    np.fmax(base, 0.0, out=base)
     base **= 1.0 / (q - 1.0)
-    np.copyto(base, np.inf, where=~inside)
     return base
 
 

@@ -20,13 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    CostSpec,
-    DiscreteMeasure,
-    SamplerSpec,
-    cost_matrix,
-    draw,
-)
+from .core import CostSpec, DiscreteMeasure, SamplerSpec, _check_entries, cost_matrix, draw
 from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
@@ -37,46 +31,19 @@ from .noise import (
     utilities_values_probs,
 )
 
-RATE_RULES = ("lipschitz", "smooth")
 TIMING_MODES = ("zero", "measured")
-
-
-def step_size(rule: str, T: int, eps_bar: float = 0.0, L: float | None = None) -> float:
-    """Constant step for a T-iteration run under the named regularity rule.
-
-    Parameters
-    ----------
-    rule : str
-        ``lipschitz`` (bounded gradients) or ``smooth`` (needs L).
-    T : int
-        Iteration budget.
-    eps_bar : float
-        Oracle bias budget entering the lipschitz formula.
-    L : float, optional
-        Smoothness constant of the dual gradient.
-    """
-    if T < 1:
-        raise ValueError("T must be at least 1")
-    root = math.sqrt(T)
-    if rule == "lipschitz":
-        return 1.0 / (2.0 * (2.0 + eps_bar) * root)
-    if rule == "smooth":
-        if L is None:
-            raise ValueError("smooth rule needs the constant L")
-        return 1.0 / (2.0 * root + L)
-    raise ValueError(f"unknown step-size rule: {rule!r}")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Run parameters for :func:`averaged_sgd`.
 
-    ``rule`` is one of :data:`RATE_RULES` (see :func:`step_size`).
-    ``eps_bar`` feeds both the step-size formula and the per-iteration
-    bisection accuracy eps_bar / (2 sqrt(t)); ``tikhonov`` only applies to
-    the unsmoothed oracle. ``log_every=1`` turns on full trace logging,
-    the default is geometric checkpoints {1, 2, 4, ...} plus T. The seed
-    is the sampler's.
+    The constant :attr:`step` is 1 / (2 (2 + eps_bar) sqrt(T)) under rule
+    ``lipschitz`` (bounded gradients), and 1 / (2 sqrt(T) + L) under
+    ``smooth`` (L-Lipschitz marginal cdfs). ``eps_bar`` also sets the
+    bisection accuracy eps_bar / (2 sqrt(t)) of iteration t; ``tikhonov``
+    only applies to the unsmoothed oracle. ``log_every=1`` logs every
+    iteration, the default geometric checkpoints {1, 2, 4, ...} plus T.
     """
 
     T: int
@@ -89,13 +56,24 @@ class SolverConfig:
     def __post_init__(self):
         if not _is_int(self.T) or self.T < 1:
             raise ValueError(f"T must be an integer of at least 1, got {self.T!r}")
-        if self.rule not in RATE_RULES:
-            raise ValueError(f"unknown step-size rule: {self.rule!r}")
         for field in ("eps_bar", "tikhonov"):
             _check_finite_nonnegative(getattr(self, field), field)
         every = self.log_every
         if every is not None and (not _is_int(every) or every < 1):
             raise ValueError(f"log_every must be a positive integer, got {every!r}")
+        self.step  # an unknown rule, or smooth without L, fails here
+
+    @property
+    def step(self) -> float:
+        """The constant step of a T-iteration run under ``rule``."""
+        root = math.sqrt(self.T)
+        if self.rule == "lipschitz":
+            return 1.0 / (2.0 * (2.0 + self.eps_bar) * root)
+        if self.rule == "smooth":
+            if self.L is None:
+                raise ValueError("smooth rule needs the constant L")
+            return 1.0 / (2.0 * root + self.L)
+        raise ValueError(f"unknown step-size rule: {self.rule!r}")
 
 
 def _is_int(value) -> bool:
@@ -141,13 +119,18 @@ class SolverTrace:
     rows: list
 
     def to_csv(self, timing: str = "measured") -> str:
-        if timing not in TIMING_MODES:
-            raise ValueError(f"timing must be one of {TIMING_MODES}")
-        lines = ["t,phi_hash,walltime_ms"]
-        for r in self.rows:
-            ms = 0.0 if timing == "zero" else float(r.walltime_ms)
-            lines.append(f"{r.t},{_phi_hash(r.phi)},{repr(ms)}")
-        return "\n".join(lines) + "\n"
+        rows = ((f"{r.t},{_phi_hash(r.phi)}", r.walltime_ms) for r in self.rows)
+        return _timed_csv("t,phi_hash,walltime_ms", rows, timing)
+
+
+def _timed_csv(header: str, rows, timing: str) -> str:
+    """CSV text of ``(fields, ms)`` rows with the ms column last, written
+    as 0.0 under ``timing="zero"`` so that equal runs give equal bytes."""
+    if timing not in TIMING_MODES:
+        raise ValueError(f"timing must be one of {TIMING_MODES}")
+    zero = timing == "zero"
+    lines = [header, *(f"{fields},{repr(0.0 if zero else float(ms))}" for fields, ms in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def _checkpoint_schedule(T: int, log_every: int | None):
@@ -196,7 +179,8 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
         raise TypeError("sampler must be a SamplerSpec")
 
     T = config.T
-    gamma = step_size(config.rule, T, eps_bar=config.eps_bar, L=config.L)
+    _check_entries(int(T) * nu.n_atoms, "SGD cost matrix (T*n)")
+    gamma = config.step
     C = cost_matrix(draw(sampler, T), nu.atoms, c)
     n = nu.n_atoms
     weights = nu.weights
@@ -297,13 +281,7 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
         except np.linalg.LinAlgError:  # singular, so mu is still 0
             mu = max(gnorm, 1e-6 * float(np.trace(H)))
             continue
-        # substitutions written out: numpy's general solvers touch up to
-        # 1 MB more of the BLAS library, which shows in a run's peak memory
-        d = g.copy()
-        for i in range(n):
-            d[i] = (d[i] - L[i, :i] @ d[:i]) / L[i, i]
-        for i in reversed(range(n)):
-            d[i] = (d[i] - L[i + 1:, i] @ d[i + 1:]) / L[i, i]
+        d = np.linalg.solve(L.T, np.linalg.solve(L, g))
         pred = float(g @ d) - 0.5 * float(d @ H @ d)
         f_new, g_new, H_new = evaluate(phi + d)
         rounding = 1e-10 * max(1.0, abs(f))
@@ -478,10 +456,12 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("finite_sample_reference needs a SamplerSpec")
     _check_finite_nonnegative(eps_bar, "eps_bar")  # for every model, though only sgd-50x reads it
-    m = multiplier * T
+    for field, value in (("T", T), ("multiplier", multiplier)):
+        if not _is_int(value) or value < 1:
+            raise ValueError(f"{field} must be an integer of at least 1, got {value!r}")
+    m = int(multiplier) * int(T)
     n = nu.n_atoms
-    if m * n > 2e8:
-        raise ValueError("reference sample too large (multiplier*T*n > 2e8)")
+    _check_entries(m * n, "reference sample (multiplier*T*n)")
     X = draw(sampler, m)
     C = cost_matrix(X, nu.atoms, c)
     w = np.full(m, 1.0 / m)

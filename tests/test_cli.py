@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sdot import solver
 from sdot.cli import (
     ConvergenceRecord,
     ExperimentConfig,
@@ -765,6 +766,20 @@ def test_cli_rejects_unknown_input_field(tmp_path, capsys, command, path, field)
     ("probs", ("model",), "q", [1.5]),
     ("probs", ("model",), "lambda", "0.5"),
     ("probs", ("model",), "lambda", True),
+    # an object where an array belongs used to be an exit-1 TypeError
+    ("probs", (), "u", {"a": 1}),
+    ("probs", ("model",), "eta", {"a": 1}),
+    ("transform", ("measure",), "atoms", {"a": 1}),
+    ("transform", ("measure",), "weights", {"a": 1}),
+    ("transform", (), "phi", {"a": 1}),
+    ("transform", (), "x", {"a": 1}),
+    ("volume", (), "w", {"a": 1}),
+    ("solve", ("sampler",), "points", {"a": 1}),
+    ("solve", ("sampler",), "weights", {"a": 1}),
+    # a grid used to ignore n and seed, and a negative seed to fail in draw
+    ("volume", ("quadrature",), "n", 7),
+    ("volume", ("quadrature",), "seed", 3),
+    ("reference", ("sampler",), "seed", -1),
 ])
 def test_cli_wrong_typed_number_names_field(tmp_path, capsys, command, path, field, value):
     # a JSON value that is not a (whole) number, or a required one left out
@@ -789,6 +804,57 @@ def test_cli_wrong_typed_number_names_field(tmp_path, capsys, command, path, fie
     assert main([command, flag, _write_json(tmp_path, "ok.json", VALID_INPUTS[command])]
                 + argv[3:]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("sampler", [
+    {**EMPIRICAL, "points": [[math.nan, 0.0], [1.0, 1.0], [0.0, 1.0]]},
+    {**EMPIRICAL, "weights": [math.nan, 0.5, 0.5]},
+])
+def test_cli_solve_rejects_a_non_finite_empirical_sampler(tmp_path, capsys, sampler):
+    # without a model, both used to exit 0 and print a trace
+    payload = {**VALID_INPUTS["solve"], "sampler": sampler}
+    del payload["model"]
+    assert main(["solve", "--in", _write_json(tmp_path, "in.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empirical sampler points and weights must be finite" in captured.err
+
+
+def test_cli_experiment_negative_seed_fails_before_any_cell(tmp_path, capsys):
+    # the seed-0 cell used to reach manifest.jsonl before seed -1 failed in
+    # derive_seed with a message that named no field
+    out = tmp_path / "results"
+    path = _write_json(tmp_path, "cfg.json", tiny_config_dict(seeds=[0, -1]))
+    assert main(["experiment", "--config", path, "--out", str(out)]) == 2
+    assert "config field 'seeds' must hold integers >= 0" in capsys.readouterr().err
+    assert not out.exists()
+    cfg = tiny_config_dict(measure={"random_atoms": {"count": 3, "box": 1.0, "seed": -2}})
+    path = _write_json(tmp_path, "cfg.json", cfg)
+    assert main(["experiment", "--config", path, "--out", str(out)]) == 2
+    assert "measure.random_atoms field 'seed' must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field", ["T", "multiplier"])
+def test_cli_reference_names_a_count_below_one(tmp_path, capsys, field):
+    # each used to fail inside draw as "draw count must be >= 1"
+    payload = {**VALID_INPUTS["reference"], field: 0}
+    assert main(["reference", "--in", _write_json(tmp_path, "in.json", payload)]) == 2
+    assert f"{field} must be an integer of at least 1" in capsys.readouterr().err
+
+
+def test_cli_size_past_the_entry_bound_exits_2_before_allocating(tmp_path, capsys, monkeypatch):
+    # the allocating calls refuse, so a missing guard fails here at once
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the entry bound")
+
+    monkeypatch.setattr(solver, "draw", refuse)
+    monkeypatch.setattr(np, "meshgrid", refuse)
+    payload = {**VALID_INPUTS["solve"], "solver": {"T": 10 ** 9}}
+    assert main(["solve", "--in", _write_json(tmp_path, "solve.json", payload)]) == 2
+    assert "SGD cost matrix (T*n) too large" in capsys.readouterr().err
+    payload = {**VALID_INPUTS["volume"], "quadrature": {"kind": "grid", "m": 100_000}}
+    assert main(["volume", "--in", _write_json(tmp_path, "volume.json", payload)]) == 2
+    assert "quadrature (nodes*max(d, 2)) too large" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [math.inf, math.nan])

@@ -13,6 +13,7 @@ from sdot.core import (
     CostSpec,
     DiscreteMeasure,
     SamplerSpec,
+    _array,
     _readonly,
     cost_matrix,
     cost_vector,
@@ -275,6 +276,39 @@ def test_sampler_dim_and_validation():
     with pytest.raises(ValueError, match="'d'"):
         SamplerSpec.from_json({**empirical, "d": 7})
     assert SamplerSpec("gaussian-standard", d=np.int64(2), seed=np.int64(3)).d == 2
+
+
+def test_sampler_rejects_a_negative_seed():
+    # numpy's SeedSequence would reject it only at the first draw
+    for kind, kw in (("gaussian-standard", {"d": 2}),
+                     ("empirical", {"points": np.zeros((1, 2)), "weights": np.ones(1)})):
+        with pytest.raises(ValueError, match="sampler field 'seed' must be >= 0, got -1"):
+            SamplerSpec(kind, seed=-1, **kw)
+        assert SamplerSpec(kind, seed=0, **kw).seed == 0
+
+
+@pytest.mark.parametrize("points, weights", [
+    ([[np.nan, 0.0], [1.0, 1.0]], [0.5, 0.5]),
+    ([[0.0, 0.0], [-np.inf, 1.0]], [0.5, 0.5]),
+    # abs(NaN - 1) > 1e-12 is false, so a sum check alone lets NaN through
+    ([[0.0, 0.0], [1.0, 1.0]], [np.nan, 1.0]),
+])
+def test_empirical_sampler_rejects_non_finite_points_and_weights(points, weights):
+    with pytest.raises(ValueError, match="points and weights must be finite"):
+        SamplerSpec("empirical", points=np.array(points), weights=np.array(weights))
+
+
+@pytest.mark.parametrize("value", [{"a": 1}, "[1, 2]", 3.0, None, [1.0, "2"], [True, 1.0],
+                                   [[1.0, 2.0], [3.0]], [1.0, None], [10 ** 400]])
+def test_json_array_rejects_other_values_naming_the_field(value):
+    with pytest.raises(ValueError, match="^input field 'w' must be an array of numbers$"):
+        _array(value, "input field 'w'")
+
+
+def test_json_array_converts_nested_numbers():
+    out = _array([[1, 2.5], [-3, 0]], "field")
+    assert out.dtype == float and out.tolist() == [[1.0, 2.5], [-3.0, 0.0]]
+    assert _array([], "field").shape == (0,)
 
 
 @pytest.mark.parametrize("field,value", [("d", 2.5), ("d", 2.0), ("d", True), ("seed", True),

@@ -5,6 +5,7 @@ and a Monte Carlo cross-check of the exact-volume helper."""
 import numpy as np
 import pytest
 
+from sdot import hardness
 from sdot.hardness import (
     KnapsackInstance,
     QuadratureSpec,
@@ -54,6 +55,51 @@ def test_quadrature_validation():
 
 def expected_calls(delta):
     return 2 * (int(np.ceil(np.log2(1.0 / delta))) + 1)
+
+
+@pytest.mark.parametrize("kind, kw, field", [
+    ("grid", {"m": 40, "n": 7}, "n"),
+    ("grid", {"m": 40, "seed": 3}, "seed"),
+    ("monte-carlo", {"n": 7, "m": 40}, "m"),
+])
+def test_quadrature_rejects_a_field_its_kind_does_not_take(kind, kw, field):
+    with pytest.raises(ValueError, match=f"{kind} quadrature takes no field '{field}'"):
+        QuadratureSpec(kind, **kw)
+
+
+@pytest.mark.parametrize("kind, kw, field", [
+    # m = 2.5 would build nodes at 0.2, 0.6 and 1.0, and 1.0 is no cell midpoint
+    ("grid", {"m": 2.5}, "m"),
+    ("grid", {"m": 2.0}, "m"),
+    ("grid", {"m": True}, "m"),
+    ("monte-carlo", {"n": 10.5}, "n"),
+    ("monte-carlo", {"n": 10, "seed": -1}, "seed"),
+    ("monte-carlo", {"n": 10, "seed": 1.5}, "seed"),
+])
+def test_quadrature_rejects_non_integer_counts_and_negative_seeds(kind, kw, field):
+    with pytest.raises(ValueError, match=f"quadrature field '{field}' must be an integer"):
+        QuadratureSpec(kind, **kw)
+
+
+def test_quadrature_accepts_numpy_integers():
+    assert QuadratureSpec("grid", m=np.int64(4)).m == 4
+    assert QuadratureSpec("monte-carlo", n=np.int64(4), seed=np.int64(0)).seed == 0
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("allocated past the entry bound")
+
+
+def test_quadrature_past_the_entry_bound_fails_before_building_nodes(monkeypatch):
+    # the node builders refuse, so a missing guard fails here at once
+    # instead of allocating gigabytes
+    monkeypatch.setattr(np, "meshgrid", _refuse)
+    monkeypatch.setattr(hardness, "draw", _refuse)
+    with pytest.raises(ValueError, match=r"quadrature .* too large \(648000000 > 2e8"):
+        wc_two_point(KnapsackInstance(np.ones(3), 1.0), 0.5, QuadratureSpec("grid", m=600))
+    with pytest.raises(ValueError, match="quadrature .* too large"):
+        knapsack_volume_via_ot(KnapsackInstance(np.ones(5), 2.5), 0.25,
+                               QuadratureSpec("monte-carlo", n=10 ** 8))
 
 
 def test_binary_search_known_quadratic():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from sdot import solver
 from sdot.cli import ExperimentConfig
 from sdot.core import (
     CostSpec,
@@ -37,7 +38,6 @@ from sdot.solver import (
     exact_discrete_ot,
     finite_sample_reference,
     sgd_config,
-    step_size,
 )
 from test_noise import frozen_bisection
 
@@ -54,15 +54,18 @@ def random_measure(rng, n, d, box=1.0):
 # ------------------------------------------------------------- step sizes
 
 def test_step_size_frozen():
-    assert step_size("lipschitz", 10_000, eps_bar=0.0) == pytest.approx(2.5e-3, rel=1e-15)
-    assert step_size("smooth", 10_000, L=5.0) == pytest.approx(1.0 / 205.0, rel=1e-15)
+    assert SolverConfig(T=10_000).step == pytest.approx(2.5e-3, rel=1e-15)
+    assert SolverConfig(T=10_000, eps_bar=0.5).step == pytest.approx(1.0 / 500.0, rel=1e-15)
+    assert SolverConfig(T=10_000, rule="smooth", L=5.0).step == pytest.approx(1.0 / 205.0,
+                                                                              rel=1e-15)
 
 
 def test_step_size_missing_constants():
-    with pytest.raises(ValueError):
-        step_size("smooth", 100)
-    with pytest.raises(ValueError):
-        step_size("no-such-rule", 100)
+    # the rule is checked when the config is built, not inside averaged_sgd
+    with pytest.raises(ValueError, match="smooth rule needs the constant L"):
+        SolverConfig(T=100, rule="smooth")
+    with pytest.raises(ValueError, match="unknown step-size rule"):
+        SolverConfig(T=100, rule="no-such-rule")
 
 
 # ----------------------------------------------------------- averaged sgd
@@ -73,7 +76,7 @@ def sgd_replay(spec, nu, c, model, config):
     bisection loop, not from the kernel under test."""
     X = draw(spec, config.T)
     C = cost_matrix(X, nu.atoms, c)
-    gamma = step_size(config.rule, config.T, eps_bar=config.eps_bar, L=config.L)
+    gamma = config.step
     n = nu.n_atoms
     phi = np.zeros(n)
     under = np.zeros(n)
@@ -234,7 +237,7 @@ def test_sgd_update_arithmetic_and_gradient_bound():
     spec = SamplerSpec("gaussian-standard", d=2, seed=14)
     cfg = SolverConfig(T=64, rule="lipschitz", log_every=1)
     _, _, trace = averaged_sgd(spec, nu, SUP, model, cfg)
-    gamma = step_size("lipschitz", 64)
+    gamma = cfg.step
     X = draw(spec, 64)
     phi_prev = np.zeros(5)
     for row in trace.rows:
@@ -301,6 +304,19 @@ def test_solver_config_rejects_non_finite_numbers_and_non_integer_T():
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="eps_bar must be nonnegative and finite"):
                 sgd_config(model, 50, bad)
+
+
+def test_sgd_past_the_entry_bound_fails_before_drawing(monkeypatch):
+    # draw refuses, so a missing guard fails here at once instead of
+    # allocating a T x n cost matrix
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated past the entry bound")
+
+    monkeypatch.setattr(solver, "draw", refuse)
+    nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full(2, 0.5))
+    spec = SamplerSpec("gaussian-standard", d=2, seed=1)
+    with pytest.raises(ValueError, match=r"SGD cost matrix \(T\*n\) too large \(200000002 > 2e8"):
+        averaged_sgd(spec, nu, SUP, None, SolverConfig(T=10 ** 8 + 1))
 
 
 def test_sgd_trace_csv_shape():
@@ -585,6 +601,16 @@ def test_reduced_lp_entropic_pilot_certifies(m, n, cost, sample):
     assert abs(phi.mean()) <= 1e-12
     assert cert["gap"] <= 1e-6 * max(1.0, abs(value))
     assert cert["passes"] == len(cert["boundary"]) <= 16
+
+
+@pytest.mark.parametrize("kw, field", [({"T": 0}, "T"), ({"T": 2.5}, "T"),
+                                       ({"T": 5, "multiplier": 0}, "multiplier"),
+                                       ({"T": 5, "multiplier": True}, "multiplier")])
+def test_reference_rejects_a_T_or_multiplier_below_one(kw, field):
+    nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full(2, 0.5))
+    spec = SamplerSpec("gaussian-standard", d=2, seed=1)
+    with pytest.raises(ValueError, match=f"^{field} must be an integer of at least 1"):
+        finite_sample_reference(spec, nu, SUP, None, **kw)
 
 
 def test_reference_direct_lp_reports_gap():
