@@ -20,12 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _array, _number, _reject_unknown,
-                   _require, derive_seed, draw)
-from .hardness import KnapsackInstance, QuadratureSpec, exact_knapsack_volume, knapsack_volume_via_ot
-from .noise import MarginalModel, _check_utilities, _utilities, utilities_values_probs
-from .solver import (TIMING_MODES, _check_finite_nonnegative, _lp_stack, _timed_csv,
-                     averaged_sgd, dual_objective_estimate, finite_sample_reference, sgd_config)
+from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _array, _check_finite_nonnegative,
+                   _count, _number, _reject_unknown, _require, derive_seed, draw)
+from .hardness import (KnapsackInstance, QuadratureSpec, _search_levels, exact_knapsack_volume,
+                       knapsack_volume_via_ot)
+from .noise import MarginalModel, _check_utilities, _utilities, _value_probs_row
+from .solver import (TIMING_MODES, _lp_stack, _timed_csv, averaged_sgd, dual_objective_estimate,
+                     finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -44,15 +45,11 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
                         for field in ("count", "box", "seed"))
     _reject_unknown(ra, ("count", "box", "seed"), "measure.random_atoms")
     ctx = "measure.random_atoms field"
-    count = _number(count, f"{ctx} 'count'", integer=True)
+    count = _count(_number(count, f"{ctx} 'count'", integer=True), f"{ctx} 'count'", least=1)
     box = _number(box, f"{ctx} 'box'")
-    if count < 1:
-        raise ValueError("measure.random_atoms field 'count' must be >= 1")
     if not box > 0.0:
-        raise ValueError("measure.random_atoms field 'box' must be positive")
-    seed = _number(seed, f"{ctx} 'seed'", integer=True)
-    if seed < 0:
-        raise ValueError("measure.random_atoms field 'seed' must be >= 0")
+        raise ValueError(f"{ctx} 'box' must be positive")
+    seed = _count(_number(seed, f"{ctx} 'seed'", integer=True), f"{ctx} 'seed'")
     # the same bits as Generator.uniform(-box, box) on the seed's stream
     cube = SamplerSpec("hypercube-uniform", int(sampler.d), seed)
     return DiscreteMeasure(2.0 * box * draw(cube, count) - box, np.full(count, 1.0 / count))
@@ -121,6 +118,24 @@ class ExperimentConfig:
     timing: str = "zero"
     out_dir: str = "results"
 
+    def __post_init__(self):
+        for field, least in (("t_grid", 1), ("seeds", 0)):
+            values = getattr(self, field)
+            if not isinstance(values, (tuple, list)) or not values:
+                raise ValueError(f"config field '{field}' must be a nonempty list")
+            object.__setattr__(self, field, tuple(
+                int(_count(v, f"config field '{field}' entry {i}", least))
+                for i, v in enumerate(values)))
+        if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
+            raise ValueError("config field 't_grid' must be strictly increasing")
+        object.__setattr__(self, "multiplier",
+                           int(_count(self.multiplier, "config field 'multiplier'", least=1)))
+        _check_finite_nonnegative(self.eps_bar, "config field 'eps_bar'")
+        if self.timing not in TIMING_MODES:
+            raise ValueError(f"config field 'timing' must be one of {TIMING_MODES}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError("config field 'out_dir' must be a string")
+
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
@@ -135,32 +150,15 @@ class ExperimentConfig:
         measure = _resolve_measure(obj["measure"], sampler)
         cost = CostSpec.from_json(obj["cost"])
         models = _parse_models(obj["models"])
-        t_grid, seeds = obj["t_grid"], obj["seeds"]
-        if not isinstance(t_grid, list) or not t_grid:
-            raise ValueError("config field 't_grid' must be a nonempty list")
-        if not isinstance(seeds, list) or not seeds:
-            raise ValueError("config field 'seeds' must be a nonempty list of integers")
-        t_grid = tuple(_number(t, f"config field 't_grid' entry {i}", integer=True)
-                       for i, t in enumerate(t_grid))
-        if any(t < 1 for t in t_grid) or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-            raise ValueError("config field 't_grid' must be a strictly increasing list of positive integers")
-        seeds = tuple(_number(s, f"config field 'seeds' entry {i}", integer=True)
-                      for i, s in enumerate(seeds))
-        if any(s < 0 for s in seeds):
-            raise ValueError("config field 'seeds' must hold integers >= 0")
+        # a JSON list's entries become ints here; anything else fails in the constructor
+        t_grid, seeds = ([_number(v, f"config field '{field}' entry {i}", integer=True)
+                          for i, v in enumerate(obj[field])]
+                         if isinstance(obj[field], list) else obj[field]
+                         for field in ("t_grid", "seeds"))
         multiplier = _number(obj.get("multiplier", 10), "config field 'multiplier'", integer=True)
-        if multiplier < 1:
-            raise ValueError("config field 'multiplier' must be a positive integer")
         eps_bar = _number(obj.get("eps_bar", 0.1), "config field 'eps_bar'")
-        _check_finite_nonnegative(eps_bar, "config field 'eps_bar'")
-        timing = obj.get("timing", "zero")
-        if timing not in TIMING_MODES:
-            raise ValueError(f"config field 'timing' must be one of {TIMING_MODES}")
-        out_dir = obj.get("out_dir", "results")
-        if not isinstance(out_dir, str):
-            raise ValueError("config field 'out_dir' must be a string")
         return cls(sampler, measure, cost, models, t_grid, seeds, multiplier, eps_bar,
-                   timing, out_dir)
+                   obj.get("timing", "zero"), obj.get("out_dir", "results"))
 
     def to_json(self) -> dict:
         entries = []
@@ -206,8 +204,7 @@ class ConvergenceRecord:
     def __post_init__(self):
         if self.potgap < 0.0:
             raise ValueError("potgap must be nonnegative")
-        if self.T < 1:
-            raise ValueError("T must be a positive iteration count")
+        _count(self.T, "T", least=1)
 
 
 def records_to_csv(records, timing: str = "zero") -> str:
@@ -504,8 +501,8 @@ def _cmd_probs(args) -> int:
     obj = _load_input(args.infile, ("model", "u"))
     model = MarginalModel.from_json(_require(obj, "model"))
     u = _check_utilities(_array(_require(obj, "u"), "input field 'u'"), model.n)
-    vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
-    _print_json({"p": P[0].tolist(), "value": float(vals[0])})
+    value, p = _value_probs_row(u, model, args.eps)
+    _print_json({"p": p.tolist(), "value": value})
     return 0
 
 
@@ -513,9 +510,8 @@ def _cmd_transform(args) -> int:
     obj = _load_input(args.infile, ("measure", "cost", "model", "phi", "x"))
     nu, c, model = _problem(obj)
     phi, x = (_array(_require(obj, field), f"input field '{field}'") for field in ("phi", "x"))
-    u = _utilities(phi, x, nu, c)
-    vals, P = utilities_values_probs(u[None, :], model, eps=args.eps)
-    _print_json({"value": float(vals[0]), "p": P[0].tolist()})
+    value, p = _value_probs_row(_utilities(phi, x, nu, c), model, args.eps)
+    _print_json({"value": value, "p": p.tolist()})
     return 0
 
 
@@ -566,11 +562,9 @@ def _cmd_volume(args) -> int:
     quad = QuadratureSpec(kind, m=m, n=n, seed=seed)
     t_hat = knapsack_volume_via_ot(inst, delta, quad)
     exact = exact_knapsack_volume(inst)
-    calls = 2 * (math.ceil(math.log2(1.0 / delta)) + 1)
-    if quad.kind == "grid":
-        qstr = f"grid:m={quad.m}"
-    else:
-        qstr = f"monte-carlo:n={quad.n}:seed={0 if quad.seed is None else quad.seed}"
+    calls = 2 * _search_levels(delta)
+    qstr = (f"grid:m={quad.m}" if quad.kind == "grid"
+            else f"monte-carlo:n={quad.n}:seed={quad.seed}")
     wstr = " ".join(repr(float(v)) for v in inst.w)
     print("w,b,exact_volume,t_hat,delta,quadrature,oracle_calls")
     print(f"{wstr},{repr(inst.b)},{'' if exact is None else repr(exact)},"

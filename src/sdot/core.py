@@ -62,6 +62,21 @@ def _number(value, field: str, integer: bool = False):
     return value
 
 
+def _count(value, field: str, least: int = 0):
+    """``value`` if it is a Python or numpy integer (not a bool) of at least
+    ``least``, else a ValueError naming ``field``: the one integer rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{field} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _check_finite_nonnegative(value: float, field: str):
+    """Raise unless ``value`` is a finite, nonnegative number: an infinite
+    eps_bar zeroes the bounded-gradient step, and NaN passes every comparison."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{field} must be nonnegative and finite, got {value!r}")
+
+
 def _array(value, field: str) -> np.ndarray:
     """A JSON array of numbers, or of equal-length arrays of them, as a
     float array; any other value (an object, a string, a ragged array, a
@@ -181,13 +196,9 @@ class SamplerSpec:
     def __post_init__(self):
         if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"sampler kind must be one of {SAMPLER_KINDS}, got '{self.kind}'")
-        for field in ("seed",) if self.d is None else ("seed", "d"):
-            value = getattr(self, field)
-            # a bool passes as an int, and a float would fail only in draw
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"sampler field '{field}' must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ValueError(f"sampler field 'seed' must be >= 0, got {self.seed!r}")
+        _count(self.seed, "sampler field 'seed'")
+        if self.kind != "empirical" or self.d is not None:
+            _count(self.d, "sampler field 'd'", least=1)
         if self.kind == "empirical":
             if self.points is None or self.weights is None:
                 raise ValueError("empirical sampler needs points and weights")
@@ -208,8 +219,6 @@ class SamplerSpec:
         else:
             if self.points is not None or self.weights is not None:
                 raise ValueError(f"{self.kind} sampler takes no point list")
-            if self.d is None or self.d < 1:
-                raise ValueError("sampler dimension d must be >= 1")
 
     def to_json(self) -> dict:
         out = {"kind": self.kind, "seed": int(self.seed)}
@@ -244,8 +253,7 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 def draw(spec: SamplerSpec, n: int) -> np.ndarray:
     """Draw ``n`` points from a fresh stream seeded by ``spec.seed``."""
-    if n < 1:
-        raise ValueError("draw count must be >= 1")
+    _count(n, "draw count", least=1)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(int(spec.seed))))
     if spec.kind == "gaussian-standard":
         return rng.standard_normal((n, spec.d))

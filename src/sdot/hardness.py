@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .core import CostSpec, SamplerSpec, _check_entries, _readonly, cost_matrix, draw
+from .core import CostSpec, SamplerSpec, _check_entries, _count, _readonly, cost_matrix, draw
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -63,7 +63,7 @@ class KnapsackInstance:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration rule on the unit cube: midpoint grid or Monte Carlo."""
+    """Integration rule on the unit cube: midpoint grid, or Monte Carlo (seed 0 if unset)."""
 
     kind: str
     m: int | None = None
@@ -74,19 +74,14 @@ class QuadratureSpec:
         takes = {"grid": ("m",), "monte-carlo": ("n", "seed")}.get(self.kind)
         if takes is None:
             raise ValueError(f"unknown quadrature kind: {self.kind!r}")
-        if getattr(self, takes[0]) is None:
-            raise ValueError(f"{self.kind} quadrature needs the count '{takes[0]}'")
         for field in ("m", "n", "seed"):
-            value = getattr(self, field)
-            if value is None:
-                continue
-            if field not in takes:
+            if field not in takes and getattr(self, field) is not None:
                 raise ValueError(f"{self.kind} quadrature takes no field '{field}'")
-            # a fractional m would put nodes off the cell midpoints
-            least = 0 if field == "seed" else 1
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"quadrature field '{field}' must be an integer of at least "
-                                 f"{least}, got {value!r}")
+        # a fractional m would put nodes off the cell midpoints
+        _count(getattr(self, takes[0]), f"quadrature field '{takes[0]}'", least=1)
+        if self.kind == "monte-carlo":
+            seed = 0 if self.seed is None else self.seed
+            object.__setattr__(self, "seed", _count(seed, "quadrature field 'seed'"))
 
 
 def _quad_costs(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
@@ -101,8 +96,7 @@ def _quad_costs(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
         grids = np.meshgrid(*([ax] * d), indexing="ij")
         nodes = np.stack(grids, axis=-1).reshape(-1, d)
     else:
-        seed = 0 if quad.seed is None else quad.seed
-        nodes = draw(SamplerSpec("hypercube-uniform", d=d, seed=seed), quad.n)
+        nodes = draw(SamplerSpec("hypercube-uniform", d=d, seed=quad.seed), quad.n)
     atoms = np.stack([inst.y1, inst.y2])
     return cost_matrix(nodes, atoms, CostSpec("p-norm-power", p=inst.p)).T
 
@@ -165,18 +159,23 @@ def wc_two_point(inst: KnapsackInstance, t: float, quad: QuadratureSpec) -> floa
     return _two_point_dual(*_quad_costs(inst, quad))(t)
 
 
+def _search_levels(delta: float) -> int:
+    """:func:`binary_search_min`'s L = ceil(log2(1/delta)) + 1 halvings, two oracle calls each."""
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    return int(math.ceil(math.log2(1.0 / delta))) + 1
+
+
 def binary_search_min(g, delta: float) -> float:
     """Locate the minimizer of a strictly convex g on [0, 1].
 
-    Probes first differences of g on a dyadic grid of 2^L cells with
-    L = ceil(log2(1/delta)) + 1, making exactly 2L oracle calls. The
+    Probes first differences of g on a dyadic grid of 2^L cells, L from
+    :func:`_search_levels`, making exactly 2L oracle calls. The
     output is within delta of the true minimizer for an exact oracle and
     within 2*delta when evaluations carry an error small enough to respect
     the grid's separation (the caller must ensure that; it is not checked).
     """
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    levels = int(math.ceil(math.log2(1.0 / delta))) + 1
+    levels = _search_levels(delta)
     cells = 2 ** levels
     lo, hi = 0, cells
     for _ in range(levels):

@@ -468,6 +468,14 @@ def _sums_to_one(p: np.ndarray, eps: float) -> bool:
     return abs(float(p.sum()) - 1.0) <= max(math.sqrt(p.size) * eps, 1e-10)
 
 
+def _mass_checked(p: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
+    """One row's probabilities ``p``, unless :func:`_sums_to_one` fails them
+    at eps 0 for the closed forms and ``eps`` for the bisection kinds."""
+    if not _sums_to_one(p, 0.0 if model.kind in CLOSED_FORM_KINDS else eps):
+        raise ValueError(f"choice probabilities sum to {float(p.sum())!r}")
+    return p
+
+
 def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> np.ndarray:
     """Choice probabilities for one utility vector, mass-checked.
 
@@ -476,10 +484,7 @@ def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> n
     at most sqrt(n) * eps.
     """
     u = _check_utilities(u, model.n)
-    p = _choice_rows(u[None, :], model, eps)[0]
-    if not _sums_to_one(p, 0.0 if model.kind in CLOSED_FORM_KINDS else eps):
-        raise ValueError(f"choice probabilities sum to {float(p.sum())!r}")
-    return p
+    return _mass_checked(_choice_rows(u[None, :], model, eps)[0], model, eps)
 
 
 def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: MarginalModel,
@@ -543,6 +548,13 @@ def utilities_values_probs(U: np.ndarray, model: MarginalModel | None,
     return vals, P
 
 
+def _value_probs_row(u: np.ndarray, model: MarginalModel | None, eps: float | None):
+    """``(value, p)`` of one checked utility row, ``p`` mass-checked as in
+    :func:`probs_from_utilities`; ``model=None`` gives the plain max."""
+    vals, P = utilities_values_probs(u[None, :], model, eps=eps)
+    return float(vals[0]), P[0] if model is None else _mass_checked(P[0], model, eps)
+
+
 def smooth_c_transform(phi, x, nu: DiscreteMeasure, c: CostSpec,
                        model: MarginalModel | None, eps: float | None = None) -> float:
     """Smoothed conjugate of the potential at a source point.
@@ -559,9 +571,7 @@ def smooth_c_transform(phi, x, nu: DiscreteMeasure, c: CostSpec,
     eps : float, optional
         Accuracy for kinds solved by bisection.
     """
-    u = _utilities(phi, x, nu, c)
-    vals, _ = utilities_values_probs(u[None, :], model, eps=eps)
-    return float(vals[0])
+    return _value_probs_row(_utilities(phi, x, nu, c), model, eps)[0]
 
 
 def approximation_bound(model: MarginalModel) -> float:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CostSpec, DiscreteMeasure, SamplerSpec, _check_entries, cost_matrix, draw
+from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _check_entries,
+                   _check_finite_nonnegative, _count, cost_matrix, draw)
 from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
@@ -32,6 +33,7 @@ from .noise import (
 )
 
 TIMING_MODES = ("zero", "measured")
+_NEWTON_MAX_ITER = 100  # the step budget of damped_newton
 
 
 @dataclass(frozen=True)
@@ -54,13 +56,11 @@ class SolverConfig:
     log_every: int | None = None
 
     def __post_init__(self):
-        if not _is_int(self.T) or self.T < 1:
-            raise ValueError(f"T must be an integer of at least 1, got {self.T!r}")
+        _count(self.T, "T", least=1)
         for field in ("eps_bar", "tikhonov"):
             _check_finite_nonnegative(getattr(self, field), field)
-        every = self.log_every
-        if every is not None and (not _is_int(every) or every < 1):
-            raise ValueError(f"log_every must be a positive integer, got {every!r}")
+        if self.log_every is not None:
+            _count(self.log_every, "log_every", least=1)
         self.step  # an unknown rule, or smooth without L, fails here
 
     @property
@@ -74,17 +74,6 @@ class SolverConfig:
                 raise ValueError("smooth rule needs the constant L")
             return 1.0 / (2.0 * root + self.L)
         raise ValueError(f"unknown step-size rule: {self.rule!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_finite_nonnegative(value: float, field: str):
-    """Raise unless ``value`` is a finite, nonnegative number: an infinite
-    eps_bar zeroes the bounded-gradient step, and NaN passes every comparison."""
-    if not 0.0 <= value < math.inf:
-        raise ValueError(f"{field} must be nonnegative and finite, got {value!r}")
 
 
 def sgd_config(model: MarginalModel | None, T: int, eps_bar: float = 0.1) -> SolverConfig:
@@ -241,8 +230,7 @@ def _finite_dual(phi, C, weights, nu_w, model, eps=None):
     return float(nu_w @ phi) - float(weights @ vals), nu_w - P.T @ weights, P
 
 
-def damped_newton(C, weights, nu_w, model: MarginalModel,
-                  grad_tol: float = 1e-7, max_iter: int = 100):
+def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7):
     """Maximize the finite-sample smooth dual of a closed-form kind: rows of
     the cost matrix ``C`` carry ``weights``, columns the target ``nu_w``.
 
@@ -254,7 +242,7 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
 
     Returns ``(phi, info)`` with value, gradient norm and ``iterations``
     (trial steps). Raises RuntimeError when |g| is still above
-    ``grad_tol`` after ``max_iter`` steps or mu overflows.
+    ``grad_tol`` after ``_NEWTON_MAX_ITER`` steps or mu overflows.
     """
     if model is None or model.kind not in CLOSED_FORM_KINDS:
         raise ValueError("damped Newton needs an exact-gradient model kind")
@@ -272,7 +260,7 @@ def damped_newton(C, weights, nu_w, model: MarginalModel,
     mu = 0.0
     it = 0
     while (gnorm := math.sqrt(g @ g)) > grad_tol:
-        if it == max_iter or mu > 1e20:
+        if it == _NEWTON_MAX_ITER or mu > 1e20:
             raise RuntimeError(f"damped Newton stopped after {it} steps at gradient norm "
                                f"{gnorm:.3e} > {grad_tol:.1e}")
         it += 1
@@ -340,6 +328,12 @@ def _transport_lp(cost, ci, cj, a, b):
     return float(res.fun), res.x, y[:m], y[m:]
 
 
+def _dense_transport_lp(C, a, b):
+    """:func:`_transport_lp` over every pair of the cost matrix ``C``, row-major."""
+    m, n = C.shape
+    return _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n), a, b)
+
+
 def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
     """Exact optimal transport between two small discrete measures.
 
@@ -347,13 +341,11 @@ def exact_discrete_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, c: CostSpec):
     to 1e-9 and (u, phi) is an optimal dual pair with u . a + phi . b equal
     to the value. Guarded to m*n <= 1e6 variables.
     """
-    m, n = mu.n_atoms, nu.n_atoms
-    if m * n > 1_000_000:
+    if mu.n_atoms * nu.n_atoms > 1_000_000:
         raise ValueError("instance too large for the exact LP (m*n > 1e6)")
     C = cost_matrix(mu.atoms, nu.atoms, c)
-    value, x, u, phi = _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n),
-                                     mu.weights, nu.weights)
-    return value, x.reshape(m, n), u, phi
+    value, x, u, phi = _dense_transport_lp(C, mu.weights, nu.weights)
+    return value, x.reshape(C.shape), u, phi
 
 
 def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray):
@@ -456,10 +448,7 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("finite_sample_reference needs a SamplerSpec")
     _check_finite_nonnegative(eps_bar, "eps_bar")  # for every model, though only sgd-50x reads it
-    for field, value in (("T", T), ("multiplier", multiplier)):
-        if not _is_int(value) or value < 1:
-            raise ValueError(f"{field} must be an integer of at least 1, got {value!r}")
-    m = int(multiplier) * int(T)
+    m = int(_count(T, "T", least=1)) * int(_count(multiplier, "multiplier", least=1))
     n = nu.n_atoms
     _check_entries(m * n, "reference sample (multiplier*T*n)")
     X = draw(sampler, m)
@@ -470,8 +459,7 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         if reduced:
             value, phi, cert = _reduced_transport_value_phi(C, w, nu.weights)
         else:
-            value, _, _, phi = _transport_lp(C.reshape(-1), *np.divmod(np.arange(m * n), n),
-                                             w, nu.weights)
+            value, _, _, phi = _dense_transport_lp(C, w, nu.weights)
             cert = {"gap": value - _finite_dual(phi, C, w, nu.weights, None)[0]}
         phi = phi - phi.mean()
         info = {"method": "lp", "samples": m, "reduced": reduced, **cert}

@@ -12,7 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -98,6 +98,37 @@ def test_config_validation_names_offending_field(breaker, needle):
     breaker(d)
     with pytest.raises(ValueError, match=needle):
         ExperimentConfig.from_json(d)
+
+
+@pytest.mark.parametrize("field, value, needle", [
+    ("t_grid", (0,), "'t_grid' entry 0 must be an integer of at least 1"),
+    ("t_grid", (100, 10), "'t_grid' must be strictly increasing"),
+    ("t_grid", (), "'t_grid' must be a nonempty list"),
+    ("seeds", (-1,), "'seeds' entry 0 must be an integer of at least 0"),
+    ("seeds", (0, 1.5), "'seeds' entry 1 must be an integer"),
+    ("multiplier", 0, "'multiplier' must be an integer of at least 1"),
+    ("multiplier", 2.0, "'multiplier' must be an integer"),
+    ("eps_bar", math.nan, "'eps_bar' must be nonnegative and finite"),
+    ("timing", "sometimes", "'timing' must be one of"),
+    ("out_dir", None, "'out_dir' must be a string"),
+])
+def test_config_built_directly_or_by_replace_checks_every_field(tmp_path, field, value, needle):
+    # a replaced or directly built config used to skip every check and fail
+    # inside a cell, after manifest.jsonl was written, or not at all
+    cfg = ExperimentConfig.from_json(tiny_config_dict())
+    out = tmp_path / "results"
+    with pytest.raises(ValueError, match=re.escape(f"config field {needle}")):
+        run_convergence_experiment(replace(cfg, **{field: value}), out_dir=out)
+    with pytest.raises(ValueError, match=re.escape(f"config field {needle}")):
+        ExperimentConfig(**{**{f.name: getattr(cfg, f.name) for f in fields(cfg)}, field: value})
+    assert not out.exists()
+
+
+def test_config_built_directly_stores_plain_int_tuples():
+    cfg = ExperimentConfig.from_json(tiny_config_dict())
+    again = replace(cfg, t_grid=[10, 20, 40], seeds=[np.int64(0), 1], multiplier=np.int64(2))
+    assert again.t_grid == (10, 20, 40) and again.seeds == (0, 1) and again.multiplier == 2
+    assert config_hash(again) == config_hash(cfg)
 
 
 def test_random_atoms_are_deterministic_and_in_box():
@@ -391,6 +422,22 @@ def test_cli_probs_huge_eps_takes_no_halvings(tmp_path, capsys, kind, q):
     assert out["p"] == probs_from_utilities(u, MarginalModel.from_json(model), eps=1e100).tolist()
 
 
+@pytest.mark.parametrize("command", ["probs", "transform"])
+def test_cli_value_and_probs_fail_the_mass_check_like_the_library(tmp_path, capsys, command):
+    # utilities of 1e14 at lambda 1e-3 overflow the uniform kind's sort: both
+    # commands used to exit 0 with p summing to 1.875e16, and transform with
+    # a value of 1.4e30, far past the plain max of 1e14
+    model = {"kind": "uniform", "lambda": 1e-3, "eta": [0.25] * 4}
+    u = [1e14, 1e14, 1e14, -1e14]
+    payload = {"model": model, "u": u} if command == "probs" else {
+        "model": model, "phi": u, "x": [0.0], "cost": {"kind": "sup-norm"},
+        "measure": {"atoms": [[0.0], [1.0], [2.0], [3.0]], "weights": [0.25] * 4}}
+    assert main([command, "--in", _write_json(tmp_path, "in.json", payload)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "choice probabilities sum to 1.875" in captured.err
+
+
 @pytest.mark.parametrize("kind, u", [("exponential", [math.inf, 0.0]),
                                      ("uniform", [math.nan, 0.0]),
                                      ("hyperbolic", [0.0, -math.inf]),
@@ -551,7 +598,7 @@ def test_cli_solve_rejects_bad_log_every(tmp_path, capsys, log_every):
     assert main(["solve", "--in", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "log_every must be a positive integer" in captured.err
+    assert "log_every must be an integer of at least 1" in captured.err
 
 
 def test_cli_solve_rejects_negative_eps_bar(tmp_path, capsys):
@@ -826,12 +873,14 @@ def test_cli_experiment_negative_seed_fails_before_any_cell(tmp_path, capsys):
     out = tmp_path / "results"
     path = _write_json(tmp_path, "cfg.json", tiny_config_dict(seeds=[0, -1]))
     assert main(["experiment", "--config", path, "--out", str(out)]) == 2
-    assert "config field 'seeds' must hold integers >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config field 'seeds' entry 1 must be an integer of at least 0" in err
     assert not out.exists()
     cfg = tiny_config_dict(measure={"random_atoms": {"count": 3, "box": 1.0, "seed": -2}})
     path = _write_json(tmp_path, "cfg.json", cfg)
     assert main(["experiment", "--config", path, "--out", str(out)]) == 2
-    assert "measure.random_atoms field 'seed' must be >= 0" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "measure.random_atoms field 'seed' must be an integer of at least 0" in err
 
 
 @pytest.mark.parametrize("field", ["T", "multiplier"])

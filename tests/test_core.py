@@ -5,6 +5,7 @@ one point and ``utilities_values_probs(U, None)`` for values and one-hot
 subgradients of rows of utilities."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sdot.core import (
     DiscreteMeasure,
     SamplerSpec,
     _array,
+    _count,
     _readonly,
     cost_matrix,
     cost_vector,
@@ -282,7 +284,8 @@ def test_sampler_rejects_a_negative_seed():
     # numpy's SeedSequence would reject it only at the first draw
     for kind, kw in (("gaussian-standard", {"d": 2}),
                      ("empirical", {"points": np.zeros((1, 2)), "weights": np.ones(1)})):
-        with pytest.raises(ValueError, match="sampler field 'seed' must be >= 0, got -1"):
+        with pytest.raises(ValueError,
+                           match="sampler field 'seed' must be an integer of at least 0, got -1"):
             SamplerSpec(kind, seed=-1, **kw)
         assert SamplerSpec(kind, seed=0, **kw).seed == 0
 
@@ -318,7 +321,9 @@ def test_sampler_rejects_non_integer_fields(field, value):
     # a draw can fail on the value; a whole JSON number such as 2.0 is an
     # integer there, read as int before the spec sees it
     kw = {"d": 2, "seed": 0, field: value}
-    with pytest.raises(ValueError, match=f"sampler field '{field}' must be an integer, got "):
+    least = 1 if field == "d" else 0
+    with pytest.raises(ValueError, match=f"sampler field '{field}' must be an integer "
+                                         f"of at least {least}, got "):
         SamplerSpec("gaussian-standard", **kw)
     if not isinstance(value, float) or not value.is_integer():
         with pytest.raises(ValueError, match=f"sampler field '{field}' must be"):
@@ -326,6 +331,22 @@ def test_sampler_rejects_non_integer_fields(field, value):
     if field == "d":
         with pytest.raises(ValueError, match="sampler field 'd' must be an integer"):
             SamplerSpec("empirical", d=value, points=np.zeros((1, 2)), weights=np.ones(1))
+
+
+@pytest.mark.parametrize("value, least", [(True, 0), (2.0, 0), (None, 0), ("3", 0), (-1, 0),
+                                          (0, 1), (np.int64(0), 1)])
+def test_count_rejects_what_is_no_integer_of_the_least_size(value, least):
+    with pytest.raises(ValueError, match=f"^field 'k' must be an integer of at least {least}, "
+                                         f"got {re.escape(repr(value))}$"):
+        _count(value, "field 'k'", least)
+
+
+def test_count_returns_python_and_numpy_integers():
+    assert _count(0, "k") == 0 and _count(np.int64(3), "k", least=3) == 3
+    spec = SamplerSpec("gaussian-standard", d=2)
+    for n in (0, 2.0, True):
+        with pytest.raises(ValueError, match="^draw count must be an integer of at least 1"):
+            draw(spec, n)
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -81,6 +81,12 @@ def test_quadrature_rejects_non_integer_counts_and_negative_seeds(kind, kw, fiel
         QuadratureSpec(kind, **kw)
 
 
+def test_monte_carlo_quadrature_settles_its_default_seed():
+    assert QuadratureSpec("monte-carlo", n=10).seed == 0
+    assert QuadratureSpec("monte-carlo", n=10, seed=4).seed == 4
+    assert QuadratureSpec("grid", m=4).seed is None
+
+
 def test_quadrature_accepts_numpy_integers():
     assert QuadratureSpec("grid", m=np.int64(4)).m == 4
     assert QuadratureSpec("monte-carlo", n=np.int64(4), seed=np.int64(0)).seed == 0

@@ -8,7 +8,9 @@ benchmark script or the README names, a defaulted parameter that no call
 in the package, tests, demos or benchmark sets, and a parameter its own
 function never reads. A sixth check keeps the
 benchmark runnable: every name ``bench/workload.py`` reads from a package
-module must exist, and every keyword it passes must be a parameter.
+module must exist, and every keyword it passes must be a parameter. A
+seventh keeps one integer rule: no module but ``core.py``, whose ``_count``
+it is, tests ``isinstance(..., bool)`` or names ``np.integer``.
 """
 
 import ast
@@ -140,6 +142,26 @@ def unread_parameters(modules):
     return found
 
 
+def integer_checks_outside_core(modules):
+    """``module:line`` for each ``isinstance`` test against ``bool`` and each
+    ``np.integer`` in a module other than ``core.py``."""
+    found = []
+    for name, tree in modules.items():
+        if name == "core.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and _dotted(node) in (["np", "integer"],
+                                                                    ["numpy", "integer"]):
+                found.append(f"{name}:{node.lineno} np.integer")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                kinds = node.args[1]
+                kinds = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+                if any(isinstance(k, ast.Name) and k.id == "bool" for k in kinds):
+                    found.append(f"{name}:{node.lineno} isinstance(..., bool)")
+    return sorted(found)
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -216,6 +238,10 @@ def test_every_parameter_is_read():
     assert unread_parameters(_modules()) == []
 
 
+def test_integer_checks_live_in_core_alone():
+    assert integer_checks_outside_core(_modules()) == []
+
+
 def test_bench_workload_names_exist():
     tree = ast.parse((ROOT / "bench" / "workload.py").read_text())
     assert missing_bench_names(tree, BENCH_MODULES) == []
@@ -247,6 +273,16 @@ def test_checks_flag_planted_dead_code():
     assert unread_parameters({"planted.py": planted}) == [
         "planted.py:1 run(y)", "planted.py:1 run(rest)", "planted.py:1 run(opts)",
         "planted.py:8 size(self)", "planted.py:8 size(unit)"]
+
+
+def test_integer_check_flags_planted_copies():
+    source = ("def is_count(v):\n"
+              "    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)\n\n"
+              "def flag(v):\n    return isinstance(v, bool) or isinstance(v, (float, str))\n")
+    planted = {"core.py": ast.parse(source), "solver.py": ast.parse(source)}
+    assert integer_checks_outside_core(planted) == [
+        "solver.py:2 isinstance(..., bool)", "solver.py:2 np.integer",
+        "solver.py:5 isinstance(..., bool)"]
 
 
 def test_bench_check_flags_planted_names():

@@ -872,6 +872,17 @@ def test_one_point_oracles_reject_bad_input(model, phi, x):
             choice_probabilities(phi, x, nu, COST, model, eps=1e-6)
 
 
+def test_one_point_transform_fails_the_mass_check_like_the_probabilities():
+    # utilities of 1e14 at lambda 1e-3 overflow the uniform kind's sort; the
+    # transform used to return 1.4e30, far past the plain max of 1e14
+    model = MarginalModel("uniform", 1e-3, np.full(4, 0.25))
+    nu = DiscreteMeasure(np.arange(4.0)[:, None], np.full(4, 0.25))
+    phi = np.array([1e14, 1e14, 1e14, -1e14])
+    for oracle in (smooth_c_transform, choice_probabilities):
+        with pytest.raises(ValueError, match="choice probabilities sum to 1.875"):
+            oracle(phi, [0.0], nu, COST, model)
+
+
 def test_smooth_transform_exponential_equals_log_partition():
     rng = np.random.default_rng(19)
     for _ in range(25):

@@ -284,7 +284,7 @@ def test_sgd_geometric_checkpoints():
 def test_solver_config_log_every_must_be_a_positive_integer():
     assert SolverConfig(T=8, log_every=np.int64(2)).log_every == 2
     for bad in (2.5, True, 0, "4"):
-        with pytest.raises(ValueError, match="log_every must be a positive integer"):
+        with pytest.raises(ValueError, match="log_every must be an integer of at least 1"):
             SolverConfig(T=8, log_every=bad)
 
 
@@ -709,11 +709,12 @@ def test_newton_certifies_random_small_instances():
             assert np.all(np.isfinite(phi))
 
 
-def test_newton_raises_at_iteration_cap():
+def test_newton_raises_at_iteration_cap(monkeypatch):
+    monkeypatch.setattr(solver, "_NEWTON_MAX_ITER", 1)
     pts, w, nu, _, _ = next(_random_small_instances(1))
     model = MarginalModel("exponential", 0.05, np.full(nu.n_atoms, 1 / nu.n_atoms))
-    with pytest.raises(RuntimeError, match="gradient norm"):
-        damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model, max_iter=1)
+    with pytest.raises(RuntimeError, match="stopped after 1 steps at gradient norm"):
+        damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
 
 
 def test_newton_iterations_on_gating_instance():
