@@ -10,6 +10,7 @@ import argparse
 import hashlib
 import json
 import math
+import resource
 import sys
 import time
 import warnings
@@ -56,26 +57,41 @@ def _resolve_measure(obj, sampler: SamplerSpec) -> DiscreteMeasure:
 
 
 def _parse_models(entries):
-    if not isinstance(entries, list) or not entries:
+    """(tag, model) pairs of the config's model entries; a model's tag
+    defaults to its kind, and ExperimentConfig checks the tags."""
+    if not isinstance(entries, list):
         raise ValueError("config field 'models' must be a nonempty list")
-    out, tags = [], set()
+    out = []
     for i, entry in enumerate(entries):
         if entry == "none":
-            tag, model = "none", None
+            out.append(("none", None))
         elif isinstance(entry, dict):
             model = MarginalModel.from_json(entry)
-            tag = entry.get("tag", model.kind)
-            # a tag is a CSV field and a legend entry
-            if not isinstance(tag, str) or not tag or any(ch in tag for ch in ",\n\r"):
-                raise ValueError(f"config field 'models' entry {i} field 'tag' must be a "
-                                 "nonempty string without commas or line breaks")
+            out.append((entry.get("tag", model.kind), model))
         else:
             raise ValueError(f"config field 'models' entry {i} must be 'none' or a model object")
+    return tuple(out)
+
+
+def _check_models(models) -> tuple:
+    """The (tag, model) pairs as a tuple: nonempty, each model None or a
+    MarginalModel, each tag a nonempty string without commas or line
+    breaks (a tag is a CSV field and a legend entry), no tag twice."""
+    if not isinstance(models, (tuple, list)) or not models:
+        raise ValueError("config field 'models' must be a nonempty list")
+    tags = set()
+    for i, pair in enumerate(models):
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2
+                and (pair[1] is None or isinstance(pair[1], MarginalModel))):
+            raise ValueError(f"config field 'models' entry {i} must be a (tag, model) pair")
+        tag = pair[0]
+        if not isinstance(tag, str) or not tag or any(ch in tag for ch in ",\n\r"):
+            raise ValueError(f"config field 'models' entry {i} field 'tag' must be a "
+                             "nonempty string without commas or line breaks")
         if tag in tags:
             raise ValueError(f"config field 'models' has a duplicate tag '{tag}'")
         tags.add(tag)
-        out.append((tag, model))
-    return tuple(out)
+    return tuple(tuple(pair) for pair in models)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,6 +135,7 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
+        object.__setattr__(self, "models", _check_models(self.models))
         for field, least in (("t_grid", 1), ("seeds", 0)):
             values = getattr(self, field)
             if not isinstance(values, (tuple, list)) or not values:
@@ -216,7 +233,9 @@ def records_to_csv(records, timing: str = "zero") -> str:
 
 def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     """One cell's record, and its stage seconds for the manifest: ``sgd_s``,
-    ``estimate_s`` and the reference's ``info`` with its seconds ``s``."""
+    ``estimate_s`` and the reference's ``info`` with its seconds ``s``;
+    ``rss_mb`` is the peak resident memory of the process that ran it,
+    read when the cell finishes."""
     # all models in a (T, seed) cell share one sample path
     spec = replace(config.sampler, seed=derive_seed(config.sampler.seed, T, seed))
     nu, c = config.measure, config.cost
@@ -232,8 +251,10 @@ def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
     estimate, _ = dual_objective_estimate(phi_out, nu, c, model, X)
     gauge = bar_avg - bar_avg.mean()
     t_end = time.perf_counter()
+    # the peak memory of the process that ran the cell, so far (KB on Linux)
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     stages = {"sgd_s": t_ref - t0, "estimate_s": t_end - t_est,
-              "reference": {**info, "s": t_est - t_ref}}
+              "reference": {**info, "s": t_est - t_ref}, "rss_mb": rss_mb}
     return ConvergenceRecord(tag, T, seed, float(value - estimate),
                              float(np.sum((gauge - phi_star) ** 2)), (t_end - t0) * 1000.0), stages
 
@@ -267,9 +288,10 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         seed) and the path of the CSV they were written to.
 
     Completed cells are appended to manifest.jsonl as they finish, each
-    with its SGD and estimate seconds (``sgd_s``, ``estimate_s``) and a
+    with its SGD and estimate seconds (``sgd_s``, ``estimate_s``), a
     ``reference`` object (the reference's method, certificate and
-    seconds), so a failed run leaves a resumable, diagnosable trail.
+    seconds) and the peak memory of the process that ran it so far
+    (``rss_mb``), so a failed run leaves a resumable, diagnosable trail.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -14,13 +14,18 @@ one: transform values and choice probabilities.
 :func:`utilities_values_probs` gives both for rows of utilities, and
 without a model the plain max with its one-hot rows;
 :func:`smooth_c_transform` and :func:`choice_probabilities` are its
-one-point forms. Every caller gets its probabilities from one batched
-kernel, :func:`_choice_rows`: softmax for the exponential kind, sorted
-sparsemax for the uniform kind, and a guarded bisection on the scalar mass
-balance for the other three. Many rows bisect together in one in-place
-loop, one halving per pass; a single row, the oracle of each SGD step,
-tests the nested midpoints of four halvings per pass and gets the same
-bits.
+one-point forms. Every caller gets its probabilities from one kernel per
+kind, which takes one utility row, shape (n,), or rows, shape (m, n):
+softmax for the exponential kind, sorted sparsemax for the uniform kind,
+and a guarded bisection on the scalar mass balance for the other three.
+:func:`_choice_rows` picks the kernel, and SGD hands it each step's 1-d
+row. :func:`utilities_values_probs` runs many rows in blocks of
+``_ROW_BLOCK`` rows: each block forms its utilities in one buffer and
+writes its values and probabilities into preallocated outputs, so no
+temporary grows with the number of rows, and no row's bits depend on its
+block. Many rows bisect together in one in-place loop, one halving per
+pass; a single row tests the nested midpoints of four halvings per pass
+and gets the same bits.
 """
 
 from __future__ import annotations
@@ -319,7 +324,8 @@ def bisection_delta(model: MarginalModel, eps: float) -> float:
 
 
 def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
-    """Bisect each row's mass balance sum(clip(eta F(u + tau))) = 1 in tau.
+    """Bisect the mass balance sum(clip(eta F(u + tau))) = 1 in tau for the
+    utility row U, shape (n,), or for each row of U, shape (m, n).
 
     Every row halves its bracket until it is no wider than
     :func:`bisection_delta`, and the row's probabilities are taken at the
@@ -332,17 +338,24 @@ def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> 
     """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
-    m, n = U.shape
+    n = U.shape[-1]
     if n == 1:
-        return np.ones((m, 1))
+        return np.ones(U.shape)
+    if U.ndim == 2 and U.shape[0] == 1:  # one row: the 1-d path, returned as a row
+        return _bisection_batch(U[0], model, eps)[None, :]
+    one = U.ndim == 1
     nodes = model._bracket_nodes - U
-    lo, hi = nodes.min(axis=1, keepdims=True), nodes.max(axis=1, keepdims=True)
-    # ceil(log2(width / delta)) halvings, none where the width is within delta
-    steps = np.ceil(np.log2(np.fmax((hi - lo) / bisection_delta(model, eps), 1.0))).astype(int)
+    lo, hi = nodes.min(axis=-1, keepdims=not one), nodes.max(axis=-1, keepdims=not one)
+    # ceil(log2(width / delta)) halvings, none where the width is within
+    # delta; one row's ends are numpy scalars, which warn as arrays do only
+    # under ufunc calls, not operators
+    width = np.divide(np.subtract(hi, lo), bisection_delta(model, eps))
+    steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
     total = int(steps.max(initial=0))
     with np.errstate(over="ignore", divide="ignore"):
-        if m == 1:
-            return _one_row_probs(U, model, float(lo[0, 0]), float(hi[0, 0]), total)
+        if one:
+            return _one_row_probs(U, model, float(lo), float(hi), total)
+        m = U.shape[0]
         # bracket ends as columns [lo, hi]: each halving moves the one that
         # ``side`` marks, hi where the mass exceeds one and lo elsewhere
         bracket = np.concatenate([lo, hi], axis=1)
@@ -369,7 +382,7 @@ _BLOCK_DEPTH = 4
 
 def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
                    total: int) -> np.ndarray:
-    """Probabilities of the one row u, (1, n), at its lower bracket end
+    """Probabilities of the one row u, (n,), at its lower bracket end
     after ``total`` halvings.
 
     The bracket stays in Python floats, and the halvings run in blocks of
@@ -407,41 +420,71 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
         Z = np.add(u, lo)
         return _clip_probs(model, Z, Z)
     Z, i = last
-    return Z[i:i + 1]
+    return Z[i]
 
 
-def _softmax_rows(U: np.ndarray, model: MarginalModel):
-    """Log-sum-exp values and weighted softmax rows, max-shift stabilized."""
+def _softmax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.ndarray:
+    """Weighted softmax of the utility row U, (n,), or of each row of U,
+    (m, n), max-shift stabilized, in a new array or written into ``P``;
+    with ``vals``, shape (m,), also the log-sum-exp values, written there."""
     lam = model.lam
-    Z = U / lam
-    mx = Z.max(axis=1)
-    W = model.eta * np.exp(Z - mx[:, None])
-    s = W.sum(axis=1)
-    return lam * (mx + np.log(s)), W / s[:, None]
+    Z = np.divide(U, lam, out=P)
+    mx = Z.max(axis=-1, keepdims=True)
+    Z -= mx
+    np.exp(Z, out=Z)
+    Z *= model.eta
+    s = Z.sum(axis=-1, keepdims=True)
+    Z /= s
+    if vals is not None:
+        np.log(s[:, 0], out=vals)
+        vals += mx[:, 0]
+        vals *= lam
+    return Z
+
+
+def _sparsemax(V: np.ndarray, eta: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Sorted sparsemax of the scaled utility row V = u / lam, (n,), or of
+    each row of V, (m, n), written into ``P`` (which may be V itself).
+
+    Each row maximizes sum(v p) - sum(p^2 / eta) over the simplex: the
+    support is the longest prefix of the descending utilities that keeps
+    the threshold below each of its own entries. One row gathers with
+    1-d indices and takes a scalar threshold.
+    """
+    order = (-V).argsort(axis=-1, kind="stable")
+    # row numbers for the 2-d gathers; a single row needs none
+    rows = () if V.ndim == 1 else (np.arange(V.shape[0])[:, None],)
+    vs = V[(*rows, order)]
+    es = eta[order]
+    ce = np.add.accumulate(es, axis=-1)
+    es *= vs
+    cu = np.add.accumulate(es, axis=-1)
+    vs *= ce
+    vs += 2.0
+    keep = vs > cu
+    k = V.shape[-1] - 1 - keep[..., ::-1].argmax(axis=-1, keepdims=V.ndim > 1)
+    tau = (cu[(*rows, k)] - 2.0) / ce[(*rows, k)]
+    np.subtract(V, tau, out=P)
+    P *= eta
+    np.maximum(P, _ZERO, out=P)
+    P /= 2.0
+    return P
 
 
 def _choice_rows(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
-    """Choice probabilities for each row of the utilities U, shape (m, n).
+    """Choice probabilities of the utility row U, (n,), or of each row of U,
+    (m, n), in a new array of U's shape.
 
-    The one implementation behind every caller. The uniform kind maximizes
-    sum(v p) - sum(p^2 / eta) over the simplex, v = u / lam, by support
-    sorting; eps, the l2 accuracy, is read only by the bisection kinds.
+    The one implementation behind every caller: :func:`_softmax` for the
+    exponential kind, :func:`_sparsemax` of U / lam for the uniform kind,
+    and :func:`_bisection_batch` for the rest; eps, the l2 accuracy, is
+    read only by the bisection kinds.
     """
     if model.kind == "exponential":
-        return _softmax_rows(U, model)[1]
+        return _softmax(U, model)
     if model.kind == "uniform":
-        eta = model.eta
         V = U / model.lam
-        order = np.argsort(-V, axis=1, kind="stable")
-        rows = np.arange(U.shape[0])
-        vs = V[rows[:, None], order]
-        es = eta[order]
-        ce = np.cumsum(es, axis=1)
-        cu = np.cumsum(es * vs, axis=1)
-        keep = 2.0 + ce * vs > cu
-        k = U.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
-        tau = (cu[rows, k] - 2.0) / ce[rows, k]
-        return np.maximum(eta * (V - tau[:, None]), 0.0) / 2.0
+        return _sparsemax(V, model.eta, V)
     return _bisection_batch(U, model, eps)
 
 
@@ -513,39 +556,74 @@ def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: Margin
 
 # --------------------------------------------------------------- transforms
 
+# Rows per block of the batched transform. A block of 4,096 rows of 10
+# atoms is a 320 KB float64 array, so the few such arrays that a block's
+# kernel holds at once stay in a core's L2 cache, and no temporary grows
+# with the number of rows.
+_ROW_BLOCK = 4096
+
+
 def utilities_values_probs(U: np.ndarray, model: MarginalModel | None,
-                           eps: float | None = None):
+                           eps: float | None = None, phi=None):
     """Smoothed transform values and probabilities for rows of utilities.
 
     With ``model=None`` this is the plain max with one-hot rows (first
-    maximizer on ties). Returns ``(values, P)`` with one row per input row.
+    maximizer on ties). With ``phi`` the rows of ``U`` are costs C, and
+    the utilities are phi - C. Returns ``(values, P)`` with one row per
+    input row. The rows run in blocks of ``_ROW_BLOCK``: each block forms
+    its utilities in one buffer and writes its values and probabilities
+    into the outputs, so beyond U and P every temporary is block-sized.
+    Every row's numbers are independent of the others and of the block
+    it falls in.
     """
     U = np.asarray(U, dtype=float)
     m, n = U.shape
-    if model is None:
-        win = np.argmax(U, axis=1)
-        vals = U[np.arange(m), win]
-        P = np.zeros_like(U)
-        P[np.arange(m), win] = 1.0
-        return vals, P
-    if model.n != n:
+    if model is not None and model.n != n:
         raise ValueError("model weights and utility columns disagree in length")
+    vals, P = np.empty(m), np.empty((m, n))
+    buf = None if phi is None else np.empty((min(m, _ROW_BLOCK), n))
+    for start in range(0, m, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        block = U[rows]
+        if phi is not None:
+            block = np.subtract(phi, block, out=buf[:block.shape[0]])
+        _block_values_probs(block, model, eps, vals[rows], P[rows])
+    return vals, P
+
+
+def _block_values_probs(U: np.ndarray, model: MarginalModel | None, eps: float | None,
+                        vals: np.ndarray, P: np.ndarray) -> None:
+    """Values and probabilities of one block of utility rows, written into
+    ``vals`` and ``P``."""
+    if model is None:
+        rows = np.arange(U.shape[0])
+        win = np.argmax(U, axis=1)
+        vals[:] = U[rows, win]
+        P.fill(0.0)
+        P[rows, win] = 1.0
+        return
     if model.kind == "exponential":
-        return _softmax_rows(U, model)
+        _softmax(U, model, P, vals)
+        return
     lam, eta = model.lam, model.eta
-    P = _choice_rows(U, model, eps)
     if model.kind == "uniform":
         V = U / lam
+        _sparsemax(V, eta, P)
         # folded quadratic form of the maximand at the sorted solution
-        vals = lam * (1.0 + (V * P).sum(axis=1) - (P * P / eta[None, :]).sum(axis=1))
-        return vals, P
+        V *= P
+        np.add(V.sum(axis=1), 1.0, out=vals)
+        np.multiply(P, P, out=V)
+        V /= eta
+        vals -= V.sum(axis=1)
+        vals *= lam
+        return
+    P[:] = _bisection_batch(U, model, eps)
     # evaluate the maximand at the nearest simplex point so the value
     # error stays quadratic in eps and never exceeds the plain max
     pad = P + eta[None, :] * (1.0 - P.sum(axis=1))[:, None]
     if model.kind == "tdist":
         pad = np.minimum(pad, eta[None, :] * model.n)
-    vals = (U * pad).sum(axis=1) - _f_divergence_rows(model, pad)
-    return vals, P
+    vals[:] = (U * pad).sum(axis=1) - _f_divergence_rows(model, pad)
 
 
 def _value_probs_row(u: np.ndarray, model: MarginalModel | None, eps: float | None):

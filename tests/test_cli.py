@@ -111,6 +111,12 @@ def test_config_validation_names_offending_field(breaker, needle):
     ("eps_bar", math.nan, "'eps_bar' must be nonnegative and finite"),
     ("timing", "sometimes", "'timing' must be one of"),
     ("out_dir", None, "'out_dir' must be a string"),
+    # a tag with a comma used to write a seven-field row under the six-field
+    # header, and no models a records.csv holding the header alone
+    ("models", (("a,b", None),), "'models' entry 0 field 'tag' must be a nonempty string"),
+    ("models", (), "'models' must be a nonempty list"),
+    ("models", (("x", None), ("x", None)), "'models' has a duplicate tag 'x'"),
+    ("models", (("x", "exponential"),), "'models' entry 0 must be a (tag, model) pair"),
 ])
 def test_config_built_directly_or_by_replace_checks_every_field(tmp_path, field, value, needle):
     # a replaced or directly built config used to skip every check and fail
@@ -121,6 +127,15 @@ def test_config_built_directly_or_by_replace_checks_every_field(tmp_path, field,
         run_convergence_experiment(replace(cfg, **{field: value}), out_dir=out)
     with pytest.raises(ValueError, match=re.escape(f"config field {needle}")):
         ExperimentConfig(**{**{f.name: getattr(cfg, f.name) for f in fields(cfg)}, field: value})
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("models", [[], [{"kind": "exponential", "lambda": 0.5,
+                                           "eta": [1 / 3, 1 / 3, 1 / 3], "tag": "a,b"}]])
+def test_experiment_command_rejects_bad_models_before_any_output(tmp_path, models):
+    out = tmp_path / "results"
+    path = _write_json(tmp_path, "config.json", tiny_config_dict(models=models))
+    assert main(["experiment", "--config", path, "--out", str(out)]) == 2
     assert not out.exists()
 
 
@@ -236,16 +251,19 @@ def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
         for stage in ("sgd_s", "estimate_s"):
             assert 0.0 <= cell[stage] * 1000.0 <= cell["ms"]
         assert (cell["sgd_s"] + ref["s"] + cell["estimate_s"]) * 1000.0 <= cell["ms"] + 1e-9
+        # the peak memory of the worker that ran the cell: at least numpy's
+        assert 10.0 <= cell["rss_mb"] <= 4096.0
         if cell["model"] == "none":
             assert ref["method"] == "lp" and abs(ref["gap"]) <= 1e-9
         else:
             assert ref["method"] == "newton" and ref["grad_norm"] <= 1e-7
             assert ref["iterations"] >= 1
-    # a manifest written before cells carried stage timings
+    # a manifest written before cells carried stage timings and memory
     old = tmp_path / "old"
     old.mkdir()
     kept = [json.dumps({k: v for k, v in cell.items()
-                        if k not in ("reference", "sgd_s", "estimate_s")}) for cell in cells[:5]]
+                        if k not in ("reference", "sgd_s", "estimate_s", "rss_mb")})
+            for cell in cells[:5]]
     (old / "manifest.jsonl").write_text("\n".join(lines[:1] + kept) + "\n")
     _, resumed = run_convergence_experiment(cfg, out_dir=old, resume=True)
     assert Path(resumed).read_bytes() == Path(full).read_bytes()

@@ -13,10 +13,12 @@ from scipy.optimize import minimize
 
 from sdot.core import CostSpec, DiscreteMeasure, cost_vector
 from sdot.noise import (
+    CLOSED_FORM_KINDS,
     HYPERBOLIC_OFFSET,
     MarginalModel,
     _bisection_batch,
     _cdf_extended,
+    _ROW_BLOCK,
     _choice_rows,
     approximation_bound,
     averaged_choice_jacobian,
@@ -504,6 +506,86 @@ def frozen_bisection(U, model, eps):
     return _frozen_clip_probs(model, U + lo[:, None])
 
 
+# ----------------------------------------- frozen closed-form kernels
+# Verbatim copies of the softmax and sorted-sparsemax kernels, values
+# included, from before the batched transform ran in row blocks and a
+# single row took a 1-d path. Both must match them bit for bit.
+
+def frozen_softmax_rows(U, model):
+    lam = model.lam
+    Z = U / lam
+    mx = Z.max(axis=1)
+    W = model.eta * np.exp(Z - mx[:, None])
+    s = W.sum(axis=1)
+    return lam * (mx + np.log(s)), W / s[:, None]
+
+
+def frozen_sparsemax_rows(U, model):
+    eta = model.eta
+    V = U / model.lam
+    order = np.argsort(-V, axis=1, kind="stable")
+    rows = np.arange(U.shape[0])
+    vs = V[rows[:, None], order]
+    es = eta[order]
+    ce = np.cumsum(es, axis=1)
+    cu = np.cumsum(es * vs, axis=1)
+    keep = 2.0 + ce * vs > cu
+    k = U.shape[1] - 1 - np.argmax(keep[:, ::-1], axis=1)
+    tau = (cu[rows, k] - 2.0) / ce[rows, k]
+    P = np.maximum(eta * (V - tau[:, None]), 0.0) / 2.0
+    vals = model.lam * (1.0 + (V * P).sum(axis=1) - (P * P / eta[None, :]).sum(axis=1))
+    return vals, P
+
+
+def frozen_closed_form(U, model):
+    """``(values, P)`` of the frozen kernel of an exponential or uniform model."""
+    return (frozen_softmax_rows if model.kind == "exponential" else frozen_sparsemax_rows)(U, model)
+
+
+def _tied_rows(rng, m, n, scale):
+    """m rows of n utilities of spread ``scale``, with ties every few rows:
+    fully tied, tied with the last entry, and tied by rounding."""
+    U = rng.normal(scale=scale, size=(m, n))
+    U[1::7] = U[1::7, :1]
+    U[2::7, : n // 2] = U[2::7, -1:]
+    U[3::7] = np.round(U[3::7] / scale, 1) * scale
+    return U
+
+
+BLOCK_SIZES = (1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7)
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_closed_form_kernels_match_frozen_copies(kind):
+    # one 1-d row, batches on both sides of every block edge, ties, and
+    # rows scaled to |u| / lambda near 1e3
+    rng = np.random.default_rng(2025)
+    for n in (1, 2, 3, 10):
+        for lam in (0.1, 1e-3):
+            eta = random_eta(rng, n)
+            model = MarginalModel(kind, lam, eta)
+            # spread 0.3 keeps |u| / lambda of order 1 at lambda 0.1 and
+            # near 1e3 at lambda 1e-3
+            for m in BLOCK_SIZES:
+                U = _tied_rows(rng, m, n, 0.3)
+                want_vals, want_P = frozen_closed_form(U, model)
+                vals, P = utilities_values_probs(U, model)
+                assert vals.tobytes() == want_vals.tobytes(), (n, lam, m)
+                assert P.tobytes() == want_P.tobytes(), (n, lam, m)
+                assert _choice_rows(U, model, 0.0).tobytes() == want_P.tobytes()
+                # utilities formed block by block from costs
+                phi = rng.normal(size=n)
+                vals, P = utilities_values_probs(phi - U, model, phi=phi)
+                want_vals, want_P = frozen_closed_form(phi - (phi - U), model)
+                assert vals.tobytes() == want_vals.tobytes()
+                assert P.tobytes() == want_P.tobytes()
+            for u in _tied_rows(rng, 8, n, 0.3):
+                want = frozen_closed_form(u[None, :], model)[1][0]
+                assert _choice_rows(u, model, 0.0).tobytes() == want.tobytes()
+                assert probs_from_utilities(u, model).tobytes() == want.tobytes()
+            assert np.max(np.abs(U)) / lam > (900.0 if lam < 0.01 else 1.0)
+
+
 BISECTION_CASES = [("hyperbolic", None), ("tdist", None),
                    ("pareto", 0.5), ("pareto", 1.5), ("pareto", 3.0)]
 
@@ -773,6 +855,42 @@ def test_kernel_rows_are_independent(kind):
             if model is not None:
                 assert np.array_equal(P[j], _choice_rows(U[j:j + 1], model, 1e-9)[0])
                 assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9), P[j])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + (None,))
+def test_kernel_rows_are_independent_across_row_blocks(monkeypatch, kind):
+    # the batched transform runs in blocks of _ROW_BLOCK rows: at every
+    # size around a block edge, each row near an edge matches itself alone
+    # (and as a 1-d row), and the whole batch matches one unblocked block
+    import sdot.noise as noise_mod
+    rng = np.random.default_rng(32)
+    n, B = 10, _ROW_BLOCK
+    eta = np.full(n, 1.0 / n) if kind == "tdist" else random_eta(rng, n)
+    model = None if kind is None else MarginalModel(kind, 0.3, eta,
+                                                    q=1.5 if kind == "pareto" else None)
+    for m in BLOCK_SIZES:
+        U = _tied_rows(rng, m, n, 1.0)
+        # rows of different spreads take different numbers of halvings
+        U *= rng.uniform(0.01, 5.0, size=(m, 1))
+        if m > B + 2:
+            U[B - 2:B + 2] *= np.array([[1e-3], [1e2], [1e-3], [1e2]])
+            if model is not None and kind not in CLOSED_FORM_KINDS:
+                steps = [_halvings(u, model, 1e-9) for u in U[B - 2:B + 2]]
+                assert steps[0] != steps[1] and steps[2] != steps[3]
+        vals, P = utilities_values_probs(U, model, eps=1e-9)
+        edges = {0, m - 1} | {j for b in range(B, m, B) for j in range(b - 2, min(b + 2, m))}
+        for j in sorted(edges):
+            v_row, P_row = utilities_values_probs(U[j:j + 1], model, eps=1e-9)
+            assert P[j].tobytes() == P_row[0].tobytes(), (m, j)
+            assert vals[j].tobytes() == v_row[0].tobytes(), (m, j)
+            if model is not None:
+                assert _choice_rows(U[j], model, 1e-9).tobytes() == P[j].tobytes(), (m, j)
+        if model is not None and kind not in CLOSED_FORM_KINDS:
+            assert P.tobytes() == frozen_bisection(U, model, 1e-9).tobytes()
+        monkeypatch.setattr(noise_mod, "_ROW_BLOCK", m)
+        whole = utilities_values_probs(U, model, eps=1e-9)
+        monkeypatch.undo()
+        assert whole[0].tobytes() == vals.tobytes() and whole[1].tobytes() == P.tobytes()
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])

@@ -39,7 +39,7 @@ from sdot.solver import (
     finite_sample_reference,
     sgd_config,
 )
-from test_noise import frozen_bisection
+from test_noise import frozen_bisection, frozen_closed_form
 
 SUP = CostSpec("sup-norm")
 SQ = CostSpec("p-norm-power", p=2.0)
@@ -71,9 +71,10 @@ def test_step_size_missing_constants():
 # ----------------------------------------------------------- averaged sgd
 
 def sgd_replay(spec, nu, c, model, config):
-    """Independent re-implementation of the iteration for comparison; the
-    bisection kinds take their probabilities from the frozen copy of the
-    bisection loop, not from the kernel under test."""
+    """Independent re-implementation of the iteration for comparison; every
+    kind takes its probabilities from the frozen copy of its kernel (the
+    softmax, the sorted sparsemax or the bisection loop), not from the
+    kernel under test."""
     X = draw(spec, config.T)
     C = cost_matrix(X, nu.atoms, c)
     gamma = config.step
@@ -89,8 +90,7 @@ def sgd_replay(spec, nu, c, model, config):
             p[int(np.argmax(u))] = 1.0
             p = p + 2.0 * config.tikhonov * phi
         elif model.kind in ("exponential", "uniform"):
-            from sdot.noise import probs_from_utilities
-            p = probs_from_utilities(u, model)
+            p = frozen_closed_form(u[None, :], model)[1][0]
         else:
             p = frozen_bisection(u[None, :], model, config.eps_bar / (2.0 * np.sqrt(t)))[0]
         phi = phi + gamma * (nu.weights - p)
@@ -163,25 +163,27 @@ def test_sgd_matches_replay_over_many_bisection_blocks(kind, q):
 def test_sgd_oracle_rows_match_frozen_bisection(monkeypatch, kind, q):
     # every oracle row of a 5,000-step run on the benchmark's model (the
     # atoms of demos/convergence_config.json, lambda 0.1, uniform eta), as
-    # eps = 0.1 / (2 sqrt(t)) shrinks: 7 to 17 halvings, up to five blocks
-    import sdot.noise as noise_mod
+    # eps = 0.1 / (2 sqrt(t)) shrinks: 7 to 17 halvings, up to five blocks.
+    # The hook sits on the entry SGD calls, which takes each utility row as
+    # a 1-d array
+    import sdot.solver as solver_mod
     atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
     nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
     model = MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
-    kernel, calls = noise_mod._bisection_batch, []
+    kernel, calls = solver_mod._choice_rows, []
 
-    def recording_kernel(U, model, eps):
-        P = kernel(U, model, eps)
-        calls.append((U.copy(), eps, P))
-        return P
+    def recording_kernel(u, model, eps):
+        p = kernel(u, model, eps)
+        calls.append((u.copy(), eps, p))
+        return p
 
-    monkeypatch.setattr(noise_mod, "_bisection_batch", recording_kernel)
+    monkeypatch.setattr(solver_mod, "_choice_rows", recording_kernel)
     averaged_sgd(SamplerSpec("gaussian-standard", d=2, seed=0), nu, SUP, model,
                  sgd_config(model, 5000))
     assert len(calls) == 5000
-    for t, (U, eps, P) in enumerate(calls, 1):
-        assert U.shape == (1, 10) and eps == 0.1 / (2.0 * np.sqrt(t))
-        assert P.tobytes() == frozen_bisection(U, model, eps).tobytes(), t
+    for t, (u, eps, p) in enumerate(calls, 1):
+        assert u.shape == (10,) and eps == 0.1 / (2.0 * np.sqrt(t))
+        assert p.tobytes() == frozen_bisection(u[None, :], model, eps)[0].tobytes(), t
 
 
 def test_sgd_overflowing_oracle_stays_silent():
@@ -789,6 +791,33 @@ def test_reference_pareto_beyond_q2_runs_long_sgd():
     assert info["iterations"] == 500
     assert np.isfinite(value) and np.isfinite(info["grad_norm"])
     assert abs(phi.mean()) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["uniform", "exponential"])
+def test_reference_and_estimate_hold_few_sample_sized_arrays(kind):
+    # 50,000 x 10 sample rows on the gating model: besides the costs C, the
+    # probabilities P and the Jacobian's two factors, every temporary of the
+    # reference and the estimate is block-sized. Unblocked, the sorted
+    # sparsemax held about ten m x n arrays at once
+    import tracemalloc
+    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
+    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
+    model = MarginalModel(kind, 0.1, np.full(10, 0.1))
+    spec = SamplerSpec("gaussian-standard", d=2, seed=0)
+    T = 5000
+    array_bytes = 10 * T * nu.n_atoms * 8
+    tracemalloc.start()
+    try:
+        _, phi, info = finite_sample_reference(spec, nu, SUP, model, T)
+        reference_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        dual_objective_estimate(phi, nu, SUP, model, draw(spec, 10 * T))
+        estimate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["method"] == "newton"
+    assert reference_peak <= 6 * array_bytes, reference_peak / array_bytes
+    assert estimate_peak <= 6 * array_bytes, estimate_peak / array_bytes
 
 
 def test_sgd_config_step_rules():
