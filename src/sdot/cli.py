@@ -231,38 +231,101 @@ def records_to_csv(records, timing: str = "zero") -> str:
 
 # ------------------------------------------------------------------- runner
 
-def _run_cell(config: ExperimentConfig, tag: str, model, T: int, seed: int):
-    """One cell's record, and its stage seconds for the manifest: ``sgd_s``,
-    ``estimate_s`` and the reference's ``info`` with its seconds ``s``;
-    ``rss_mb`` is the peak resident memory of the process that ran it,
-    read when the cell finishes."""
+def _cell_sampler(config: ExperimentConfig, T: int, seed: int) -> SamplerSpec:
     # all models in a (T, seed) cell share one sample path
-    spec = replace(config.sampler, seed=derive_seed(config.sampler.seed, T, seed))
+    return replace(config.sampler, seed=derive_seed(config.sampler.seed, T, seed))
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far (ru_maxrss is KB on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
+def _reference_half(config: ExperimentConfig, model, T: int, seed: int) -> dict:
+    """The reference half of a cell: the finite-sample optimum's ``value``
+    and potential ``phi``, the reference's ``info`` with its seconds ``s``,
+    and the peak memory ``rss_mb`` of the process that ran it."""
+    t0 = time.perf_counter()
+    value, phi, info = finite_sample_reference(
+        _cell_sampler(config, T, seed), config.measure, config.cost, model, T,
+        eps_bar=config.eps_bar, multiplier=config.multiplier)
+    return {"value": value, "phi": phi, "info": {**info, "s": time.perf_counter() - t0},
+            "rss_mb": _peak_rss_mb()}
+
+
+def _sgd_half(config: ExperimentConfig, model, T: int, seed: int) -> dict:
+    """The SGD half of a cell: the run's dual ``estimate`` on the reference
+    sample, its mean-zero averaged potential ``gauge``, the ``sgd_s`` and
+    ``estimate_s`` seconds, and the peak memory ``rss_mb`` of the process
+    that ran it."""
+    spec = _cell_sampler(config, T, seed)
     nu, c = config.measure, config.cost
     t0 = time.perf_counter()
     under_avg, bar_avg, _ = averaged_sgd(spec, nu, c, model, sgd_config(model, T, config.eps_bar))
     # continuity clause: without a model, suboptimality is stated at the under-average
     phi_out = under_avg if model is None else bar_avg
-    t_ref = time.perf_counter()
-    value, phi_star, info = finite_sample_reference(
-        spec, nu, c, model, T, eps_bar=config.eps_bar, multiplier=config.multiplier)
     t_est = time.perf_counter()
-    X = draw(spec, config.multiplier * T)
-    estimate, _ = dual_objective_estimate(phi_out, nu, c, model, X)
-    gauge = bar_avg - bar_avg.mean()
-    t_end = time.perf_counter()
-    # the peak memory of the process that ran the cell, so far (KB on Linux)
-    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    stages = {"sgd_s": t_ref - t0, "estimate_s": t_end - t_est,
-              "reference": {**info, "s": t_est - t_ref}, "rss_mb": rss_mb}
-    return ConvergenceRecord(tag, T, seed, float(value - estimate),
-                             float(np.sum((gauge - phi_star) ** 2)), (t_end - t0) * 1000.0), stages
+    estimate, _ = dual_objective_estimate(phi_out, nu, c, model,
+                                          draw(spec, config.multiplier * T))
+    return {"estimate": estimate, "gauge": bar_avg - bar_avg.mean(), "sgd_s": t_est - t0,
+            "estimate_s": time.perf_counter() - t_est, "rss_mb": _peak_rss_mb()}
+
+
+def _pair_halves(tag: str, T: int, seed: int, reference: dict, sgd: dict):
+    """One cell's record from its two halves, and its stage seconds for the
+    manifest: ``sgd_s``, ``estimate_s``, the reference's ``info`` with its
+    seconds ``s``, and ``rss_mb``, the larger of the two halves' process
+    peaks. The record's ``ms`` is the sum of the three stages."""
+    info = reference["info"]
+    stages = {"sgd_s": sgd["sgd_s"], "estimate_s": sgd["estimate_s"], "reference": info,
+              "rss_mb": max(reference["rss_mb"], sgd["rss_mb"])}
+    ms = (sgd["sgd_s"] + sgd["estimate_s"] + info["s"]) * 1000.0
+    return ConvergenceRecord(tag, T, seed, float(reference["value"] - sgd["estimate"]),
+                             float(np.sum((sgd["gauge"] - reference["phi"]) ** 2)), ms), stages
 
 
 def _manifest_line(rec: ConvergenceRecord, stages: dict) -> str:
     return json.dumps({"model": rec.model, "T": rec.T, "seed": rec.seed,
                        "subopt": rec.subopt, "potgap": rec.potgap, "ms": rec.ms,
                        **stages}, sort_keys=True)
+
+
+# a reference is certified when its LP gap or gradient norm is at most this
+_CERT_TOL = 1e-6
+
+
+def _summary(records, stages: dict) -> dict:
+    """What a run directory says about its cells at a glance: the slowest
+    cell with its slowest stage, and every cell whose reference is not
+    certified. Cells resumed from a manifest without stage timings count
+    only in ``cells``."""
+    timed = [(r, stages[(r.model, r.T, r.seed)]) for r in records
+             if (r.model, r.T, r.seed) in stages]
+    slowest = None
+    if timed:
+        rec, st = max(timed, key=lambda pair: pair[0].ms)
+        stage_s = {"sgd": st["sgd_s"], "reference": st["reference"]["s"],
+                   "estimate": st["estimate_s"]}
+        stage = max(stage_s, key=stage_s.get)
+        slowest = {"model": rec.model, "T": rec.T, "seed": rec.seed, "ms": rec.ms,
+                   "stage": stage, "stage_s": stage_s[stage],
+                   "method": st["reference"]["method"]}
+    uncertified = []
+    for rec, st in timed:
+        info = st["reference"]
+        residual = info.get("gap", info.get("grad_norm"))
+        if residual is None or not abs(residual) <= _CERT_TOL:
+            uncertified.append({"model": rec.model, "T": rec.T, "seed": rec.seed,
+                                "method": info["method"], "residual": residual})
+    return {"cells": len(records), "slowest": slowest, "certificate_tol": _CERT_TOL,
+            "uncertified": uncertified}
+
+
+def _progress(done: int, total: int, rec: ConvergenceRecord, stages: dict) -> str:
+    ref = stages["reference"]
+    return (f"[{done}/{total}] {rec.model} T={rec.T} seed={rec.seed}: {rec.ms / 1000.0:.3f} s "
+            f"(sgd {stages['sgd_s']:.3f}, reference {ref['method']} {ref['s']:.3f}, "
+            f"estimate {stages['estimate_s']:.3f})")
 
 
 def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
@@ -276,7 +339,7 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
     out_dir : path-like, optional
         Output directory (defaults to the config's own).
     workers : int
-        Process count for independent cells; 1 runs inline.
+        Process count for independent tasks; 1 runs inline.
     resume : bool
         Reuse finished cells from an existing manifest.jsonl written by
         an interrupted run of the same config.
@@ -287,25 +350,33 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         Records in canonical order (config model order, then T, then
         seed) and the path of the CSV they were written to.
 
-    Completed cells are appended to manifest.jsonl as they finish, each
-    with its SGD and estimate seconds (``sgd_s``, ``estimate_s``), a
-    ``reference`` object (the reference's method, certificate and
-    seconds) and the peak memory of the process that ran it so far
-    (``rss_mb``), so a failed run leaves a resumable, diagnosable trail.
+    Each cell runs as two independent tasks, its reference and its SGD
+    run with the estimate, the reference submitted first, so a pool
+    keeps every worker busy to the end. Inline, the same tasks run in
+    the same order. A cell is paired when both halves are in, appended
+    to manifest.jsonl with its SGD and estimate seconds (``sgd_s``,
+    ``estimate_s``), a ``reference`` object (the reference's method,
+    certificate and seconds) and the larger peak memory of the processes
+    that ran its halves (``rss_mb``), and reported in one progress line
+    on stderr; so a failed run leaves a resumable, diagnosable trail.
+    With records.csv goes summary.json, which names the slowest cell, its
+    slowest stage and every cell whose reference is not certified.
     """
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
     manifest = out / "manifest.jsonl"
-    done = {}
+    done, stages = {}, {}
     if resume and manifest.exists():
         lines = manifest.read_text().splitlines()
         if not lines or json.loads(lines[0]).get("config_hash") != digest:
             raise ValueError("manifest in the output directory belongs to a different config")
         for line in lines[1:]:
             d = json.loads(line)
-            done[(d["model"], d["T"], d["seed"])] = ConvergenceRecord(
-                d["model"], d["T"], d["seed"], d["subopt"], d["potgap"], d["ms"])
+            key = (d["model"], d["T"], d["seed"])
+            done[key] = ConvergenceRecord(*key, d["subopt"], d["potgap"], d["ms"])
+            if all(k in d for k in ("sgd_s", "estimate_s", "reference")):
+                stages[key] = d
         mode = "a"
     else:
         mode = "w"
@@ -314,28 +385,42 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
              for T in config.t_grid
              for seed in config.seeds]
     pending = [cell for cell in cells if (cell[0], cell[2], cell[3]) not in done]
+    tasks = [task for cell in pending for task in (
+        ("reference", _reference_half, cell), ("sgd", _sgd_half, cell))]
     with manifest.open(mode) as mf:
         if mode == "w":
             mf.write(json.dumps({"config_hash": digest, "version": CONFIG_VERSION}) + "\n")
             mf.flush()
         with ExitStack() as stack:
             if workers <= 1 or not pending:
-                results = (_run_cell(config, *cell) for cell in pending)
+                results = ((name, cell, half(config, *cell[1:])) for name, half, cell in tasks)
             else:
                 if any(cell[1] is None for cell in pending):
                     # forked workers inherit the parent's modules: import the
                     # LP stack once here, not once in each worker
                     _lp_stack()
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
-                results = (fut.result() for fut in as_completed(
-                    [pool.submit(_run_cell, config, *cell) for cell in pending]))
-            for rec, stages in results:
-                done[(rec.model, rec.T, rec.seed)] = rec
-                mf.write(_manifest_line(rec, stages) + "\n")
+                # on a failure, drop the tasks not yet started
+                stack.callback(pool.shutdown, cancel_futures=True)
+                futures = {pool.submit(half, config, *cell[1:]): (name, cell)
+                           for name, half, cell in tasks}
+                results = (futures[fut] + (fut.result(),) for fut in as_completed(futures))
+            halves = {}
+            for name, (tag, _, T, seed), result in results:
+                key = (tag, T, seed)
+                parts = halves.setdefault(key, {})
+                parts[name] = result
+                if len(parts) < 2:
+                    continue
+                rec, cell_stages = _pair_halves(*key, **halves.pop(key))
+                done[key], stages[key] = rec, cell_stages
+                mf.write(_manifest_line(rec, cell_stages) + "\n")
                 mf.flush()
+                print(_progress(len(done), len(cells), rec, cell_stages), file=sys.stderr)
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"
     csv_path.write_text(records_to_csv(records, timing=config.timing))
+    (out / "summary.json").write_text(json.dumps(_summary(records, stages), indent=2) + "\n")
     return records, csv_path
 
 

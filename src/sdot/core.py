@@ -275,10 +275,16 @@ def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
     if spec.kind == "sup-norm":
         if X.shape[1] == 0:
             raise ValueError("sup-norm cost needs points with at least one coordinate")
-        # a running max over axes: no (m, n, d) temporary, same exact values
-        out = np.abs(X[:, :1] - Y[:, 0])
-        for k in range(1, X.shape[1]):
-            np.maximum(out, np.abs(X[:, k:k + 1] - Y[:, k]), out=out)
+        # a running max over axes, in place: no (m, n, d) temporary and one
+        # (m, n) scratch array beside the output, same exact values
+        out = np.subtract(X[:, :1], Y[:, 0])
+        np.abs(out, out=out)
+        if X.shape[1] > 1:
+            diff = np.empty_like(out)
+            for k in range(1, X.shape[1]):
+                np.subtract(X[:, k:k + 1], Y[:, k], out=diff)
+                np.abs(diff, out=diff)
+                np.maximum(out, diff, out=out)
         return out
     diff = X[:, None, :] - Y[None, :, :]
     sq = np.einsum("mnd,mnd->mn", diff, diff)

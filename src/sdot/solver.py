@@ -26,10 +26,10 @@ from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
     _choice_rows,
+    _row_blocks,
     _sums_to_one,
     averaged_choice_jacobian,
     marginal_lipschitz,
-    utilities_values_probs,
 )
 
 TIMING_MODES = ("zero", "measured")
@@ -219,7 +219,9 @@ def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
     X = np.atleast_2d(np.asarray(samples, dtype=float))
-    vals, _ = utilities_values_probs(cost_matrix(X, nu.atoms, c), model, eps=eps, phi=phi)
+    vals = np.empty(X.shape[0])
+    for _ in _row_blocks(cost_matrix(X, nu.atoms, c), model, eps, phi, vals):
+        pass  # values only: each block's probabilities are overwritten by the next
     contrib = float(nu.weights @ phi) - vals
     m = contrib.size
     mean = float(contrib.mean())
@@ -229,12 +231,25 @@ def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
 
 # ------------------------------------------------------------ finite dual
 
-def _finite_dual(phi, C, weights, nu_w, model, eps=None):
-    """Value, gradient and choice probabilities of the finite-sample dual:
-    rows of C carry ``weights``, columns the target weights ``nu_w``, and
-    ``model=None`` takes the plain max."""
-    vals, P = utilities_values_probs(C, model, eps=eps, phi=phi)
-    return float(nu_w @ phi) - float(weights @ vals), nu_w - P.T @ weights, P
+def _finite_dual(phi, C, weights, nu_w, model, eps=None, hessian=False):
+    """Value and gradient of the finite-sample dual, and with ``hessian``
+    its negated Hessian (else None): rows of C carry ``weights``, columns
+    the target weights ``nu_w``, and ``model=None`` takes the plain max.
+
+    One pass of :func:`_row_blocks`: each block's probabilities add into
+    the gradient and, through :func:`averaged_choice_jacobian`, into the
+    Hessian before the next block overwrites them, so no m x n array
+    besides C is held. The value is the weighted sum of all rows at once.
+    """
+    m, n = C.shape
+    vals, mass = np.empty(m), np.zeros(n)
+    H = np.zeros((n, n)) if hessian else None
+    for rows, P in _row_blocks(C, model, eps, phi, vals):
+        w = weights[rows]
+        mass += P.T @ w
+        if hessian:
+            H += averaged_choice_jacobian(P, w, model)
+    return float(nu_w @ phi) - float(weights @ vals), nu_w - mass, H
 
 
 def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7):
@@ -245,7 +260,13 @@ def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7
     the negated n x n Hessian; g sums to zero, so 11^T/n only fixes the
     gauge. A step that gains a tenth of its predicted increase (or, below
     the value's rounding level, lowers |g|) divides the damping mu by 8;
-    any other multiplies it by 4, at least to max(|g|, 1e-6 tr H).
+    any other multiplies it by 4, at least to max(|g|, 1e-6 tr H). Each
+    evaluation is one row-blocked pass of :func:`_finite_dual`, so beyond
+    C it holds only block-sized arrays. On the gating model (ten atoms,
+    lambda 0.1, sup-norm; a 2-core Xeon, BLAS on one thread) an evaluation
+    at m = 100,000 takes 26-28 ms for the exponential kind and 61-64 ms
+    for the uniform one, where holding P and the Jacobian's factors whole
+    took 34-35 and 71-80 ms (fastest of 15).
 
     Returns ``(phi, info)`` with value, gradient norm and ``iterations``
     (trial steps). Raises RuntimeError when |g| is still above
@@ -258,9 +279,8 @@ def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7
         raise ValueError("weights must match the rows of C and sum to one")
     n = C.shape[1]
 
-    def evaluate(phi):  # P is dropped here, so no m x n array outlives a step
-        f, g, P = _finite_dual(phi, C, weights, nu_w, model)
-        return f, g, averaged_choice_jacobian(P, weights, model)
+    def evaluate(phi):
+        return _finite_dual(phi, C, weights, nu_w, model, hessian=True)
 
     phi = np.zeros(n)
     f, g, H = evaluate(phi)
@@ -372,10 +392,11 @@ def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray)
     the largest potential that changes no sample's best value.
 
     On the gating instances (n=10, sup-norm, Gaussian samples; 2-core
-    Xeon) the pilot takes 10-17 Newton steps and the first pass certifies.
-    The whole reference takes 80-96 ms at m=10,000 and 0.50-0.58 s at
-    m=31,620 (fastest of five, sampler seeds 0-2), and 2.1-2.8 s at
-    m=100,000, of which the pilot is 0.5-0.7 s and the LP the rest.
+    Xeon, BLAS on one thread) the pilot takes 10-17 Newton steps and the
+    first pass certifies. The whole reference takes 84-87 ms at m=10,000,
+    0.27-0.30 s at m=31,620 and 1.5-1.8 s at m=100,000 (fastest of
+    three, sampler seeds 0-2); the pilot is 30-39 ms, 67-102 ms and
+    0.23-0.39 s of it, and the LP most of the rest.
 
     Returns ``(value, phi, cert)`` with ``value`` equal to the semi-dual
     objective at the mean-zero ``phi``. ``cert`` holds the accepted

@@ -205,11 +205,26 @@ def test_experiment_byte_deterministic(tmp_path):
     assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+def _manifest_cells(path):
+    lines = (path / "manifest.jsonl").read_text().splitlines()[1:]
+    return {(d["model"], d["T"], d["seed"]): (d["subopt"], d["potgap"], d["reference"]["method"])
+            for d in map(json.loads, lines)}
+
+
 def test_experiment_workers_match_serial(tmp_path):
-    cfg = ExperimentConfig.from_json(tiny_config_dict())
-    _, p1 = run_convergence_experiment(cfg, out_dir=tmp_path / "serial", workers=1)
-    _, p2 = run_convergence_experiment(cfg, out_dir=tmp_path / "pool", workers=2)
-    assert Path(p1).read_bytes() == Path(p2).read_bytes()
+    # two pool tasks per cell, finishing in any order, pair into the bytes
+    # of the inline run, which feeds the same halves through the same code
+    eta = [1 / 3, 1 / 3, 1 / 3]
+    smooth = tiny_config_dict(t_grid=[10, 40, 160], models=[
+        {"kind": "exponential", "lambda": 0.5, "eta": eta, "tag": "entropic"},
+        {"kind": "uniform", "lambda": 0.5, "eta": eta, "tag": "chi2"}])
+    for name, cfg in (("plain", tiny_config_dict()), ("smooth", smooth)):
+        cfg = ExperimentConfig.from_json(cfg)
+        _, p1 = run_convergence_experiment(cfg, out_dir=tmp_path / name / "serial", workers=1)
+        _, p2 = run_convergence_experiment(cfg, out_dir=tmp_path / name / "pool", workers=2)
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
+        serial = _manifest_cells(tmp_path / name / "serial")
+        assert serial == _manifest_cells(tmp_path / name / "pool") and len(serial) == 12
 
 
 def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
@@ -218,7 +233,7 @@ def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
 
     import sdot.cli as cli_mod
 
-    real = cli_mod._run_cell
+    real = cli_mod._sgd_half
     calls = {"n": 0}
 
     def flaky(*args, **kwargs):
@@ -227,15 +242,19 @@ def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
             raise RuntimeError("injected failure")
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli_mod, "_run_cell", flaky)
+    # the fourth cell's SGD half fails after its reference half finished
+    monkeypatch.setattr(cli_mod, "_sgd_half", flaky)
     out = tmp_path / "broken"
     with pytest.raises(RuntimeError, match="injected"):
         run_convergence_experiment(cfg, out_dir=out)
     manifest = (out / "manifest.jsonl").read_text().splitlines()
     assert len(manifest) == 1 + 3  # header plus the three finished cells
-    monkeypatch.setattr(cli_mod, "_run_cell", real)
+    assert not (out / "summary.json").exists()
+    monkeypatch.setattr(cli_mod, "_sgd_half", real)
     _, resumed = run_convergence_experiment(cfg, out_dir=out, resume=True)
     assert Path(resumed).read_bytes() == Path(full).read_bytes()
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["cells"] == 12
 
 
 def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
@@ -268,6 +287,49 @@ def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
     _, resumed = run_convergence_experiment(cfg, out_dir=old, resume=True)
     assert Path(resumed).read_bytes() == Path(full).read_bytes()
     assert len((old / "manifest.jsonl").read_text().splitlines()) == 1 + 12
+
+
+def test_measured_ms_is_the_sum_of_the_stage_seconds(tmp_path):
+    cfg = ExperimentConfig.from_json(tiny_config_dict(timing="measured"))
+    records, csv_path = run_convergence_experiment(cfg, out_dir=tmp_path, workers=2)
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()
+    cells = {(d["model"], d["T"], d["seed"]): d for d in map(json.loads, lines[1:])}
+    assert len(cells) == 12
+    for cell in cells.values():
+        assert cell["ms"] == (cell["sgd_s"] + cell["estimate_s"] + cell["reference"]["s"]) * 1000.0
+    # the CSV's measured column is the manifest's ms, cell by cell
+    rows = Path(csv_path).read_text().splitlines()[1:]
+    for rec, row in zip(records, rows):
+        assert float(row.split(",")[-1]) == cells[(rec.model, rec.T, rec.seed)]["ms"] == rec.ms
+
+
+def test_summary_names_slowest_cell_and_uncertified_references(tmp_path, capsys):
+    cfg = ExperimentConfig.from_json(tiny_config_dict(models=[
+        {"kind": "exponential", "lambda": 0.5, "eta": [1 / 3, 1 / 3, 1 / 3]},
+        {"kind": "hyperbolic", "lambda": 0.5, "eta": [1 / 3, 1 / 3, 1 / 3]},
+    ], t_grid=[10, 20, 40]))
+    records, _ = run_convergence_experiment(cfg, out_dir=tmp_path)
+    lines = (tmp_path / "manifest.jsonl").read_text().splitlines()[1:]
+    cells = {(d["model"], d["T"], d["seed"]): d for d in map(json.loads, lines)}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["cells"] == len(records) == 12
+    slow = summary["slowest"]
+    cell = cells[(slow["model"], slow["T"], slow["seed"])]
+    assert slow["ms"] == max(d["ms"] for d in cells.values()) == cell["ms"]
+    stage_s = {"sgd": cell["sgd_s"], "reference": cell["reference"]["s"],
+               "estimate": cell["estimate_s"]}
+    assert slow["stage_s"] == stage_s[slow["stage"]] == max(stage_s.values())
+    # Newton certifies at 1e-7; the long SGD run's residual is reported
+    want = sorted((d["model"], d["T"], d["seed"]) for d in cells.values()
+                  if d["reference"]["grad_norm"] > summary["certificate_tol"])
+    got = sorted((u["model"], u["T"], u["seed"]) for u in summary["uncertified"])
+    assert got == want and all(u["method"] == "sgd-50x" for u in summary["uncertified"])
+    assert want and all(key[0] == "hyperbolic" for key in want)
+    # one progress line per finished cell on stderr, none on stdout
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    progress = captured.err.splitlines()
+    assert len(progress) == 12 and progress[-1].startswith("[12/12] hyperbolic T=40 seed=1: ")
 
 
 def test_resume_rejects_other_config(tmp_path):

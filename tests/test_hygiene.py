@@ -10,7 +10,9 @@ function never reads. A sixth check keeps the
 benchmark runnable: every name ``bench/workload.py`` reads from a package
 module must exist, and every keyword it passes must be a parameter. A
 seventh keeps one integer rule: no module but ``core.py``, whose ``_count``
-it is, tests ``isinstance(..., bool)`` or names ``np.integer``.
+it is, tests ``isinstance(..., bool)`` or names ``np.integer``. An eighth
+keeps one row-block loop: exactly one ``for`` statement in the package
+iterates over ``_ROW_BLOCK``-row blocks.
 """
 
 import ast
@@ -162,6 +164,18 @@ def integer_checks_outside_core(modules):
     return sorted(found)
 
 
+def row_block_loops(modules):
+    """``module:line`` of each ``for`` statement, or comprehension, whose
+    iterable names ``_ROW_BLOCK``."""
+    found = []
+    for name, tree in modules.items():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.For, ast.comprehension)) and "_ROW_BLOCK" in {
+                    sub.id for sub in ast.walk(node.iter) if isinstance(sub, ast.Name)}:
+                found.append(f"{name}:{getattr(node, 'lineno', node.iter.lineno)}")
+    return sorted(found)
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -240,6 +254,19 @@ def test_every_parameter_is_read():
 
 def test_integer_checks_live_in_core_alone():
     assert integer_checks_outside_core(_modules()) == []
+
+
+def test_one_row_block_loop():
+    loops = row_block_loops(_modules())
+    assert len(loops) == 1 and loops[0].startswith("noise.py:"), loops
+
+
+def test_row_block_check_flags_planted_loops():
+    source = ("def one(U):\n    for start in range(0, len(U), _ROW_BLOCK):\n        pass\n\n"
+              "def two(U):\n    return [U[s:s + _ROW_BLOCK] for s in range(0, len(U), _ROW_BLOCK)]\n\n"
+              "def fine(U):\n    size = min(len(U), _ROW_BLOCK)\n    for row in U:\n        pass\n")
+    planted = {"noise.py": ast.parse(source), "solver.py": ast.parse(source)}
+    assert row_block_loops(planted) == ["noise.py:2", "noise.py:6", "solver.py:2", "solver.py:6"]
 
 
 def test_bench_workload_names_exist():
