@@ -246,7 +246,7 @@ def _finite_dual(phi, C, weights, nu_w, model, eps=None, hessian=False):
     H = np.zeros((n, n)) if hessian else None
     for rows, P in _row_blocks(C, model, eps, phi, vals):
         w = weights[rows]
-        mass += P.T @ w
+        mass += P @ w
         if hessian:
             H += averaged_choice_jacobian(P, w, model)
     return float(nu_w @ phi) - float(weights @ vals), nu_w - mass, H
@@ -262,11 +262,13 @@ def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7
     the value's rounding level, lowers |g|) divides the damping mu by 8;
     any other multiplies it by 4, at least to max(|g|, 1e-6 tr H). Each
     evaluation is one row-blocked pass of :func:`_finite_dual`, so beyond
-    C it holds only block-sized arrays. On the gating model (ten atoms,
+    C it holds only block-sized arrays, and its closed-form kernels
+    reduce atom-major blocks over atoms. On the gating model (ten atoms,
     lambda 0.1, sup-norm; a 2-core Xeon, BLAS on one thread) an evaluation
-    at m = 100,000 takes 26-28 ms for the exponential kind and 61-64 ms
-    for the uniform one, where holding P and the Jacobian's factors whole
-    took 34-35 and 71-80 ms (fastest of 15).
+    at m = 100,000 takes 13-14 ms for the exponential kind and 35-37 ms
+    for the uniform one, where row-major blocks and the sorted sparsemax
+    took 28-30 and 50-68 ms (fastest of 7); a whole solve takes 84-94 and
+    143-145 ms, against 149-181 and 226-285 ms.
 
     Returns ``(phi, info)`` with value, gradient norm and ``iterations``
     (trial steps). Raises RuntimeError when |g| is still above

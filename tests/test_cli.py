@@ -504,18 +504,21 @@ def test_cli_probs_huge_eps_takes_no_halvings(tmp_path, capsys, kind, q):
 
 @pytest.mark.parametrize("command", ["probs", "transform"])
 def test_cli_value_and_probs_fail_the_mass_check_like_the_library(tmp_path, capsys, command):
-    # utilities of 1e14 at lambda 1e-3 overflow the uniform kind's sort: both
-    # commands used to exit 0 with p summing to 1.875e16, and transform with
-    # a value of 1.4e30, far past the plain max of 1e14
-    model = {"kind": "uniform", "lambda": 1e-3, "eta": [0.25] * 4}
+    # utilities of 1e14 at lambda 1e-3 overflowed the sorted kernel's sums:
+    # both commands once exited 0 with p summing to 1.875e16, and transform
+    # with a value of 1.4e30. The max-shifted kernel solves them; at lambda
+    # 1e-300 u / lambda itself overflows, and both commands exit 2
+    model = {"kind": "uniform", "lambda": 1e-300, "eta": [0.25] * 4}
     u = [1e14, 1e14, 1e14, -1e14]
     payload = {"model": model, "u": u} if command == "probs" else {
         "model": model, "phi": u, "x": [0.0], "cost": {"kind": "sup-norm"},
         "measure": {"atoms": [[0.0], [1.0], [2.0], [3.0]], "weights": [0.25] * 4}}
-    assert main([command, "--in", _write_json(tmp_path, "in.json", payload)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # u / lambda overflows
+        assert main([command, "--in", _write_json(tmp_path, "in.json", payload)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "choice probabilities sum to 1.875" in captured.err
+    assert captured.err == "error: choice probabilities sum to nan\n"
 
 
 @pytest.mark.parametrize("kind, u", [("exponential", [math.inf, 0.0]),

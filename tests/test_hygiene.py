@@ -12,7 +12,9 @@ module must exist, and every keyword it passes must be a parameter. A
 seventh keeps one integer rule: no module but ``core.py``, whose ``_count``
 it is, tests ``isinstance(..., bool)`` or names ``np.integer``. An eighth
 keeps one row-block loop: exactly one ``for`` statement in the package
-iterates over ``_ROW_BLOCK``-row blocks.
+iterates over ``_ROW_BLOCK``-row blocks. A ninth keeps the closed-form
+kernels atom-major: none of them reduces along ``axis=1`` or ``axis=-1``,
+the short rows of a row-major block.
 """
 
 import ast
@@ -176,6 +178,40 @@ def row_block_loops(modules):
     return sorted(found)
 
 
+# the atom-major closed-form kernels and what reduces their blocks
+ATOM_MAJOR = ("_atom_sum", "_softmax", "_sparsemax", "_sparsemax_row", "_block_values_probs",
+              "averaged_choice_jacobian")
+REDUCTIONS = {"sum", "max", "min", "argmax", "argmin", "mean", "prod", "any", "all", "reduce",
+              "accumulate", "cumsum", "cumprod", "count_nonzero", "ptp"}
+
+
+def _int_literal(node):
+    """The value of an int literal, negated ones included; None otherwise."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    return None
+
+
+def row_axis_reductions(tree, names):
+    """``name:line`` of each reduction in the module-level functions
+    ``names`` of ``tree`` along axis 1 or -1, by keyword or by position."""
+    found = []
+    for node in tree.body:
+        if not (isinstance(node, ast.FunctionDef) and node.name in names):
+            continue
+        for sub in ast.walk(node):
+            if not (isinstance(sub, ast.Call) and getattr(
+                    sub.func, "attr", getattr(sub.func, "id", None)) in REDUCTIONS):
+                continue
+            axes = sub.args + [kw.value for kw in sub.keywords if kw.arg == "axis"]
+            if any(_int_literal(a) in (1, -1) for a in axes):
+                found.append(f"{node.name}:{sub.lineno}")
+    return found
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -267,6 +303,24 @@ def test_row_block_check_flags_planted_loops():
               "def fine(U):\n    size = min(len(U), _ROW_BLOCK)\n    for row in U:\n        pass\n")
     planted = {"noise.py": ast.parse(source), "solver.py": ast.parse(source)}
     assert row_block_loops(planted) == ["noise.py:2", "noise.py:6", "solver.py:2", "solver.py:6"]
+
+
+def test_closed_form_kernels_reduce_over_atoms():
+    tree = _modules()["noise.py"]
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(ATOM_MAJOR) <= defined
+    assert row_axis_reductions(tree, ATOM_MAJOR) == []
+
+
+def test_row_axis_check_flags_planted_reductions():
+    source = ("def _softmax(Z):\n    return Z / Z.sum(axis=1)\n\n"
+              "def _sparsemax(V):\n    return np.add.reduce(V, axis=-1) + V.max(-1)\n\n"
+              "def averaged_choice_jacobian(G):\n    return np.sum(G, 1) + G.sum(axis=0)\n\n"
+              "def _block_values_probs(U):\n"
+              "    return np.add(U.max(axis=0), 1) + np.repeat(U, 2, axis=1)\n\n"
+              "def _bisection_values_probs(P):\n    return P.sum(axis=1)\n")
+    assert row_axis_reductions(ast.parse(source), ATOM_MAJOR) == [
+        "_softmax:2", "_sparsemax:5", "_sparsemax:5", "averaged_choice_jacobian:8"]
 
 
 def test_bench_workload_names_exist():

@@ -1,6 +1,6 @@
 """Marginal noise families: generating curves, divergences, choice probabilities,
 smooth transforms. Oracles here are deliberately independent routes: exhaustive
-support enumeration for the sorting solver, scipy SLSQP for simplex maxima,
+support enumeration for the sparsemax fixed point, scipy SLSQP for simplex maxima,
 scipy quadrature for integral identities."""
 
 import math
@@ -344,6 +344,25 @@ def test_sparsemax_matches_enumeration():
         assert np.max(np.abs(ours - ref)) <= 1e-10
 
 
+def test_sparsemax_fixed_point_matches_enumeration_in_blocks_and_rows():
+    # the fixed point, on a block and on each row alone, against the
+    # exhaustive KKT oracle, with random non-uniform eta and tied rows; its
+    # frozen copy, which the kernel matches bit for bit, settles within n
+    # passes
+    rng = np.random.default_rng(14)
+    for n in range(1, 13):
+        model = MarginalModel("uniform", 1.0, random_eta(rng, n))
+        U = _tied_rows(rng, 8, n, 3.0)
+        _, P = utilities_values_probs(U, model)
+        _, frozen_P, passes = frozen_sparsemax_cols(U, model)
+        assert P.tobytes() == frozen_P.tobytes()
+        assert passes <= n
+        for u, p in zip(U, P):
+            ref, _ = enumerate_qp_sparsemax(u, model.eta)
+            assert np.max(np.abs(p - ref)) <= 1e-10
+            assert _choice_rows(u, model, 0.0).tobytes() == p.tobytes()
+
+
 def test_sparsemax_is_maximizer():
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -507,11 +526,64 @@ def frozen_bisection(U, model, eps):
 
 
 # ----------------------------------------- frozen closed-form kernels
-# Verbatim copies of the softmax and sorted-sparsemax kernels, values
-# included, from before the batched transform ran in row blocks and a
-# single row took a 1-d path. Both must match them bit for bit.
+# Two frozen pairs of the softmax and sparsemax kernels, values included.
+# The current pair works atom-major with explicit index-order sums over
+# atoms, and thresholds the sparsemax by Michelot's fixed point; every
+# caller must match it bit for bit. The old pair is verbatim from before
+# the atom-major blocks: row-major, numpy's pairwise row sums and the
+# sorted sparsemax. The two orders of summation differ by rounding alone,
+# within old_kernel_bound.
 
-def frozen_softmax_rows(U, model):
+def _index_sum(A):
+    """Sum over axis 0 in index order, one row after another."""
+    acc = A[0].copy()
+    for row in A[1:]:
+        acc += row
+    return acc
+
+
+def frozen_softmax_cols(U, model):
+    lam = model.lam
+    Z = U.T / lam
+    mx = Z.max(axis=0)
+    W = model.eta[:, None] * np.exp(Z - mx)
+    s = _index_sum(W)
+    return lam * (np.log(s) + mx), (W / s).T
+
+
+def frozen_sparsemax_cols(U, model):
+    """``(values, P, passes)``: the fixed point on the max-shifted v runs,
+    uncapped, until no row's support changes, and ``passes`` counts its
+    passes."""
+    eta = model.eta[:, None]
+    V = U.T / model.lam
+    mx = V.max(axis=0)
+    V = V - mx
+    support = np.ones(V.shape, dtype=bool)
+    passes = 0
+    while True:
+        passes += 1
+        tau = (_index_sum(V * eta * support) - 2.0) / _index_sum(eta * support)
+        kept = support & (V > tau)
+        if np.array_equal(kept, support):
+            break
+        support = kept
+    P = np.maximum((V - tau) * eta, 0.0) / 2.0
+    vals = model.lam * ((_index_sum(V * P) + 1.0 - _index_sum(P * P / eta)) + mx)
+    return vals, P.T, passes
+
+
+def frozen_closed_form(U, model):
+    """``(values, P)`` of the frozen kernel of an exponential or uniform
+    model; the sparsemax must settle within n passes."""
+    if model.kind == "exponential":
+        return frozen_softmax_cols(U, model)
+    vals, P, passes = frozen_sparsemax_cols(U, model)
+    assert passes <= model.n
+    return vals, P
+
+
+def old_softmax_rows(U, model):
     lam = model.lam
     Z = U / lam
     mx = Z.max(axis=1)
@@ -520,7 +592,7 @@ def frozen_softmax_rows(U, model):
     return lam * (mx + np.log(s)), W / s[:, None]
 
 
-def frozen_sparsemax_rows(U, model):
+def old_sparsemax_rows(U, model):
     eta = model.eta
     V = U / model.lam
     order = np.argsort(-V, axis=1, kind="stable")
@@ -537,9 +609,22 @@ def frozen_sparsemax_rows(U, model):
     return vals, P
 
 
-def frozen_closed_form(U, model):
-    """``(values, P)`` of the frozen kernel of an exponential or uniform model."""
-    return (frozen_softmax_rows if model.kind == "exponential" else frozen_sparsemax_rows)(U, model)
+def old_kernel_bound(U, model):
+    """Bound on |P - P_old|, set from the dtype: each n-term sum over atoms
+    may move by (n - 1) eps times its terms' magnitudes, which
+    1 + max |u| / lam + 2 / min eta bounds; 8 n eps times that."""
+    return 8.0 * model.n * np.finfo(float).eps * (1.0 + np.abs(U).max() / model.lam
+                                                  + 2.0 / model.eta.min())
+
+
+def assert_near_old_kernel(U, model, vals, P):
+    # a value moves with the threshold at first order, by up to max |v|
+    # times its error, and scales with lambda
+    old = old_softmax_rows if model.kind == "exponential" else old_sparsemax_rows
+    old_vals, old_P = old(U, model)
+    bound = old_kernel_bound(U, model)
+    assert np.abs(P - old_P).max() <= bound
+    assert np.abs(vals - old_vals).max() <= bound * (model.lam + np.abs(U).max())
 
 
 def _tied_rows(rng, m, n, scale):
@@ -558,7 +643,8 @@ BLOCK_SIZES = (1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 7
 @pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
 def test_closed_form_kernels_match_frozen_copies(kind):
     # one 1-d row, batches on both sides of every block edge, ties, and
-    # rows scaled to |u| / lambda near 1e3
+    # rows scaled to |u| / lambda near 1e3: the current frozen pair bit for
+    # bit, the old one within its rounding bound
     rng = np.random.default_rng(2025)
     for n in (1, 2, 3, 10):
         for lam in (0.1, 1e-3):
@@ -573,6 +659,7 @@ def test_closed_form_kernels_match_frozen_copies(kind):
                 assert vals.tobytes() == want_vals.tobytes(), (n, lam, m)
                 assert P.tobytes() == want_P.tobytes(), (n, lam, m)
                 assert _choice_rows(U, model, 0.0).tobytes() == want_P.tobytes()
+                assert_near_old_kernel(U, model, vals, P)
                 # utilities formed block by block from costs
                 phi = rng.normal(size=n)
                 vals, P = utilities_values_probs(phi - U, model, phi=phi)
@@ -991,14 +1078,26 @@ def test_one_point_oracles_reject_bad_input(model, phi, x):
 
 
 def test_one_point_transform_fails_the_mass_check_like_the_probabilities():
-    # utilities of 1e14 at lambda 1e-3 overflow the uniform kind's sort; the
-    # transform used to return 1.4e30, far past the plain max of 1e14
+    # utilities of 1e14 at lambda 1e-3 overflowed the sorted kernel's sums
+    # (p summed to 1.875e16, and the transform was 1.4e30, far past the
+    # plain max). The max-shifted fixed point solves them: the first atom,
+    # 1e3 above the next in u / lambda, takes all the mass, and the
+    # transform is the plain max within the approximation bound. At lambda
+    # 1e-300 u / lambda overflows, and both oracles fail the mass check
+    # alike
     model = MarginalModel("uniform", 1e-3, np.full(4, 0.25))
     nu = DiscreteMeasure(np.arange(4.0)[:, None], np.full(4, 0.25))
     phi = np.array([1e14, 1e14, 1e14, -1e14])
-    for oracle in (smooth_c_transform, choice_probabilities):
-        with pytest.raises(ValueError, match="choice probabilities sum to 1.875"):
-            oracle(phi, [0.0], nu, COST, model)
+    p = choice_probabilities(phi, [0.0], nu, COST, model)
+    assert np.array_equal(p, [1.0, 0.0, 0.0, 0.0])
+    value = smooth_c_transform(phi, [0.0], nu, COST, model)
+    assert 1e14 - approximation_bound(model) <= value <= 1e14
+    overflow = MarginalModel("uniform", 1e-300, np.full(4, 0.25))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # u / lambda overflows
+        for oracle in (smooth_c_transform, choice_probabilities):
+            with pytest.raises(ValueError, match=r"^choice probabilities sum to nan$"):
+                oracle(phi, [0.0], nu, COST, overflow)
 
 
 def test_smooth_transform_exponential_equals_log_partition():
@@ -1124,7 +1223,7 @@ def test_averaged_jacobian_matches_sum_of_row_jacobians():
         w = random_eta(rng, 7)
         _, P = utilities_values_probs(U, model, eps=1e-10)
         expect = sum(w[j] * choice_jacobian(U[j], model, eps=1e-10) for j in range(7))
-        assert np.allclose(averaged_choice_jacobian(P, w, model), expect, rtol=0, atol=1e-12)
+        assert np.allclose(averaged_choice_jacobian(P.T, w, model), expect, rtol=0, atol=1e-12)
 
 
 # ------------------------------------------------ bounds, tdist transform

@@ -729,12 +729,13 @@ def test_blocked_newton_evaluation_matches_unblocked_formula(kind):
         phi = rng.normal(scale=0.3, size=n)
         value, grad, H = solver._finite_dual(phi, C, w, nu.weights, model, hessian=True)
         vals, P = utilities_values_probs(C, model, phi=phi)
+        P = np.ascontiguousarray(P.T)  # the atom-major block of all rows
         assert value == pytest.approx(float(nu.weights @ phi) - float(w @ vals), rel=1e-12)
-        np.testing.assert_allclose(grad, nu.weights - P.T @ w, rtol=1e-12)
+        np.testing.assert_allclose(grad, nu.weights - P @ w, rtol=1e-12)
         np.testing.assert_allclose(H, averaged_choice_jacobian(P, w, model), rtol=1e-12)
         if m <= B:  # one block: the same bits as the whole-sample formula
             assert np.array_equal(H, averaged_choice_jacobian(P, w, model))
-            assert np.array_equal(grad, nu.weights - P.T @ w)
+            assert np.array_equal(grad, nu.weights - P @ w)
         assert solver._finite_dual(phi, C, w, nu.weights, model)[2] is None
 
 
