@@ -339,7 +339,8 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
     out_dir : path-like, optional
         Output directory (defaults to the config's own).
     workers : int
-        Process count for independent tasks; 1 runs inline.
+        Process count for independent tasks, at least 1; 1 runs inline,
+        and a pool starts no more processes than there are tasks.
     resume : bool
         Reuse finished cells from an existing manifest.jsonl written by
         an interrupted run of the same config.
@@ -362,6 +363,7 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
     With records.csv goes summary.json, which names the slowest cell, its
     slowest stage and every cell whose reference is not certified.
     """
+    _count(workers, "workers", least=1)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     digest = config_hash(config)
@@ -392,14 +394,15 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
             mf.write(json.dumps({"config_hash": digest, "version": CONFIG_VERSION}) + "\n")
             mf.flush()
         with ExitStack() as stack:
-            if workers <= 1 or not pending:
+            if workers == 1 or not pending:
                 results = ((name, cell, half(config, *cell[1:])) for name, half, cell in tasks)
             else:
                 if any(cell[1] is None for cell in pending):
                     # forked workers inherit the parent's modules: import the
                     # LP stack once here, not once in each worker
                     _lp_stack()
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = stack.enter_context(
+                    ProcessPoolExecutor(max_workers=min(workers, len(tasks))))
                 # on a failure, drop the tasks not yet started
                 stack.callback(pool.shutdown, cancel_futures=True)
                 futures = {pool.submit(half, config, *cell[1:]): (name, cell)
@@ -748,7 +751,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,25 +18,24 @@ one-point forms. Every caller gets its probabilities from one kernel per
 kind, which takes one utility row, shape (n,), or many rows: softmax for
 the exponential kind, sparsemax by Michelot's sort-free fixed point for
 the uniform kind, and a guarded bisection on the scalar mass balance for
-the other three. :func:`_choice_rows` picks the kernel, and SGD hands it
-each step's 1-d row. Many rows run in blocks of ``_ROW_BLOCK`` rows, in
-the one loop of :func:`_row_blocks`: each block forms its utilities in
-one buffer and writes its values into a preallocated output, and hands
-its probabilities to the caller, who reduces them before the next block
-(the finite-sample dual's gradient and Hessian) or copies them out, so no
+the other three. :func:`_kernel` picks the kernel, and SGD hands it each
+step's 1-d row. Many rows run in blocks of ``_ROW_BLOCK`` rows, in the
+one loop of :func:`_row_blocks`: each block forms its utilities in one
+buffer and writes its values into a preallocated output, and hands its
+probabilities to the caller, who reduces them before the next block (the
+finite-sample dual's gradient and Hessian) or copies them out, so no
 temporary grows with the number of rows.
 
 Layout and summation order. A block is atom-major: an (n, k) array for
-k rows, the transpose of the row-major (m, n) costs. The closed-form
-kernels reduce it over axis 0, so a max or a sum over atoms is n
-whole-block vector operations where a row-major block took k short rows,
-and every sum over atoms adds in index order (:func:`_atom_sum`): a row
-alone, a one-row block and a row inside a block get the same bits, and
-no row's bits depend on its block. Max and first-maximizer argmax are
-exact in any order. The bisection kinds keep their row-major kernel, on
-one transposed copy of each block: many rows bisect together in one
-in-place loop, one halving per pass, and a single row tests the nested
-midpoints of four halvings per pass and gets the same bits.
+k rows, the transpose of the row-major (m, n) costs. Every kernel
+reduces it over axis 0, so a max or a sum over atoms is n whole-block
+vector operations where a row-major block took k short rows, and every
+sum over atoms adds in index order (:func:`_atom_sum`): a row alone, a
+one-row block and a row inside a block get the same bits, and no row's
+bits depend on its block. Max and first-maximizer argmax are exact in
+any order. The bisection halves many rows together in one in-place loop,
+one halving per pass, and a single row tests the nested midpoints of
+four halvings per pass and gets the same bits.
 """
 
 from __future__ import annotations
@@ -127,6 +126,12 @@ class MarginalModel:
             return _readonly(generating_quantile(self, (1.0 / self.n) / self.eta))
         except ValueError as exc:
             raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
+
+    @cached_property
+    def _eta_col(self) -> np.ndarray:
+        """eta as an (n, 1) column, the weights of an atom-major block.
+        Computed on its first call."""
+        return self.eta[:, None]
 
     @cached_property
     def _eta_floats(self) -> tuple:
@@ -301,17 +306,13 @@ def discrete_f_divergence(model: MarginalModel, p) -> float:
     return float(np.sum(model.eta * divergence_generator_value(model, p / model.eta)))
 
 
-def _f_divergence_rows(model: MarginalModel, P: np.ndarray) -> np.ndarray:
-    return np.sum(model.eta[None, :] * divergence_generator_value(model, P / model.eta[None, :]),
-                  axis=1)
-
-
 # ------------------------------------------------------------ probabilities
 
 def _clip_probs(model: MarginalModel, Z: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """eta * F(Z) clipped to [0, 1], written into ``out`` as in :func:`_cdf_extended`."""
+    """eta * F(Z) clipped to [0, 1] for the atom-major row Z, (n,), or
+    block, (n, k), written into ``out`` as in :func:`_cdf_extended`."""
     _cdf_extended(model, Z, out)
-    out *= model.eta
+    out *= model.eta if out.ndim == 1 else model._eta_col
     return out.clip(_ZERO, _ONE, out=out)
 
 
@@ -344,57 +345,78 @@ def bisection_delta(model: MarginalModel, eps: float) -> float:
         return math.inf
 
 
-def _bisection_batch(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
+def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
+               vals=None) -> np.ndarray:
     """Bisect the mass balance sum(clip(eta F(u + tau))) = 1 in tau for the
-    utility row U, shape (n,), or for each row of U, shape (m, n).
+    atom-major utility row U, (n,), or for each column of the block U,
+    (n, k): the probabilities in a new array of U's shape or written into
+    ``P``, and with ``vals``, shape (k,), the transform values, written
+    there.
 
     Every row halves its bracket until it is no wider than
-    :func:`bisection_delta`, and the row's probabilities are taken at the
-    lower end, where the mass is at most one. Many rows share one loop: the
-    bracket ends are two columns of one (m, 2) array updated in place, and
-    each halving evaluates the mass in one (m, n) buffer, a dozen numpy
-    calls per halving at any row count. A single row (each SGD step) takes
-    its halvings in blocks instead, :func:`_one_row_probs`, with the
-    same midpoints and mass tests and so the same bits.
+    :func:`bisection_delta`, and its probabilities are taken at the lower
+    end, where the mass is at most one. Many rows share one loop: the
+    bracket ends are the two rows of one (2, k) array updated in place, and
+    each halving evaluates the mass in the (n, k) output, summed over atoms
+    in index order, a dozen numpy calls per halving at any row count. A
+    single row, 1-d (each SGD step) or one column, takes its halvings in
+    blocks instead, :func:`_one_row_probs`, with the same midpoints and
+    mass tests and so the same bits.
     """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
-    n = U.shape[-1]
+    n = U.shape[0]
+    u = U.reshape(n) if U.ndim == 2 and U.shape[1] == 1 else U  # one row as (n,)
+    one = u.ndim == 1
     if n == 1:
-        return np.ones(U.shape)
-    if U.ndim == 2 and U.shape[0] == 1:  # one row: the 1-d path, returned as a row
-        return _bisection_batch(U[0], model, eps)[None, :]
-    one = U.ndim == 1
-    nodes = model._bracket_nodes - U
-    lo, hi = nodes.min(axis=-1, keepdims=not one), nodes.max(axis=-1, keepdims=not one)
-    # ceil(log2(width / delta)) halvings, none where the width is within
-    # delta; one row's ends are numpy scalars, which warn as arrays do only
-    # under ufunc calls, not operators
-    width = np.divide(np.subtract(hi, lo), bisection_delta(model, eps))
-    steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
-    total = int(steps.max(initial=0))
-    with np.errstate(over="ignore", divide="ignore"):
-        if one:
-            return _one_row_probs(U, model, float(lo), float(hi), total)
-        m = U.shape[0]
-        # bracket ends as columns [lo, hi]: each halving moves the one that
-        # ``side`` marks, hi where the mass exceeds one and lo elsewhere
-        bracket = np.concatenate([lo, hi], axis=1)
-        lo, hi = bracket[:, :1], bracket[:, 1:]
-        ragged = steps.min(initial=total) < total
-        side = np.empty((m, 2), dtype=bool)
-        below, above = side[:, :1], side[:, 1:]
-        ends, mid, mass = np.empty((m, 1)), np.empty((m, 1)), np.empty((m, 1))
-        buf = np.empty((m, n))
-        for k in range(total):
-            np.multiply(np.add(lo, hi, out=ends), _HALF, out=mid)
-            _clip_probs(model, np.add(U, mid, out=buf), buf)
-            np.greater(np.add.reduce(buf, axis=1, keepdims=True, out=mass), _ONE, out=above)
-            np.logical_not(above, out=below)
-            if ragged:
-                side &= steps > k
-            np.copyto(bracket, mid, where=side)
-        return _clip_probs(model, np.add(U, lo, out=buf), buf)
+        p = np.ones(U.shape)
+    else:
+        nodes = (model._bracket_nodes if one else model._bracket_nodes[:, None]) - u
+        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+        # ceil(log2(width / delta)) halvings, none where the width is within
+        # delta; one row's ends are numpy scalars, which warn as arrays do only
+        # under ufunc calls, not operators
+        width = np.divide(np.subtract(hi, lo), bisection_delta(model, eps))
+        steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
+        total = int(steps.max(initial=0))
+        with np.errstate(over="ignore", divide="ignore"):
+            if one:
+                p = _one_row_probs(u, model, float(lo), float(hi), total)
+                p = p if U.ndim == 1 else p[:, None]
+            else:
+                # bracket ends as rows [lo, hi]: each halving moves the one
+                # that ``side`` marks, hi where the mass exceeds one and lo
+                # elsewhere
+                bracket = np.stack([lo, hi])
+                lo, hi = bracket
+                ragged = steps.min(initial=total) < total
+                side = np.empty(bracket.shape, dtype=bool)
+                below, above = side
+                ends, mid, mass = np.empty_like(lo), np.empty_like(lo), np.empty_like(lo)
+                p = np.empty(U.shape) if P is None else P
+                for j in range(total):
+                    np.multiply(np.add(lo, hi, out=ends), _HALF, out=mid)
+                    _clip_probs(model, np.add(U, mid, out=p), p)
+                    # k >= 2 columns: numpy adds the atoms in index order
+                    np.greater(np.add.reduce(p, axis=0, out=mass), _ONE, out=above)
+                    np.logical_not(above, out=below)
+                    if ragged:
+                        side &= steps > j
+                    np.copyto(bracket, mid, where=side)
+                _clip_probs(model, np.add(U, lo, out=p), p)
+    if P is not None and p is not P:
+        np.copyto(P, p)
+        p = P
+    if vals is not None:
+        # evaluate the maximand at the nearest simplex point so the value
+        # error stays quadratic in eps and never exceeds the plain max
+        eta = model._eta_col
+        pad = p + eta * (1.0 - _atom_sum(p))
+        if model.kind == "tdist":
+            np.minimum(pad, eta * model.n, out=pad)
+        np.subtract(_atom_sum(U * pad),
+                    _atom_sum(eta * divergence_generator_value(model, pad / eta)), out=vals)
+    return p
 
 
 # halvings that the one-row bisection tests in one numpy pass
@@ -411,12 +433,13 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
     bracket its levels can reach in heap order: node i has the children
     2i + 1, which takes the node's midpoint as its upper end, and 2i + 2,
     which takes it as its lower end. Each midpoint is ``(lo + hi) * 0.5``
-    of its own node's ends, as in the many-row loop. One (2^k - 1, n) pass
-    evaluates every node's mass, and the walk from the root follows the
-    loop's halvings: down left where the mass exceeds one, else right.
-    The output is the pass's row at the last midpoint that became the
-    lower end: each pass writes a new array, so that row stays intact. Only
-    a row whose lower end never moved is evaluated again.
+    of its own node's ends, as in the many-row loop. One atom-major
+    (n, 2^k - 1) pass evaluates every node's mass, summed over atoms in
+    index order, and the walk from the root follows the loop's halvings:
+    down left where the mass exceeds one, else right. The output is the
+    pass's column at the last midpoint that became the lower end: each
+    pass writes a new array, so that column stays intact. Only a row whose
+    lower end never moved is evaluated again.
     """
     last = None
     for done in range(0, total, _BLOCK_DEPTH):
@@ -428,9 +451,9 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
             mids.append(mid)
             if len(ends) < size:
                 ends += ((a, mid), (mid, b))
-        Z = np.add(u, np.array(mids)[:, None])
+        Z = np.add(u[:, None], mids)
         _clip_probs(model, Z, Z)
-        mass = np.add.reduce(Z, axis=1).tolist()
+        mass = _atom_sum(Z).tolist()
         i = 0
         for _ in range(depth):
             if mass[i] > 1.0:
@@ -441,7 +464,7 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
         Z = np.add(u, lo)
         return _clip_probs(model, Z, Z)
     Z, i = last
-    return Z[i]
+    return Z[:, i]
 
 
 def _atom_sum(A: np.ndarray) -> np.ndarray:
@@ -450,7 +473,7 @@ def _atom_sum(A: np.ndarray) -> np.ndarray:
     (n, k) block one after another when k >= 2, but sums a contiguous (n,)
     row or (n, 1) block pairwise; those take the running sum's last entry."""
     if A.ndim == 2 and A.shape[1] > 1:
-        return A.sum(axis=0)
+        return np.add.reduce(A, axis=0)
     return np.add.accumulate(A, axis=0)[-1]
 
 
@@ -472,7 +495,7 @@ def _softmax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.ndarr
     mx = Z.max(axis=0)
     Z -= mx
     np.exp(Z, out=Z)
-    Z *= model.eta if U.ndim == 1 else model.eta[:, None]
+    Z *= model.eta if U.ndim == 1 else model._eta_col
     s = _atom_sum(Z)
     Z /= s
     if vals is not None:
@@ -580,23 +603,32 @@ def _sparsemax_row(u: np.ndarray, model: MarginalModel) -> np.ndarray:
     return np.array([0.0 if x <= tau else (x - tau) * a / 2.0 for x, a in zip(v, e)])
 
 
-def _choice_rows(U: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
-    """Choice probabilities of the utility row U, (n,), or of each row of U,
-    (m, n), in a new array of U's shape.
+def _kernel(U: np.ndarray, model: MarginalModel | None, eps: float | None, P=None,
+            vals=None) -> np.ndarray:
+    """Choice probabilities of the atom-major utility row U, (n,), or of
+    each column of the block U, (n, k), in a new array of U's shape or
+    written into ``P``; with ``vals``, shape (k,), also the transform
+    values, written there.
 
-    The one implementation behind every caller: :func:`_softmax` for the
-    exponential kind and :func:`_sparsemax` for the uniform kind, both on
-    the atom-major row or on U's rows turned into an atom-major block, and
-    :func:`_bisection_batch` for the rest; eps, the l2 accuracy, is read
-    only by the bisection kinds.
+    The one implementation behind every caller and the one place that
+    picks a kernel by kind: :func:`_softmax` for the exponential kind,
+    :func:`_sparsemax` for the uniform kind and :func:`_bisection` for the
+    rest; eps, the l2 accuracy, is read only by the bisection kinds. A
+    block with ``model=None`` gets the plain max and one-hot columns (first
+    maximizer on ties), into ``P`` and ``vals``.
     """
-    if model.kind not in CLOSED_FORM_KINDS:
-        return _bisection_batch(U, model, eps)
-    if U.ndim == 2 and U.shape[0] == 1:  # one row: the 1-d path, returned as a row
-        return _choice_rows(U[0], model, eps)[None, :]
-    A = U if U.ndim == 1 else np.ascontiguousarray(U.T)
-    P = _softmax(A, model) if model.kind == "exponential" else _sparsemax(A, model)
-    return P if U.ndim == 1 else P.T
+    if model is None:
+        cols = np.arange(U.shape[1])
+        win = np.argmax(U, axis=0)
+        vals[:] = U[win, cols]
+        P.fill(0.0)
+        P[win, cols] = 1.0
+        return P
+    if model.kind == "exponential":
+        return _softmax(U, model, P, vals)
+    if model.kind == "uniform":
+        return _sparsemax(U, model, P, vals)
+    return _bisection(U, model, eps, P, vals)
 
 
 def _check_utilities(u, n: int) -> np.ndarray:
@@ -638,7 +670,7 @@ def probs_from_utilities(u, model: MarginalModel, eps: float | None = None) -> n
     at most sqrt(n) * eps.
     """
     u = _check_utilities(u, model.n)
-    return _mass_checked(_choice_rows(u[None, :], model, eps)[0], model, eps)
+    return _mass_checked(_kernel(u, model, eps), model, eps)
 
 
 def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: MarginalModel,
@@ -705,10 +737,9 @@ def _row_blocks(U: np.ndarray, model: MarginalModel | None, eps: float | None, p
     probabilities, in a block-sized buffer that the next block overwrites,
     so a caller that reduces each block as it comes holds no m x n array.
     Both buffers are flat, so the last, shorter block is C-contiguous too.
-    The closed forms add over atoms in index order (:func:`_atom_sum`) and
-    the bisection works row by row, so every row's numbers are independent
-    of the others and of the block it falls in, and equal those of the row
-    alone.
+    Every kernel works column by column and adds over atoms in index order
+    (:func:`_atom_sum`), so every row's numbers are independent of the
+    others and of the block it falls in, and equal those of the row alone.
     """
     m, n = U.shape
     if model is not None and model.n != n:
@@ -725,44 +756,7 @@ def _row_blocks(U: np.ndarray, model: MarginalModel | None, eps: float | None, p
             np.copyto(utilities, block)
         else:
             np.subtract(col, block, out=utilities)
-        yield rows, _block_values_probs(utilities, model, eps, vals[rows],
-                                        pbuf[:n * k].reshape(n, k))
-
-
-def _block_values_probs(U: np.ndarray, model: MarginalModel | None, eps: float | None,
-                        vals: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Values of the atom-major block of utilities U, (n, k), written into
-    ``vals``, and its (n, k) probabilities: ``P``, written, or for a
-    bisection kind the transpose of :func:`_bisection_values_probs`'s
-    row-major output."""
-    if model is None:
-        cols = np.arange(U.shape[1])
-        win = np.argmax(U, axis=0)
-        vals[:] = U[win, cols]
-        P.fill(0.0)
-        P[win, cols] = 1.0
-        return P
-    if model.kind == "exponential":
-        return _softmax(U, model, P, vals)
-    if model.kind == "uniform":
-        return _sparsemax(U, model, P, vals)
-    return _bisection_values_probs(np.ascontiguousarray(U.T), model, eps, vals).T
-
-
-def _bisection_values_probs(U: np.ndarray, model: MarginalModel, eps: float | None,
-                            vals: np.ndarray) -> np.ndarray:
-    """Probabilities of the row-major utility rows U, (k, n), of a
-    bisection kind, and their values, written into ``vals``. The kernel
-    stays row-major: its mass test sums each row along axis 1."""
-    P = _bisection_batch(U, model, eps)
-    eta = model.eta
-    # evaluate the maximand at the nearest simplex point so the value
-    # error stays quadratic in eps and never exceeds the plain max
-    pad = P + eta[None, :] * (1.0 - P.sum(axis=1))[:, None]
-    if model.kind == "tdist":
-        pad = np.minimum(pad, eta[None, :] * model.n)
-    vals[:] = (U * pad).sum(axis=1) - _f_divergence_rows(model, pad)
-    return P
+        yield rows, _kernel(utilities, model, eps, pbuf[:n * k].reshape(n, k), vals[rows])
 
 
 def _value_probs_row(u: np.ndarray, model: MarginalModel | None, eps: float | None):
@@ -811,7 +805,7 @@ def averaged_choice_jacobian(P: np.ndarray, weights, model: MarginalModel) -> np
     gating model (a 2-core Xeon, BLAS on one thread) a call takes about
     0.32 ms for either kind; the uniform slopes cost 241 us per block as a
     broadcast ``np.where``, 89 us as a masked product."""
-    lam, eta = model.lam, model.eta[:, None]
+    lam, eta = model.lam, model._eta_col
     if model.kind == "exponential":
         G = P / lam
     elif model.kind == "uniform":

@@ -25,7 +25,7 @@ from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _check_entries,
 from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
-    _choice_rows,
+    _kernel,
     _row_blocks,
     _sums_to_one,
     averaged_choice_jacobian,
@@ -194,7 +194,7 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
                 p = p + 2.0 * config.tikhonov * phi
         else:
             eps = config.eps_bar / (2.0 * math.sqrt(t)) if needs_bisection else 0.0
-            p = _choice_rows(u, model, eps)
+            p = _kernel(u, model, eps)
             if not _sums_to_one(p, eps):
                 raise ValueError(f"gradient oracle failed at iteration {t}: "
                                  f"probabilities sum to {float(p.sum())!r}")

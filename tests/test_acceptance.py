@@ -22,7 +22,7 @@ from scipy.optimize import minimize
 from sdot.core import CostSpec, DiscreteMeasure, cost_matrix, cost_vector
 from sdot.noise import (
     MarginalModel,
-    _bisection_batch,
+    _bisection,
     approximation_bound,
     choice_probabilities,
     discrete_f_divergence,
@@ -118,7 +118,7 @@ def test_01_entropic_bisection_matches_softmax(capsys):
         eta = _random_eta(rng, n)
         u = rng.normal(scale=2.0 * lam, size=n)
         model = MarginalModel("exponential", lam, eta)
-        p_bis = _bisection_batch(u[None, :], model, 1e-7)[0]
+        p_bis = _bisection(u, model, 1e-7)
         p_soft = probs_from_utilities(u, MarginalModel("exponential", lam, eta))
         worst = max(worst, float(np.linalg.norm(p_bis - p_soft)))
     elapsed = time.perf_counter() - t0

@@ -12,6 +12,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import Future
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -490,6 +491,77 @@ def test_cli_probs_missing_field_names_it(tmp_path, capsys):
     assert main(["probs", "--in", path]) == 2
     err = capsys.readouterr().err
     assert "'u'" in err
+
+
+def test_cli_unreadable_input_and_unwritable_out_exit_2(tmp_path, capsys):
+    # a missing --in or --config, and an --out directory that is an existing
+    # file: one error line naming the path, no traceback, exit 2
+    missing = tmp_path / "missing.json"
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    config = _write_json(tmp_path, "config.json", tiny_config_dict())
+    for argv, path in ((["probs", "--in", str(missing)], missing),
+                       (["experiment", "--config", str(missing)], missing),
+                       (["experiment", "--config", config, "--out", str(taken)], taken)):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert str(path) in err
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the process count it is
+    asked for in ``sizes`` and runs each task at submit, in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_experiment_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch, capsys):
+    # 12 cells are 24 tasks: --workers 5000 asks for 24 processes, and a
+    # count below one names the field and exits 2 before any output
+    import sdot.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    config = _write_json(tmp_path, "config.json", tiny_config_dict())
+    serial = tmp_path / "serial"
+    assert main(["experiment", "--config", config, "--out", str(serial)]) == 0
+    assert _InlinePool.sizes == []
+    for workers, size in ((5000, 24), (3, 3)):
+        out = tmp_path / str(workers)
+        assert main(["experiment", "--config", config, "--out", str(out),
+                     "--workers", str(workers)]) == 0
+        assert _InlinePool.sizes[-1] == size
+        assert (out / "records.csv").read_bytes() == (serial / "records.csv").read_bytes()
+    # nothing left to run: no pool at all
+    assert main(["experiment", "--config", config, "--out", str(tmp_path / "3"),
+                 "--workers", "3", "--resume"]) == 0
+    assert _InlinePool.sizes == [24, 3]
+    capsys.readouterr()
+    for bad in (0, -1):
+        out = tmp_path / f"bad{bad}"
+        assert main(["experiment", "--config", config, "--out", str(out),
+                     "--workers", str(bad)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: workers must be an integer of at least 1, got {bad}\n")
+        assert not out.exists()
+    assert _InlinePool.sizes == [24, 3]
 
 
 @pytest.mark.parametrize("kind, q", [("pareto", 3.0), ("hyperbolic", None)])

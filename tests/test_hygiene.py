@@ -178,9 +178,9 @@ def row_block_loops(modules):
     return sorted(found)
 
 
-# the atom-major closed-form kernels and what reduces their blocks
-ATOM_MAJOR = ("_atom_sum", "_softmax", "_sparsemax", "_sparsemax_row", "_block_values_probs",
-              "averaged_choice_jacobian")
+# the atom-major kernels and what reduces their blocks
+ATOM_MAJOR = ("_atom_sum", "_kernel", "_softmax", "_sparsemax", "_sparsemax_row", "_bisection",
+              "_one_row_probs", "_clip_probs", "averaged_choice_jacobian")
 REDUCTIONS = {"sum", "max", "min", "argmax", "argmin", "mean", "prod", "any", "all", "reduce",
               "accumulate", "cumsum", "cumprod", "count_nonzero", "ptp"}
 
@@ -305,7 +305,7 @@ def test_row_block_check_flags_planted_loops():
     assert row_block_loops(planted) == ["noise.py:2", "noise.py:6", "solver.py:2", "solver.py:6"]
 
 
-def test_closed_form_kernels_reduce_over_atoms():
+def test_kernels_reduce_over_atoms():
     tree = _modules()["noise.py"]
     defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
     assert set(ATOM_MAJOR) <= defined
@@ -316,11 +316,14 @@ def test_row_axis_check_flags_planted_reductions():
     source = ("def _softmax(Z):\n    return Z / Z.sum(axis=1)\n\n"
               "def _sparsemax(V):\n    return np.add.reduce(V, axis=-1) + V.max(-1)\n\n"
               "def averaged_choice_jacobian(G):\n    return np.sum(G, 1) + G.sum(axis=0)\n\n"
-              "def _block_values_probs(U):\n"
+              "def _kernel(U):\n"
               "    return np.add(U.max(axis=0), 1) + np.repeat(U, 2, axis=1)\n\n"
-              "def _bisection_values_probs(P):\n    return P.sum(axis=1)\n")
+              "def _bisection(U, buf, mass):\n"
+              "    return np.add.reduce(buf, axis=1, keepdims=True, out=mass) + U.min(0)\n\n"
+              "def _bisection_rows(P):\n    return P.sum(axis=1)\n")
     assert row_axis_reductions(ast.parse(source), ATOM_MAJOR) == [
-        "_softmax:2", "_sparsemax:5", "_sparsemax:5", "averaged_choice_jacobian:8"]
+        "_softmax:2", "_sparsemax:5", "_sparsemax:5", "averaged_choice_jacobian:8",
+        "_bisection:14"]
 
 
 def test_bench_workload_names_exist():

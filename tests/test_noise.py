@@ -16,10 +16,10 @@ from sdot.noise import (
     CLOSED_FORM_KINDS,
     HYPERBOLIC_OFFSET,
     MarginalModel,
-    _bisection_batch,
+    _bisection,
     _cdf_extended,
     _ROW_BLOCK,
-    _choice_rows,
+    _kernel,
     approximation_bound,
     averaged_choice_jacobian,
     bisection_delta,
@@ -360,7 +360,7 @@ def test_sparsemax_fixed_point_matches_enumeration_in_blocks_and_rows():
         for u, p in zip(U, P):
             ref, _ = enumerate_qp_sparsemax(u, model.eta)
             assert np.max(np.abs(p - ref)) <= 1e-10
-            assert _choice_rows(u, model, 0.0).tobytes() == p.tobytes()
+            assert _kernel(u, model, 0.0).tobytes() == p.tobytes()
 
 
 def test_sparsemax_is_maximizer():
@@ -379,7 +379,7 @@ def test_sparsemax_is_maximizer():
 
 def bisect(u, model, eps):
     """The bisection kernel on one row, for any kind, closed forms included."""
-    return _bisection_batch(np.asarray(u, dtype=float)[None, :], model, eps)[0]
+    return _bisection(np.asarray(u, dtype=float), model, eps)
 
 
 def test_bisection_matches_softmax():
@@ -449,7 +449,7 @@ def test_root_map_monotone():
         model = make_model(rng, kind, 4)
         u = rng.normal(size=4)
         taus = np.linspace(-8 * model.lam, 8 * model.lam, 60)
-        masses = [_clip_probs(model, (u + t)[None, :], np.empty((1, 4))).sum() for t in taus]
+        masses = [_clip_probs(model, (u + t)[:, None], np.empty((4, 1))).sum() for t in taus]
         assert np.all(np.diff(masses) >= -1e-12)
 
 
@@ -466,9 +466,14 @@ def test_bisection_needs_positive_eps():
 
 
 # ------------------------------------------- frozen bisection oracle
-# A verbatim copy of the bisection loop (and the cdf it evaluated) from
-# before the kernel moved to in-place buffers. The kernel must match it
-# bit for bit: same brackets, step counts, mids and mass test.
+# Two frozen copies of the bisection loop (and the cdf it evaluated). The
+# current one works atom-major: it takes and returns (n, k) blocks, one
+# column per row, and sums each midpoint's mass over atoms in index order;
+# the kernel must match it bit for bit: same brackets, step counts, mids
+# and mass test. The old one is verbatim from before the bisection went
+# atom-major: row-major, with numpy's pairwise row sums. Where a mass sits
+# within rounding of one the two orders of summation may keep different
+# halves, and the outputs then differ within the l2 accuracy eps.
 
 def _frozen_cdf_extended(model, z):
     z = np.asarray(z, dtype=float)
@@ -493,10 +498,43 @@ def _frozen_cdf_extended(model, z):
 
 
 def _frozen_clip_probs(model, Z):
-    return np.clip(model.eta[None, :] * _frozen_cdf_extended(model, Z), 0.0, 1.0)
+    """eta * F(Z) clipped to [0, 1] for the atom-major block Z, (n, k)."""
+    return np.clip(model.eta[:, None] * _frozen_cdf_extended(model, Z), 0.0, 1.0)
 
 
-def frozen_bisection(U, model, eps):
+def frozen_bisection(A, model, eps):
+    """Probabilities of the atom-major utility block A, (n, k)."""
+    if eps is None or not eps > 0.0:
+        raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
+    n, k = A.shape
+    if n == 1:
+        return np.ones((1, k))
+    try:
+        qvec = generating_quantile(model, (1.0 / n) / model.eta)
+    except ValueError as exc:
+        raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
+    nodes = qvec[:, None] - A
+    lo = nodes.min(axis=0)
+    hi = nodes.max(axis=0)
+    delta = bisection_delta(model, eps)
+    width = hi - lo
+    steps = np.zeros(k, dtype=int)
+    pos = width > delta
+    steps[pos] = np.ceil(np.log2(width[pos] / delta)).astype(int)
+    for j in range(int(steps.max(initial=0))):
+        active = steps > j
+        mid = 0.5 * (lo + hi)
+        mass = _index_sum(_frozen_clip_probs(model, A + mid))
+        go_hi = active & (mass > 1.0)
+        go_lo = active & ~(mass > 1.0)
+        hi = np.where(go_hi, mid, hi)
+        lo = np.where(go_lo, mid, lo)
+    return _frozen_clip_probs(model, A + lo)
+
+
+def old_bisection_rows(U, model, eps):
+    """Probabilities of the row-major utility rows U, (m, n), by the old
+    frozen copy."""
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
     m, n = U.shape
@@ -506,6 +544,10 @@ def frozen_bisection(U, model, eps):
         qvec = generating_quantile(model, (1.0 / n) / model.eta)
     except ValueError as exc:
         raise ValueError(f"bisection bracket is not finite for this model: {exc}") from exc
+
+    def clip_probs(Z):
+        return np.clip(model.eta[None, :] * _frozen_cdf_extended(model, Z), 0.0, 1.0)
+
     nodes = qvec[None, :] - U
     lo = nodes.min(axis=1)
     hi = nodes.max(axis=1)
@@ -517,12 +559,18 @@ def frozen_bisection(U, model, eps):
     for k in range(int(steps.max(initial=0))):
         active = steps > k
         mid = 0.5 * (lo + hi)
-        mass = _frozen_clip_probs(model, U + mid[:, None]).sum(axis=1)
+        mass = clip_probs(U + mid[:, None]).sum(axis=1)
         go_hi = active & (mass > 1.0)
         go_lo = active & ~(mass > 1.0)
         hi = np.where(go_hi, mid, hi)
         lo = np.where(go_lo, mid, lo)
-    return _frozen_clip_probs(model, U + lo[:, None])
+    return clip_probs(U + lo[:, None])
+
+
+def cols(U):
+    """The atom-major block of the row-major rows U, (m, n), C-contiguous as
+    every caller's block is."""
+    return np.ascontiguousarray(U.T)
 
 
 # ----------------------------------------- frozen closed-form kernels
@@ -658,7 +706,7 @@ def test_closed_form_kernels_match_frozen_copies(kind):
                 vals, P = utilities_values_probs(U, model)
                 assert vals.tobytes() == want_vals.tobytes(), (n, lam, m)
                 assert P.tobytes() == want_P.tobytes(), (n, lam, m)
-                assert _choice_rows(U, model, 0.0).tobytes() == want_P.tobytes()
+                assert _kernel(cols(U), model, 0.0).T.tobytes() == want_P.tobytes()
                 assert_near_old_kernel(U, model, vals, P)
                 # utilities formed block by block from costs
                 phi = rng.normal(size=n)
@@ -668,7 +716,7 @@ def test_closed_form_kernels_match_frozen_copies(kind):
                 assert P.tobytes() == want_P.tobytes()
             for u in _tied_rows(rng, 8, n, 0.3):
                 want = frozen_closed_form(u[None, :], model)[1][0]
-                assert _choice_rows(u, model, 0.0).tobytes() == want.tobytes()
+                assert _kernel(u, model, 0.0).tobytes() == want.tobytes()
                 assert probs_from_utilities(u, model).tobytes() == want.tobytes()
             assert np.max(np.abs(U)) / lam > (900.0 if lam < 0.01 else 1.0)
 
@@ -696,13 +744,16 @@ def _frozen_cases(rng, kind, q):
 
 @pytest.mark.parametrize("kind,q", BISECTION_CASES)
 def test_kernel_matches_frozen_bisection(kind, q):
+    # the current frozen copy bit for bit, the old row-major one within eps
     rng = np.random.default_rng(2024)
     ragged = zero_steps = 0
     for U, model, eps in _frozen_cases(rng, kind, q):
-        got = _choice_rows(U, model, eps)
-        want = frozen_bisection(U, model, eps)
+        got = _kernel(cols(U), model, eps)
+        want = frozen_bisection(U.T, model, eps)
         assert got.shape == want.shape
         assert np.array_equal(got, want), (kind, q, U.shape, eps)
+        old = old_bisection_rows(U, model, eps)
+        assert np.linalg.norm(got.T - old, axis=1).max() <= eps, (kind, q, U.shape, eps)
         if U.shape[1] > 1:
             width = np.ptp(generating_quantile(model, (1.0 / model.n) / model.eta) - U, axis=1)
             steps = np.ceil(np.log2(np.maximum(width / bisection_delta(model, eps), 1.0)))
@@ -721,7 +772,8 @@ def test_pareto_holder_delta_overflow_is_zero_halvings():
         for kind, q in (("pareto", 3.0), ("hyperbolic", None)):
             model = MarginalModel(kind, 0.5, np.array([0.2, 0.3, 0.5]), q=q)
             assert _halvings(u, model, 1e200) == 0
-            assert np.array_equal(_choice_rows(U, model, 1e200), frozen_bisection(U, model, 1e100))
+            assert np.array_equal(_kernel(cols(U), model, 1e200),
+                                  frozen_bisection(U.T, model, 1e100))
     pareto = MarginalModel("pareto", 0.5, np.array([0.2, 0.3, 0.5]), q=3.0)
     assert bisection_delta(pareto, 1e200) == math.inf
     assert np.array_equal(probs_from_utilities(u, pareto, eps=1e200),
@@ -739,7 +791,7 @@ def test_cdf_and_closed_form_bisection_match_frozen_copy(kind, q):
     assert np.array_equal(_cdf_extended(model, 0.7), _frozen_cdf_extended(model, 0.7))
     for u in rng.normal(size=(5, 4)):
         for eps in (1e-12, 1e-3):
-            want = frozen_bisection(u[None, :], model, eps)[0]
+            want = frozen_bisection(u[:, None], model, eps)[:, 0]
             assert np.array_equal(bisect(u, model, eps), want)
 
 
@@ -747,19 +799,19 @@ def test_kernel_errors_match_frozen_bisection():
     model = uniform_model("hyperbolic", 1.0, 3)
     for eps in (None, 0.0, -1.0, float("nan")):
         with pytest.raises(ValueError) as frozen:
-            frozen_bisection(np.zeros((1, 3)), model, eps)
+            frozen_bisection(np.zeros((3, 1)), model, eps)
         with pytest.raises(ValueError) as ours:
-            _choice_rows(np.zeros((1, 3)), model, eps)
+            _kernel(np.zeros((3, 1)), model, eps)
         assert str(ours.value) == str(frozen.value)
     # skewed t weights leave the bracket unbounded: the model is still
     # valid, and every bisection with it fails with the same message
     skewed = MarginalModel("tdist", 1.0, np.array([0.05, 0.95]))
     with pytest.raises(ValueError) as frozen:
-        frozen_bisection(np.zeros((1, 2)), skewed, 1e-6)
+        frozen_bisection(np.zeros((2, 1)), skewed, 1e-6)
     assert str(frozen.value).startswith("bisection bracket is not finite for this model")
     for _ in range(2):
         with pytest.raises(ValueError) as ours:
-            _choice_rows(np.zeros((1, 2)), skewed, 1e-6)
+            _kernel(np.zeros((2, 1)), skewed, 1e-6)
         assert str(ours.value) == str(frozen.value)
 
 
@@ -784,12 +836,13 @@ def test_kernel_overflow_stays_silent():
         warnings.simplefilter("error")
         for U, model in ((U_h, hyper), (U_p, heavy)):
             for eps in (1e-12, 1e-3):
-                assert np.array_equal(_choice_rows(U, model, eps), frozen_bisection(U, model, eps))
+                assert np.array_equal(_kernel(cols(U), model, eps),
+                                      frozen_bisection(U.T, model, eps))
                 # one row at a time: its blocks also evaluate midpoints
                 # the walk never takes, and none of them may warn either
-                for j in range(U.shape[0]):
-                    want = frozen_bisection(U[j:j + 1], model, eps)
-                    assert _choice_rows(U[j:j + 1], model, eps).tobytes() == want.tobytes()
+                for u in U:
+                    want = frozen_bisection(u[:, None], model, eps)[:, 0]
+                    assert _kernel(u, model, eps).tobytes() == want.tobytes()
         # z = 2 puts the q = 0.5, lam = 1 base exactly at zero
         zero_base = MarginalModel("pareto", 1.0, np.full(2, 0.5), q=0.5)
         assert np.all(_cdf_extended(zero_base, np.array([2.0, 5.0])) == np.inf)
@@ -823,8 +876,8 @@ def test_one_row_blocks_match_frozen_at_every_step_count(monkeypatch, kind, q, d
             steps = _halvings(u, model, eps)
             if steps <= 2 * k + 1:
                 seen.add(steps)
-                want = frozen_bisection(u[None, :], model, eps)
-                assert _bisection_batch(u[None, :], model, eps).tobytes() == want.tobytes()
+                want = frozen_bisection(u[:, None], model, eps)[:, 0]
+                assert _bisection(u, model, eps).tobytes() == want.tobytes()
     assert seen == set(range(2 * k + 2))
 
 
@@ -837,7 +890,7 @@ def _lower_end_moves(u, model, eps):
     moves = []
     for k in range(total):
         mid = 0.5 * (lo + hi)
-        if _frozen_clip_probs(model, (u + mid)[None, :]).sum() > 1.0:
+        if _index_sum(_frozen_clip_probs(model, (u + mid)[:, None]))[0] > 1.0:
             hi = mid
         else:
             lo = mid
@@ -865,8 +918,8 @@ def test_one_row_output_is_the_block_row_at_the_last_lower_end(kind, q):
                 seen.add("lower end never moved")
             elif moves[-1] // k < (total - 1) // k:
                 seen.add("last move in an earlier block")
-            want = frozen_bisection(u[None, :], model, eps)
-            assert _bisection_batch(u[None, :], model, eps).tobytes() == want.tobytes()
+            want = frozen_bisection(u[:, None], model, eps)[:, 0]
+            assert _bisection(u, model, eps).tobytes() == want.tobytes()
     assert seen == {"no halvings", "lower end never moved", "last move in an earlier block"}
 
 
@@ -878,13 +931,13 @@ def test_one_row_single_atom_and_tied_rows_match_frozen():
         warnings.simplefilter("error")
         for kind, q in BISECTION_CASES:
             one = MarginalModel(kind, 0.3, np.ones(1), q=q)
-            assert np.array_equal(_bisection_batch(np.array([[2.5]]), one, 1e-9), np.ones((1, 1)))
+            assert np.array_equal(_bisection(np.array([[2.5]]), one, 1e-9), np.ones((1, 1)))
             etas = [np.full(5, 0.2)] + ([] if kind == "tdist" else [random_eta(rng, 5)])
             for eta in etas:
                 model = MarginalModel(kind, 0.3, eta, q=q)
-                for u in (np.full((1, 5), 0.7), np.array([[0.1, 0.1, 0.1, -0.4, -0.4]])):
+                for u in (np.full((5, 1), 0.7), np.array([[0.1, 0.1, 0.1, -0.4, -0.4]]).T):
                     for eps in (1e-12, 1e-6, 1e-2):
-                        got = _bisection_batch(u, model, eps)
+                        got = _bisection(u, model, eps)
                         assert got.tobytes() == frozen_bisection(u, model, eps).tobytes()
 
 
@@ -894,7 +947,7 @@ def _outcome(U, model, eps, action):
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter(action)
         try:
-            result = ("out", _bisection_batch(U, model, eps)[0].tobytes())
+            result = ("out", _bisection(cols(U), model, eps)[:, 0].tobytes())
         except Exception as exc:  # the error is the outcome
             result = ("error", type(exc), str(exc))
     return result, sorted({(w.category.__name__, str(w.message)) for w in seen})
@@ -940,7 +993,7 @@ def test_kernel_rows_are_independent(kind):
             assert np.array_equal(P[j], P_row[0])
             assert np.array_equal(vals[j], v_row[0])
             if model is not None:
-                assert np.array_equal(P[j], _choice_rows(U[j:j + 1], model, 1e-9)[0])
+                assert np.array_equal(P[j], _kernel(cols(U[j:j + 1]), model, 1e-9)[:, 0])
                 assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9), P[j])
 
 
@@ -971,9 +1024,9 @@ def test_kernel_rows_are_independent_across_row_blocks(monkeypatch, kind):
             assert P[j].tobytes() == P_row[0].tobytes(), (m, j)
             assert vals[j].tobytes() == v_row[0].tobytes(), (m, j)
             if model is not None:
-                assert _choice_rows(U[j], model, 1e-9).tobytes() == P[j].tobytes(), (m, j)
+                assert _kernel(U[j], model, 1e-9).tobytes() == P[j].tobytes(), (m, j)
         if model is not None and kind not in CLOSED_FORM_KINDS:
-            assert P.tobytes() == frozen_bisection(U, model, 1e-9).tobytes()
+            assert P.tobytes() == frozen_bisection(U.T, model, 1e-9).T.tobytes()
         monkeypatch.setattr(noise_mod, "_ROW_BLOCK", m)
         whole = utilities_values_probs(U, model, eps=1e-9)
         monkeypatch.undo()
@@ -998,8 +1051,7 @@ def test_choice_probabilities_validation(monkeypatch):
         rows = {(0.4, 0.4): False, (np.nan, 1.0): False, (0.5, 0.5 + 1e-11): True,
                 (0.5, 0.5 - 1e-3): kind == "hyperbolic", (0.5, 0.5 - 1e-2): False}
         for row, ok in rows.items():
-            monkeypatch.setattr(noise_mod, "_choice_rows",
-                                lambda U, model, eps, r=row: np.array([r]))
+            monkeypatch.setattr(noise_mod, "_kernel", lambda U, model, eps, r=row: np.array(r))
             if ok:
                 assert np.array_equal(probs_from_utilities(np.zeros(2), model, eps=1e-3), row)
             else:

@@ -39,7 +39,7 @@ from sdot.solver import (
     finite_sample_reference,
     sgd_config,
 )
-from test_noise import frozen_bisection, frozen_closed_form
+from test_noise import frozen_bisection, frozen_closed_form, old_bisection_rows
 
 SUP = CostSpec("sup-norm")
 SQ = CostSpec("p-norm-power", p=2.0)
@@ -92,7 +92,7 @@ def sgd_replay(spec, nu, c, model, config):
         elif model.kind in ("exponential", "uniform"):
             p = frozen_closed_form(u[None, :], model)[1][0]
         else:
-            p = frozen_bisection(u[None, :], model, config.eps_bar / (2.0 * np.sqrt(t)))[0]
+            p = frozen_bisection(u[:, None], model, config.eps_bar / (2.0 * np.sqrt(t)))[:, 0]
         phi = phi + gamma * (nu.weights - p)
         bar += phi
     return under / config.T, bar / config.T, phi
@@ -163,27 +163,27 @@ def test_sgd_matches_replay_over_many_bisection_blocks(kind, q):
 def test_sgd_oracle_rows_match_frozen_bisection(monkeypatch, kind, q):
     # every oracle row of a 5,000-step run on the benchmark's model (the
     # atoms of demos/convergence_config.json, lambda 0.1, uniform eta), as
-    # eps = 0.1 / (2 sqrt(t)) shrinks: 7 to 17 halvings, up to five blocks.
-    # The hook sits on the entry SGD calls, which takes each utility row as
-    # a 1-d array
+    # eps = 0.1 / (2 sqrt(t)) shrinks: 7 to 17 halvings, up to five blocks,
+    # against the old row-major frozen copy bit for bit. The hook sits on
+    # the entry SGD calls, which takes each utility row as a 1-d array
     import sdot.solver as solver_mod
     atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
     nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
     model = MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
-    kernel, calls = solver_mod._choice_rows, []
+    kernel, calls = solver_mod._kernel, []
 
     def recording_kernel(u, model, eps):
         p = kernel(u, model, eps)
         calls.append((u.copy(), eps, p))
         return p
 
-    monkeypatch.setattr(solver_mod, "_choice_rows", recording_kernel)
+    monkeypatch.setattr(solver_mod, "_kernel", recording_kernel)
     averaged_sgd(SamplerSpec("gaussian-standard", d=2, seed=0), nu, SUP, model,
                  sgd_config(model, 5000))
     assert len(calls) == 5000
     for t, (u, eps, p) in enumerate(calls, 1):
         assert u.shape == (10,) and eps == 0.1 / (2.0 * np.sqrt(t))
-        assert p.tobytes() == frozen_bisection(u[None, :], model, eps)[0].tobytes(), t
+        assert p.tobytes() == old_bisection_rows(u[None, :], model, eps)[0].tobytes(), t
 
 
 def test_sgd_overflowing_oracle_stays_silent():
@@ -224,7 +224,7 @@ def test_sgd_takes_only_a_sampler_spec():
 @pytest.mark.parametrize("bad", [[0.45, 0.45], [np.nan, 1.0]])
 def test_sgd_rejects_oracle_rows_off_the_simplex(monkeypatch, kind, eps_bar, bad):
     import sdot.solver as solver_mod
-    monkeypatch.setattr(solver_mod, "_choice_rows", lambda U, model, eps: np.array([bad]))
+    monkeypatch.setattr(solver_mod, "_kernel", lambda U, model, eps: np.array(bad))
     nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.full(2, 0.5))
     model = MarginalModel(kind, 0.5, np.full(2, 0.5))
     spec = SamplerSpec("gaussian-standard", d=2, seed=3)
@@ -847,6 +847,30 @@ def test_reference_and_estimate_hold_few_sample_sized_arrays(kind):
         tracemalloc.stop()
     assert info["method"] == "newton"
     assert reference_peak <= 2.5 * array_bytes, reference_peak / array_bytes
+    assert estimate_peak <= 2.5 * array_bytes, estimate_peak / array_bytes
+
+
+@pytest.mark.parametrize("kind", ["hyperbolic", "tdist"])
+def test_bisection_estimate_holds_few_sample_sized_arrays(kind):
+    # the estimate alone (the sgd-50x reference is too slow here) on the
+    # same 50,000 x 10 rows: the bisection's bracket, buffers and values are
+    # block-sized too, so the peak is the costs, their scratch array and
+    # the values
+    import tracemalloc
+    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
+    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
+    model = MarginalModel(kind, 0.1, np.full(10, 0.1))
+    spec = SamplerSpec("gaussian-standard", d=2, seed=0)
+    T = 5000
+    array_bytes = 10 * T * nu.n_atoms * 8
+    phi = np.random.default_rng(3).normal(scale=0.1, size=nu.n_atoms)
+    X = draw(spec, 10 * T)
+    tracemalloc.start()
+    try:
+        dual_objective_estimate(phi, nu, SUP, model, X)
+        estimate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert estimate_peak <= 2.5 * array_bytes, estimate_peak / array_bytes
 
 
