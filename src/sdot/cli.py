@@ -143,6 +143,9 @@ class ExperimentConfig:
             object.__setattr__(self, field, tuple(
                 int(_count(v, f"config field '{field}' entry {i}", least))
                 for i, v in enumerate(values)))
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ValueError(f"config field 'seeds' has a duplicate seed {repeated[0]}")
         if any(b <= a for a, b in zip(self.t_grid, self.t_grid[1:])):
             raise ValueError("config field 't_grid' must be strictly increasing")
         object.__setattr__(self, "multiplier",

@@ -136,10 +136,6 @@ class DiscreteMeasure:
     def n_atoms(self) -> int:
         return self.atoms.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.atoms.shape[1]
-
     def to_json(self) -> dict:
         return {"atoms": self.atoms.tolist(), "weights": self.weights.tolist()}
 

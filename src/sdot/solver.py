@@ -7,12 +7,16 @@ accuracy schedule, or the plain subgradient with an optional Tikhonov
 term). References solve one finite-sample dual: by damped Newton for
 closed-form kinds, by a transport LP without a model, and otherwise by
 a long stochastic run under the step rule of :func:`sgd_config`.
+:func:`damped_newton` is the one damped loop and takes its evaluation:
+the references and the LP's entropic pilot hand it the finite-sample
+dual :func:`_finite_dual` with its Hessian.
 scipy's LP solver loads on the first transport LP, so paths that solve
 none never import it.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import time
@@ -252,38 +256,22 @@ def _finite_dual(phi, C, weights, nu_w, model, eps=None, hessian=False):
     return float(nu_w @ phi) - float(weights @ vals), nu_w - mass, H
 
 
-def damped_newton(C, weights, nu_w, model: MarginalModel, grad_tol: float = 1e-7):
-    """Maximize the finite-sample smooth dual of a closed-form kind: rows of
-    the cost matrix ``C`` carry ``weights``, columns the target ``nu_w``.
+def damped_newton(evaluate, n: int, grad_tol: float = 1e-7):
+    """Maximize a smooth concave dual over R^n from phi = 0, where
+    ``evaluate(phi)`` returns its value, gradient and negated n x n
+    Hessian H.
 
-    Each step solves (H + 11^T/n + mu I) d = g, with g the gradient and H
-    the negated n x n Hessian; g sums to zero, so 11^T/n only fixes the
-    gauge. A step that gains a tenth of its predicted increase (or, below
-    the value's rounding level, lowers |g|) divides the damping mu by 8;
-    any other multiplies it by 4, at least to max(|g|, 1e-6 tr H). Each
-    evaluation is one row-blocked pass of :func:`_finite_dual`, so beyond
-    C it holds only block-sized arrays, and its closed-form kernels
-    reduce atom-major blocks over atoms. On the gating model (ten atoms,
-    lambda 0.1, sup-norm; a 2-core Xeon, BLAS on one thread) an evaluation
-    at m = 100,000 takes 13-14 ms for the exponential kind and 35-37 ms
-    for the uniform one, where row-major blocks and the sorted sparsemax
-    took 28-30 and 50-68 ms (fastest of 7); a whole solve takes 84-94 and
-    143-145 ms, against 149-181 and 226-285 ms.
+    Each step solves (H + 11^T/n + mu I) d = g, with g the gradient; g sums
+    to zero, so 11^T/n only fixes the gauge. A step that gains a tenth of
+    its predicted increase (or, below the value's rounding level, lowers
+    |g|) divides the damping mu by 8; any other multiplies it by 4, at
+    least to max(|g|, 1e-6 tr H). The references pass the finite-sample
+    dual, ``functools.partial(_finite_dual, ..., hessian=True)``.
 
     Returns ``(phi, info)`` with value, gradient norm and ``iterations``
     (trial steps). Raises RuntimeError when |g| is still above
     ``grad_tol`` after ``_NEWTON_MAX_ITER`` steps or mu overflows.
     """
-    if model is None or model.kind not in CLOSED_FORM_KINDS:
-        raise ValueError("damped Newton needs an exact-gradient model kind")
-    weights = np.asarray(weights, dtype=float).reshape(-1)
-    if weights.size != C.shape[0] or abs(weights.sum() - 1.0) > 1e-9:
-        raise ValueError("weights must match the rows of C and sum to one")
-    n = C.shape[1]
-
-    def evaluate(phi):
-        return _finite_dual(phi, C, weights, nu_w, model, hessian=True)
-
     phi = np.zeros(n)
     f, g, H = evaluate(phi)
     mu = 0.0
@@ -417,7 +405,9 @@ def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray)
     spread = float(C.max() - C.min())
     lam = _PILOT_LAM * spread if spread > 0.0 else 1.0
     pilot = MarginalModel("exponential", lam, nu_w)
-    phi, _ = damped_newton(C, a, nu_w, pilot, grad_tol=_PILOT_TOL * float(nu_w.min()))
+    evaluate = functools.partial(_finite_dual, C=C, weights=a, nu_w=nu_w, model=pilot,
+                                 hessian=True)
+    phi, _ = damped_newton(evaluate, n, grad_tol=_PILOT_TOL * float(nu_w.min()))
     phi = phi - phi.mean()
     S = phi[None, :] - C
     top = np.argmax(S, axis=1)
@@ -495,7 +485,9 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
         info = {"method": "lp", "samples": m, "reduced": reduced, **cert}
         return value, phi, info
     if model.kind in CLOSED_FORM_KINDS:
-        phi, newton_info = damped_newton(C, w, nu.weights, model)
+        evaluate = functools.partial(_finite_dual, C=C, weights=w, nu_w=nu.weights,
+                                     model=model, hessian=True)
+        phi, newton_info = damped_newton(evaluate, n)
         phi = phi - phi.mean()
         info = {"method": "newton", "samples": m, **newton_info}
         return newton_info["value"], phi, info

@@ -32,7 +32,6 @@ from sdot.noise import (
     smooth_c_transform,
     utilities_values_probs,
 )
-from sdot.solver import damped_newton
 from sdot.hardness import (
     KnapsackInstance,
     QuadratureSpec,
@@ -41,6 +40,7 @@ from sdot.hardness import (
     knapsack_volume_via_ot,
 )
 from sdot.cli import ExperimentConfig, fit_slope, run_convergence_experiment
+from test_solver import newton_on_sample
 
 COST = CostSpec("sup-norm")
 ALL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
@@ -239,7 +239,7 @@ def test_05_regularized_duality_gap_closes(capsys):
         lam = float(rng.uniform(0.2, 1.0))
         for kind in ("exponential", "uniform"):
             model = MarginalModel(kind, lam, _random_eta(rng, n))
-            phi, info = damped_newton(cost_matrix(X, atoms, COST), w, nu.weights, model)
+            phi, info = newton_on_sample(cost_matrix(X, atoms, COST), w, nu.weights, model)
             dual = info["value"]
             U = phi[None, :] - cost_matrix(X, atoms, COST)
             _, P = utilities_values_probs(U, model)

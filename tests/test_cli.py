@@ -107,6 +107,7 @@ def test_config_validation_names_offending_field(breaker, needle):
     ("t_grid", (), "'t_grid' must be a nonempty list"),
     ("seeds", (-1,), "'seeds' entry 0 must be an integer of at least 0"),
     ("seeds", (0, 1.5), "'seeds' entry 1 must be an integer"),
+    ("seeds", (0, 0, 1), "'seeds' has a duplicate seed 0"),
     ("multiplier", 0, "'multiplier' must be an integer of at least 1"),
     ("multiplier", 2.0, "'multiplier' must be an integer"),
     ("eps_bar", math.nan, "'eps_bar' must be nonnegative and finite"),
@@ -1036,6 +1037,12 @@ def test_cli_experiment_negative_seed_fails_before_any_cell(tmp_path, capsys):
     assert main(["experiment", "--config", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "measure.random_atoms field 'seed' must be an integer of at least 0" in err
+    # a repeated seed used to run its cells twice and count them twice in
+    # every per-T mean, and the run exited 0
+    path = _write_json(tmp_path, "cfg.json", tiny_config_dict(seeds=[0, 0, 1]))
+    assert main(["experiment", "--config", path, "--out", str(out)]) == 2
+    assert "config field 'seeds' has a duplicate seed 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["T", "multiplier"])

@@ -3,6 +3,7 @@ of the iteration for the update arithmetic, permutation enumeration for the
 transport LP, scipy quadrature for Monte Carlo estimates, and the primal
 construction identity for the damped Newton solver."""
 
+import functools
 import itertools
 import json
 import math
@@ -49,6 +50,14 @@ def random_measure(rng, n, d, box=1.0):
     atoms = rng.uniform(-box, box, size=(n, d))
     w = rng.uniform(0.2, 1.0, n)
     return DiscreteMeasure(atoms, w / w.sum())
+
+
+def newton_on_sample(C, w, nu_w, model):
+    """damped_newton on the finite-sample dual of the cost matrix C, with
+    row weights w and column weights nu_w, as the references call it."""
+    evaluate = functools.partial(solver._finite_dual, C=C, weights=w, nu_w=nu_w, model=model,
+                                 hessian=True)
+    return damped_newton(evaluate, C.shape[1])
 
 
 # ------------------------------------------------------------- step sizes
@@ -627,43 +636,46 @@ def test_reference_direct_lp_reports_gap():
 
 # -------------------------------------------------------------- newton
 
-def test_agd_rejects_bisection_models():
+def test_newton_rejects_bisection_models():
+    # the finite-sample dual of a bisection kind needs an accuracy eps
     rng = np.random.default_rng(52)
     nu = random_measure(rng, 3, 2)
     model = MarginalModel("hyperbolic", 0.5, np.full(3, 1 / 3))
-    with pytest.raises(ValueError):
-        damped_newton(cost_matrix(rng.normal(size=(5, 2)), nu.atoms, SUP), np.full(5, 0.2),
-                      nu.weights, model)
+    with pytest.raises(ValueError, match="needs a positive accuracy eps"):
+        newton_on_sample(cost_matrix(rng.normal(size=(5, 2)), nu.atoms, SUP), np.full(5, 0.2),
+                         nu.weights, model)
 
 
-def test_agd_symmetric_instance():
+def test_newton_symmetric_instance():
     pts = np.array([[-1.0], [1.0]])
     nu = DiscreteMeasure(pts, np.full(2, 0.5))
     model = MarginalModel("exponential", 0.5, np.full(2, 0.5))
-    phi, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), np.full(2, 0.5), nu.weights, model)
+    phi, info = newton_on_sample(cost_matrix(pts, nu.atoms, SQ), np.full(2, 0.5), nu.weights,
+                                 model)
     assert info["grad_norm"] <= 1e-7
     assert abs(phi[0] - phi[1]) <= 1e-6
     assert abs(phi.mean()) <= 1e-12
 
 
-def test_agd_single_atom_value():
+def test_newton_single_atom_value():
     rng = np.random.default_rng(53)
     pts = rng.normal(size=(6, 2))
     nu = DiscreteMeasure(np.zeros((1, 2)), np.ones(1))
     model = MarginalModel("exponential", 0.5, np.array([1.0]))
-    phi, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), np.full(6, 1 / 6), nu.weights, model)
+    phi, info = newton_on_sample(cost_matrix(pts, nu.atoms, SQ), np.full(6, 1 / 6), nu.weights,
+                                 model)
     ref = cost_matrix(pts, nu.atoms, SQ).mean()
     assert info["value"] == pytest.approx(ref, abs=1e-10)
 
 
-def test_agd_primal_dual_gap():
+def test_newton_primal_dual_gap():
     rng = np.random.default_rng(54)
     for kind, lam in (("exponential", 0.4), ("uniform", 0.4)):
         pts = rng.uniform(-1, 1, size=(5, 2))
         w = np.full(5, 0.2)
         nu = random_measure(rng, 4, 2)
         model = MarginalModel(kind, lam, np.full(4, 0.25))
-        phi, info = damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
+        phi, info = newton_on_sample(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
         assert info["grad_norm"] <= 1e-7
         C = cost_matrix(pts, nu.atoms, SUP)
         from sdot.noise import probs_from_utilities
@@ -676,7 +688,7 @@ def test_agd_primal_dual_gap():
         assert abs(primal - info["value"]) <= 1e-4
 
 
-def test_agd_between_plain_value_and_bound():
+def test_newton_between_plain_value_and_bound():
     rng = np.random.default_rng(55)
     pts = rng.uniform(-1, 1, size=(6, 2))
     w = np.full(6, 1 / 6)
@@ -685,7 +697,7 @@ def test_agd_between_plain_value_and_bound():
     plain, _, _, _ = exact_discrete_ot(mu, nu, SQ)
     for kind in ("exponential", "uniform"):
         model = MarginalModel(kind, 0.6, np.full(4, 0.25))
-        _, info = damped_newton(cost_matrix(pts, nu.atoms, SQ), w, nu.weights, model)
+        _, info = newton_on_sample(cost_matrix(pts, nu.atoms, SQ), w, nu.weights, model)
         assert info["value"] >= plain - 1e-8
         assert info["value"] <= plain + approximation_bound(model) + 1e-8
 
@@ -705,8 +717,8 @@ def _random_small_instances(count):
 def test_newton_certifies_random_small_instances():
     for pts, w, nu, lam, eta in _random_small_instances(100):
         for kind in ("exponential", "uniform"):
-            phi, info = damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights,
-                                      MarginalModel(kind, lam, eta))
+            phi, info = newton_on_sample(cost_matrix(pts, nu.atoms, SUP), w, nu.weights,
+                                         MarginalModel(kind, lam, eta))
             assert info["grad_norm"] <= 1e-7
             assert np.all(np.isfinite(phi))
 
@@ -744,7 +756,21 @@ def test_newton_raises_at_iteration_cap(monkeypatch):
     pts, w, nu, _, _ = next(_random_small_instances(1))
     model = MarginalModel("exponential", 0.05, np.full(nu.n_atoms, 1 / nu.n_atoms))
     with pytest.raises(RuntimeError, match="stopped after 1 steps at gradient norm"):
-        damped_newton(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
+        newton_on_sample(cost_matrix(pts, nu.atoms, SUP), w, nu.weights, model)
+
+
+def test_newton_raises_when_the_damping_overflows():
+    # a concave quadratic's gradient and Hessian, but a value that falls at
+    # every evaluation: no step is accepted, so mu grows fourfold per step
+    # and passes 1e20 long before the step budget
+    calls = itertools.count()
+
+    def evaluate(phi):
+        return -float(next(calls)), np.ones(2) - phi, np.eye(2)
+
+    with pytest.raises(RuntimeError, match="stopped after 34 steps at gradient norm"):
+        damped_newton(evaluate, 2)
+    assert solver._NEWTON_MAX_ITER > 34
 
 
 def test_newton_iterations_on_gating_instance():
