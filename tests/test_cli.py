@@ -107,7 +107,6 @@ def test_config_validation_names_offending_field(breaker, needle):
     ("t_grid", (), "'t_grid' must be a nonempty list"),
     ("seeds", (-1,), "'seeds' entry 0 must be an integer of at least 0"),
     ("seeds", (0, 1.5), "'seeds' entry 1 must be an integer"),
-    ("seeds", (0, 0, 1), "'seeds' has a duplicate seed 0"),
     ("multiplier", 0, "'multiplier' must be an integer of at least 1"),
     ("multiplier", 2.0, "'multiplier' must be an integer"),
     ("eps_bar", math.nan, "'eps_bar' must be nonnegative and finite"),
@@ -119,6 +118,7 @@ def test_config_validation_names_offending_field(breaker, needle):
     ("models", (), "'models' must be a nonempty list"),
     ("models", (("x", None), ("x", None)), "'models' has a duplicate tag 'x'"),
     ("models", (("x", "exponential"),), "'models' entry 0 must be a (tag, model) pair"),
+    ("seeds", (0, 0, 1), "'seeds' has a duplicate seed 0"),
 ])
 def test_config_built_directly_or_by_replace_checks_every_field(tmp_path, field, value, needle):
     # a replaced or directly built config used to skip every check and fail
