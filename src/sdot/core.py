@@ -263,30 +263,32 @@ def draw(spec: SamplerSpec, n: int) -> np.ndarray:
 
 
 def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
-    """All pairwise costs, shape (len(X), len(Y))."""
+    """All pairwise costs, shape (len(X), len(Y)).
+
+    One pass per coordinate k writes its term, |x_k - y_k| for the sup-norm
+    and (x_k - y_k)^2 for the norm power, into one (m, n) scratch array and
+    folds it into the output in place, by max or by sum; the norm power
+    then takes the power p / 2. No (m, n, d) temporary is formed.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if X.shape[1] != Y.shape[1]:
-        raise ValueError(f"point dimensions differ: {X.shape[1]} vs {Y.shape[1]}")
-    if spec.kind == "sup-norm":
-        if X.shape[1] == 0:
-            raise ValueError("sup-norm cost needs points with at least one coordinate")
-        # a running max over axes, in place: no (m, n, d) temporary and one
-        # (m, n) scratch array beside the output, same exact values
-        out = np.subtract(X[:, :1], Y[:, 0])
-        np.abs(out, out=out)
-        if X.shape[1] > 1:
-            diff = np.empty_like(out)
-            for k in range(1, X.shape[1]):
-                np.subtract(X[:, k:k + 1], Y[:, k], out=diff)
-                np.abs(diff, out=diff)
-                np.maximum(out, diff, out=out)
-        return out
-    diff = X[:, None, :] - Y[None, :, :]
-    sq = np.einsum("mnd,mnd->mn", diff, diff)
-    if spec.p == 2.0:
-        return sq
-    return sq ** (spec.p / 2.0)
+    d = X.shape[1]
+    if d != Y.shape[1]:
+        raise ValueError(f"point dimensions differ: {d} vs {Y.shape[1]}")
+    if d == 0:
+        raise ValueError(f"{spec.kind} cost needs points with at least one coordinate")
+    sup = spec.kind == "sup-norm"
+    term, fold = (np.abs, np.maximum) if sup else (np.square, np.add)
+    out = np.subtract(X[:, :1], Y[:, 0])
+    term(out, out=out)
+    scratch = np.empty_like(out) if d > 1 else None
+    for k in range(1, d):
+        np.subtract(X[:, k:k + 1], Y[:, k], out=scratch)
+        term(scratch, out=scratch)
+        fold(out, scratch, out=out)
+    if not sup and spec.p != 2.0:
+        out **= spec.p / 2.0
+    return out
 
 
 def cost_vector(x, atoms: np.ndarray, spec: CostSpec) -> np.ndarray:

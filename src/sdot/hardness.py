@@ -93,8 +93,7 @@ def _quad_costs(inst: KnapsackInstance, quad: QuadratureSpec) -> np.ndarray:
     _check_entries(count * max(d, 2), "quadrature (nodes*max(d, 2))")
     if quad.kind == "grid":
         ax = (np.arange(quad.m) + 0.5) / quad.m
-        grids = np.meshgrid(*([ax] * d), indexing="ij")
-        nodes = np.stack(grids, axis=-1).reshape(-1, d)
+        nodes = np.stack(np.meshgrid(*([ax] * d), indexing="ij"), axis=-1).reshape(-1, d)
     else:
         nodes = draw(SamplerSpec("hypercube-uniform", d=d, seed=quad.seed), quad.n)
     atoms = np.stack([inst.y1, inst.y2])

@@ -484,12 +484,8 @@ def _softmax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.ndarr
     values, written there.
 
     Every max and sum runs over axis 0 as whole-block vector operations,
-    the sums by :func:`_atom_sum`. On a 4,096-row block of ten atoms (a
-    2-core Xeon) a max over the short rows of the row-major block took
-    194 us and a sum 94 us, against 13 us each over atoms. One Newton
-    evaluation with its Hessian at m = 100,000 on the gating model (BLAS
-    on one thread, best of 7) fell from 28-30 to 13-14 ms, and one row
-    with its mass check from 7.0-7.8 to 6.6-6.9 us."""
+    the sums by :func:`_atom_sum`, where a row-major block would reduce
+    its many short rows one by one."""
     lam = model.lam
     Z = np.divide(U, lam, out=P)
     mx = Z.max(axis=0)
@@ -520,11 +516,8 @@ def _sparsemax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.nda
     rises, so S only shrinks). A block runs the passes on masked sums over
     atoms, a dropped atom's terms zeroed, until none of its rows changes; a
     row that has settled recomputes the same tau. One row, each SGD step,
-    runs in :func:`_sparsemax_row` instead. On the gating model (a 2-core
-    Xeon, BLAS on one thread, best of 7) a Newton evaluation with its
-    Hessian at m = 100,000 fell from 50-68 to 35-37 ms against the sorted
-    kernel, and the values and gradient alone from 48-61 to 28-29 ms. One
-    4,096-row block of it took 5 passes, the last two for 3 rows.
+    runs in :func:`_sparsemax_row` instead, without a block's numpy
+    set-up.
     """
     if U.ndim == 1:
         return _sparsemax_row(U, model)
@@ -575,10 +568,8 @@ def _sparsemax_row(u: np.ndarray, model: MarginalModel) -> np.ndarray:
     passes with their sums over the support in index order (a block's
     dropped atoms add only zeros), and the probabilities. So a finite row
     gets the bits it gets in a block. Each pass tests the support and sums
-    what it keeps in one loop. At ten atoms one row takes 8.1-8.2 us
-    against 10.2-11.0 us for the sorted kernel (a 2-core Xeon, the gating
-    model); the interpreted passes grow with n, so at 100 atoms it takes
-    49 us against 12 us.
+    what it keeps in one loop. The interpreted passes grow with n, so this
+    suits the few atoms of one SGD row.
     """
     lam = model.lam
     e, se = model._eta_floats
@@ -647,18 +638,15 @@ def _utilities(phi, x, nu: DiscreteMeasure, c: CostSpec) -> np.ndarray:
     return _check_utilities(phi - cost_vector(x, nu.atoms, c), nu.n_atoms)
 
 
-def _sums_to_one(p: np.ndarray, eps: float) -> bool:
-    """Whether a kernel row's mass is one within max(sqrt(n) eps, 1e-10),
-    eps the bisection accuracy (0 for closed forms); NaN fails. Entries
-    are nonnegative by construction."""
-    return abs(float(p.sum()) - 1.0) <= max(math.sqrt(p.size) * eps, 1e-10)
-
-
 def _mass_checked(p: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
-    """One row's probabilities ``p``, unless :func:`_sums_to_one` fails them
-    at eps 0 for the closed forms and ``eps`` for the bisection kinds."""
-    if not _sums_to_one(p, 0.0 if model.kind in CLOSED_FORM_KINDS else eps):
-        raise ValueError(f"choice probabilities sum to {float(p.sum())!r}")
+    """One row's probabilities ``p``, unless their mass misses one by more
+    than max(slack, 1e-10): the slack is 0 for the closed forms and
+    sqrt(n) eps for the bisection kinds, eps their accuracy. NaN fails.
+    Entries are nonnegative by construction."""
+    slack = 0.0 if model.kind in CLOSED_FORM_KINDS else math.sqrt(p.size) * eps
+    total = float(p.sum())
+    if not abs(total - 1.0) <= max(slack, 1e-10):
+        raise ValueError(f"choice probabilities sum to {total!r}")
     return p
 
 
@@ -801,15 +789,13 @@ def averaged_choice_jacobian(P: np.ndarray, weights, model: MarginalModel) -> np
     coordinates).
 
     The Newton evaluation sums it over row blocks, so its slopes G and
-    their weighted copy stay block-sized. On a 4,096 x 10 block of the
-    gating model (a 2-core Xeon, BLAS on one thread) a call takes about
-    0.32 ms for either kind; the uniform slopes cost 241 us per block as a
-    broadcast ``np.where``, 89 us as a masked product."""
+    their weighted copy stay block-sized. The uniform slopes are a masked
+    product, since ``np.where`` broadcasts the (n, 1) eta column slowly."""
     lam, eta = model.lam, model._eta_col
     if model.kind == "exponential":
         G = P / lam
     elif model.kind == "uniform":
-        G = (P > 0.0) * (eta / (2.0 * lam))  # np.where broadcasts eta 3x slower
+        G = (P > 0.0) * (eta / (2.0 * lam))
     elif model.kind == "hyperbolic":
         G = np.where(P > 0.0, np.sqrt(eta * eta + P * P) / lam, 0.0)
     elif model.kind == "tdist":

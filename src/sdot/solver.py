@@ -30,8 +30,8 @@ from .noise import (
     CLOSED_FORM_KINDS,
     MarginalModel,
     _kernel,
+    _mass_checked,
     _row_blocks,
-    _sums_to_one,
     averaged_choice_jacobian,
     marginal_lipschitz,
 )
@@ -144,9 +144,7 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     """Constant-step stochastic ascent with averaged iterates.
 
     Each step hands its 1-d utility row phi - c(x_t, .) straight to the
-    choice-probability kernel. On the gating model (ten atoms, lambda 0.1,
-    a 2-core Xeon) a step took 13 us for the exponential kind and 17 us
-    for the uniform one in a traced ``grid-smooth`` benchmark run.
+    choice-probability kernel and checks the row's mass.
 
     Parameters
     ----------
@@ -170,8 +168,7 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     """
     if model is not None and model.n != nu.n_atoms:
         raise ValueError("model weights and measure atoms disagree in length")
-    needs_bisection = model is not None and model.kind not in CLOSED_FORM_KINDS
-    if needs_bisection and config.eps_bar <= 0.0:
+    if model is not None and model.kind not in CLOSED_FORM_KINDS and config.eps_bar <= 0.0:
         raise ValueError("bisection oracle needs a positive eps_bar")
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("sampler must be a SamplerSpec")
@@ -197,11 +194,12 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
             if config.tikhonov > 0.0:
                 p = p + 2.0 * config.tikhonov * phi
         else:
-            eps = config.eps_bar / (2.0 * math.sqrt(t)) if needs_bisection else 0.0
-            p = _kernel(u, model, eps)
-            if not _sums_to_one(p, eps):
-                raise ValueError(f"gradient oracle failed at iteration {t}: "
-                                 f"probabilities sum to {float(p.sum())!r}")
+            # closed forms read no eps and check their mass with no slack
+            eps = config.eps_bar / (2.0 * math.sqrt(t))
+            try:
+                p = _mass_checked(_kernel(u, model, eps), model, eps)
+            except ValueError as exc:
+                raise ValueError(f"gradient oracle failed at iteration {t}: {exc}") from exc
         phi = phi + gamma * (weights - p)
         if t in sched:
             under = bar_sum / t
@@ -301,13 +299,11 @@ def damped_newton(evaluate, n: int, grad_tol: float = 1e-7):
 
 # --------------------------------------------------------------------- lp
 
-# Above this many LP variables the boundary-reduction scheme takes over.
-# At 31,600 variables (T=316, n=10 in the gating run) the direct LP takes
-# 1.18-1.23 s and the reduction 27-30 ms. At 10,000 (T=100) the direct LP
-# takes 172-186 ms, while the reduction may return another, equally
-# optimal dual vertex of the small LP: over 192 seeded T=100 cells that
-# moved the experiment's potgap by up to 12.8%. (Whole reference solves,
-# fastest of five, sampler seeds 0-2, on a loaded 2-core Xeon.)
+# Above this many LP variables the boundary-reduction scheme takes over;
+# it is much faster on large LPs. Below it the direct LP stays, because the
+# reduction may return another, equally optimal dual vertex of the small
+# LP: over 192 seeded T=100 cells that moved the experiment's potgap by up
+# to 12.8%.
 _DIRECT_LIMIT = 10_000
 # The entropic pilot runs at this share of the cost matrix's spread; its
 # gradient tolerance is this share of the smallest target weight.
@@ -380,13 +376,6 @@ def _reduced_transport_value_phi(C: np.ndarray, a: np.ndarray, nu_w: np.ndarray)
     optimum. Each failed pass (an overfilled atom, a failed LP or an open
     gap) doubles the margin. An atom of zero weight is left out, then given
     the largest potential that changes no sample's best value.
-
-    On the gating instances (n=10, sup-norm, Gaussian samples; 2-core
-    Xeon, BLAS on one thread) the pilot takes 10-17 Newton steps and the
-    first pass certifies. The whole reference takes 84-87 ms at m=10,000,
-    0.27-0.30 s at m=31,620 and 1.5-1.8 s at m=100,000 (fastest of
-    three, sampler seeds 0-2); the pilot is 30-39 ms, 67-102 ms and
-    0.23-0.39 s of it, and the LP most of the rest.
 
     Returns ``(value, phi, cert)`` with ``value`` equal to the semi-dual
     objective at the mean-zero ``phi``. ``cert`` holds the accepted

@@ -92,6 +92,10 @@ def test_config_hash_ignores_key_order():
         (lambda d: d.update(timing="fast"), "timing"),
         (lambda d: d.update(multiplier=0), "multiplier"),
         (lambda d: d.update(measure={"random_atoms": {"box": 1.0, "seed": 0}}), "count"),
+        (lambda d: d.update(measure=[[0.0, 0.0]]), "'measure' must be a JSON object"),
+        (lambda d: d.update(measure={"random_atoms": {"count": 3, "box": 0.0, "seed": 0}}),
+         "'box' must be positive"),
+        (lambda d: d.update(models={"kind": "exponential"}), "'models' must be a nonempty list"),
     ],
 )
 def test_config_validation_names_offending_field(breaker, needle):
@@ -454,6 +458,17 @@ def test_emit_plots_tick_labels_increase(tmp_path):
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
 
 
+def test_emit_plots_spans_a_decade_around_one_power_of_ten(tmp_path):
+    # every T and every mean on one power of ten: each axis still spans a
+    # decade, not a zero width that would divide by zero
+    recs = [ConvergenceRecord("a", 10, s, 0.1, 0.1, 0.0) for s in (0, 1)]
+    for path in emit_plots(recs, tmp_path):
+        svg = Path(path).read_text()
+        assert "nan" not in svg and "inf" not in svg
+        assert ">1e1<" in svg and ">1e2<" in svg
+        assert ">1e-1<" in svg and ">1e0<" in svg
+
+
 def test_emit_plots_svg_is_ascii_and_versioned(tmp_path):
     paths = emit_plots(_golden_records(), tmp_path)
     head = Path(paths[0]).read_text()
@@ -492,6 +507,23 @@ def test_cli_probs_missing_field_names_it(tmp_path, capsys):
     assert main(["probs", "--in", path]) == 2
     err = capsys.readouterr().err
     assert "'u'" in err
+
+
+@pytest.mark.parametrize("command, flag, text, needle", [
+    ("probs", "--in", '{"u": [0.0,', "input is not valid JSON"),
+    ("probs", "--in", "[0.0, 1.0]", "input must be a JSON object"),
+    ("volume", "--in", '"w"', "input must be a JSON object"),
+    ("experiment", "--config", "[1]", "config must be a JSON object"),
+])
+def test_cli_rejects_input_that_is_no_json_object(tmp_path, capsys, command, flag, text, needle):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert main([command, flag, str(path), *(["--out", str(tmp_path / "results")]
+                                             if command == "experiment" else [])]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {needle}") and captured.err.count("\n") == 1
+    assert not (tmp_path / "results").exists()
 
 
 def test_cli_unreadable_input_and_unwritable_out_exit_2(tmp_path, capsys):
@@ -798,6 +830,11 @@ def test_cli_volume_row(tmp_path, capsys):
     assert float(row[3]) == pytest.approx(0.3, abs=0.02)
     assert row[5] == "grid:m=400"
     assert int(row[6]) == 2 * (math.ceil(math.log2(1 / 0.01)) + 1)
+    payload["quadrature"] = {"kind": "monte-carlo", "n": 2000}
+    assert main(["volume", "--in", _write_json(tmp_path, "mc.json", payload)]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert row[5] == "monte-carlo:n=2000:seed=0"
+    assert float(row[3]) == pytest.approx(0.3, abs=0.05)
 
 
 def test_cli_volume_reports_the_oracle_calls_it_makes(tmp_path, capsys, monkeypatch):
@@ -1135,6 +1172,16 @@ def test_cli_experiment_end_to_end(tmp_path, capsys):
     assert len(svgs) >= 1
     text = capsys.readouterr().out
     assert "records.csv" in text
+
+
+def test_cli_experiment_writes_null_slopes_below_three_t_values(tmp_path, capsys):
+    cfg = tiny_config_dict(models=["none"], t_grid=[10, 20], seeds=[0])
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", _write_json(tmp_path, "config.json", cfg),
+                 "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads((out / "slopes.json").read_text()) == {
+        "none": {"subopt": None, "potgap": None}}
 
 
 def test_cli_experiment_rejects_unknown_config_field(tmp_path, capsys):

@@ -6,6 +6,7 @@ subgradients of rows of utilities."""
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,6 +79,8 @@ def test_cost_spec_validates_exponent():
         CostSpec("p-norm-power", p=0.5)
     with pytest.raises(ValueError):
         CostSpec("no-such-kind")
+    with pytest.raises(ValueError, match="sup-norm cost takes no exponent"):
+        CostSpec("sup-norm", p=2.0)
 
 
 def test_cost_matrix_matches_pointwise():
@@ -117,6 +120,55 @@ def test_sup_norm_cost_matrix_bit_identical_to_broadcast():
             assert np.array_equal(got, frozen_sup_norm_matrix(A, B))
     with pytest.raises(ValueError, match="coordinate"):
         cost_matrix(np.zeros((3, 0)), np.zeros((2, 0)), SUP)
+
+
+def frozen_norm_power_matrix(X, Y, p):
+    """The Euclidean cost matrix as it was built before the coordinate
+    loop: one broadcast (m, n, d) difference reduced by ``einsum``."""
+    diff = X[:, None, :] - Y[None, :, :]
+    sq = np.einsum("mnd,mnd->mn", diff, diff)
+    return sq if p == 2.0 else sq ** (p / 2.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_norm_power_cost_matrix_matches_einsum(d):
+    # with at most two squares per entry the loop adds them as einsum does,
+    # bit for bit; past two the order of the sum may differ in the last bits
+    rng = np.random.default_rng(30 + d)
+    X = rng.normal(size=(20_000, d))
+    Y = rng.normal(size=(5, d))
+    X[0] = Y[2]  # a zero cost
+    for p in (1.0, 1.5, 2.0, 3.0):
+        spec = CostSpec("p-norm-power", p=p)
+        got, want = cost_matrix(X, Y, spec), frozen_norm_power_matrix(X, Y, p)
+        if d <= 2:
+            assert np.array_equal(got, want)
+        else:
+            assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+        assert got[0, 2] == 0.0
+
+
+@pytest.mark.parametrize("spec", [SUP, SQ, CostSpec("p-norm-power", p=1.5)],
+                         ids=["sup-norm", "p2", "p1.5"])
+def test_cost_matrix_holds_no_point_by_atom_by_coordinate_temporary(spec):
+    # at d = 5 an (m, n, d) difference alone is five outputs; the loop holds
+    # the output and one (m, n) scratch array
+    rng = np.random.default_rng(41)
+    m, n = 20_000, 10
+    X, Y = rng.normal(size=(m, 5)), rng.normal(size=(n, 5))
+    tracemalloc.start()
+    try:
+        cost_matrix(X, Y, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * m * n * 8
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0])
+def test_norm_power_cost_needs_a_coordinate(p):
+    with pytest.raises(ValueError, match="coordinate"):
+        cost_matrix(np.zeros((3, 0)), np.zeros((2, 0)), CostSpec("p-norm-power", p=p))
 
 
 # ------------------------------------------------------- discrete c-transform
@@ -328,6 +380,9 @@ def test_sampler_rejects_non_integer_fields(field, value):
     if not isinstance(value, float) or not value.is_integer():
         with pytest.raises(ValueError, match=f"sampler field '{field}' must be"):
             SamplerSpec.from_json({"kind": "gaussian-standard", **kw})
+    else:
+        got = getattr(SamplerSpec.from_json({"kind": "gaussian-standard", **kw}), field)
+        assert type(got) is int and got == value
     if field == "d":
         with pytest.raises(ValueError, match="sampler field 'd' must be an integer"):
             SamplerSpec("empirical", d=value, points=np.zeros((1, 2)), weights=np.ones(1))
@@ -364,6 +419,28 @@ def test_measure_validation():
         DiscreteMeasure(np.zeros((2, 1)), np.array([1.5, -0.5]))
     with pytest.raises(ValueError):
         DiscreteMeasure(np.zeros((0, 1)), np.zeros(0))
+    with pytest.raises(ValueError, match="weights length must match the number of atoms"):
+        DiscreteMeasure(np.zeros((2, 1)), np.ones(1))
+    with pytest.raises(ValueError, match="atoms and weights must be finite"):
+        DiscreteMeasure(np.array([[0.0], [np.inf]]), np.full(2, 0.5))
+
+
+def test_cost_json_that_is_no_object_names_its_context():
+    with pytest.raises(ValueError, match="^cost JSON must be a JSON object$"):
+        CostSpec.from_json("sup-norm")
+
+
+@pytest.mark.parametrize("kind, kw, needle", [
+    ("empirical", {"points": np.zeros((2, 1))}, "needs points and weights"),
+    ("empirical", {"weights": np.ones(1)}, "needs points and weights"),
+    ("empirical", {"points": np.zeros(2), "weights": np.full(2, 0.5)}, "must be (K, d)"),
+    ("empirical", {"points": np.zeros((2, 1)), "weights": np.ones(1)}, "must be (K, d)"),
+    ("gaussian-standard", {"d": 1, "points": np.zeros((1, 1))}, "takes no point list"),
+    ("hypercube-uniform", {"d": 1, "weights": np.ones(1)}, "takes no point list"),
+])
+def test_sampler_rejects_a_misplaced_or_misshapen_point_list(kind, kw, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        SamplerSpec(kind, **kw)
 
 
 def test_measure_is_immutable():

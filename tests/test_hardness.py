@@ -28,6 +28,8 @@ def test_instance_validation():
         KnapsackInstance(np.array([1.0]), 0.0)
     with pytest.raises(ValueError):
         KnapsackInstance(np.array([1.0]), 1.0, p=0.5)
+    with pytest.raises(ValueError, match="w must be a finite 1-d vector"):
+        KnapsackInstance(np.ones((2, 2)), 1.0)
 
 
 def test_instance_atoms():

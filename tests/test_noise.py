@@ -4,6 +4,7 @@ support enumeration for the sparsemax fixed point, scipy SLSQP for simplex maxim
 scipy quadrature for integral identities."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -253,6 +254,11 @@ def test_model_validation():
         MarginalModel("uniform", 1.0, np.array([0.5, 0.5]), q=2.0)
     with pytest.raises(ValueError):
         MarginalModel("no-such", 1.0, np.array([0.5, 0.5]))
+    for eta in (np.zeros(0), np.full((1, 2), 0.5)):
+        with pytest.raises(ValueError, match="eta must be a nonempty 1-d array"):
+            MarginalModel("exponential", 1.0, eta)
+    with pytest.raises(ValueError, match="pareto kind requires the exponent q"):
+        MarginalModel("pareto", 1.0, np.array([0.5, 0.5]))
 
 
 def test_model_json_round_trip():
@@ -1031,6 +1037,27 @@ def test_kernel_rows_are_independent_across_row_blocks(monkeypatch, kind):
         whole = utilities_values_probs(U, model, eps=1e-9)
         monkeypatch.undo()
         assert whole[0].tobytes() == vals.tobytes() and whole[1].tobytes() == P.tobytes()
+
+
+_PAIR = MarginalModel("exponential", 0.5, np.full(2, 0.5))
+_NU3 = DiscreteMeasure(np.zeros((3, 1)), np.full(3, 1 / 3))
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda: marginal_quantile(_PAIR, 0, 1.0), "level must lie in (0, 1)"),
+    (lambda: marginal_quantile(_PAIR, 0, 0.0), "level must lie in (0, 1)"),
+    (lambda: divergence_generator_value(_PAIR, -0.5), "argument must be nonnegative"),
+    (lambda: discrete_f_divergence(_PAIR, np.full(3, 1 / 3)), "one entry per atom"),
+    (lambda: discrete_f_divergence(_PAIR, np.array([1.5, -0.5])), "entries must be nonnegative"),
+    (lambda: choice_probabilities(np.zeros(3), np.zeros(1), _NU3, COST, _PAIR),
+     "model weights and measure atoms disagree in length"),
+    (lambda: utilities_values_probs(np.zeros((4, 3)), _PAIR),
+     "model weights and utility columns disagree in length"),
+], ids=["quantile-1", "quantile-0", "generator", "divergence-shape", "divergence-sign",
+        "probs-atoms", "transform-columns"])
+def test_noise_functions_reject_bad_arguments(call, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        call()
 
 
 @pytest.mark.parametrize("bad", [[np.nan, 0.0], [0.0, np.inf], [0.0, 0.0, 0.0]])

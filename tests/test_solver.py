@@ -226,6 +226,16 @@ def test_sgd_takes_only_a_sampler_spec():
     for sampler in (spec.to_json(), draw(spec, 5)):
         with pytest.raises(TypeError, match="SamplerSpec"):
             averaged_sgd(sampler, nu, SUP, None, SolverConfig(T=5))
+        with pytest.raises(TypeError, match="finite_sample_reference needs a SamplerSpec"):
+            finite_sample_reference(sampler, nu, SUP, None, T=5)
+
+
+def test_sgd_rejects_a_model_of_another_length():
+    nu = DiscreteMeasure(np.array([[0.0], [1.0]]), np.full(2, 0.5))
+    model = MarginalModel("exponential", 0.5, np.full(3, 1 / 3))
+    spec = SamplerSpec("gaussian-standard", d=1, seed=1)
+    with pytest.raises(ValueError, match="model weights and measure atoms disagree in length"):
+        averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5))
 
 
 @pytest.mark.parametrize("kind, eps_bar", [("exponential", 0.0), ("uniform", 0.0),
@@ -549,6 +559,19 @@ def test_reduced_lp_failed_pass_widens_margin(monkeypatch):
     # takes in more boundary rows
     assert cert["boundary"][1][0] > cert["boundary"][0][0] > 0
     assert value == pytest.approx(direct, abs=1e-8)
+
+    # a restricted LP that fails on every one of the 16 passes certifies nothing
+    def fail_all(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res.success)
+        res.success, res.message = False, "forced failure"
+        return res
+
+    calls.clear()
+    monkeypatch.setattr(solver_mod, "_lp_stack", lambda: (sp, fail_all))
+    with pytest.raises(RuntimeError, match="boundary reduction did not certify"):
+        solver_mod._reduced_transport_value_phi(C, a, nu_w)
+    assert len(calls) == 16
 
 
 def test_reduced_lp_open_gap_widens_margin(monkeypatch):
