@@ -34,8 +34,11 @@ sum over atoms adds in index order (:func:`_atom_sum`): a row alone, a
 one-row block and a row inside a block get the same bits, and no row's
 bits depend on its block. Max and first-maximizer argmax are exact in
 any order. The bisection halves many rows together in one in-place loop,
-one halving per pass, and a single row tests the nested midpoints of
-four halvings per pass and gets the same bits.
+one halving per pass, and a single row tests the nested midpoints of up
+to five halvings per pass and gets the same bits. A single row's bracket
+ends and halving count are Python floats, computed once per row; a row
+whose ends or width are not finite keeps the loop's numpy scalars, so
+that it warns as the loop does.
 """
 
 from __future__ import annotations
@@ -132,6 +135,26 @@ class MarginalModel:
         """eta as an (n, 1) column, the weights of an atom-major block.
         Computed on its first call."""
         return self.eta[:, None]
+
+    @cached_property
+    def _eta_blocks(self) -> dict:
+        """The operands of :meth:`_eta_block` by width, the column first."""
+        return {1: self._eta_col}
+
+    def _eta_block(self, k: int) -> np.ndarray:
+        """eta repeated over k columns, read-only: the weights of an
+        atom-major (n, k) block as an operand of the block's own shape,
+        which numpy multiplies about twice as fast as it broadcasts the
+        (n, 1) column, with the same products. Cached per width; the cache
+        holds at most ``_ETA_COLUMNS`` columns in all and starts over when
+        a new width would exceed them."""
+        blocks = self._eta_blocks
+        block = blocks.get(k)
+        if block is None:
+            if sum(blocks) + k > _ETA_COLUMNS:  # the keys are the widths
+                blocks.clear()
+            block = blocks[k] = _readonly(np.repeat(self._eta_col, k, axis=1))
+        return block
 
     @cached_property
     def _eta_floats(self) -> tuple:
@@ -312,7 +335,7 @@ def _clip_probs(model: MarginalModel, Z: np.ndarray, out: np.ndarray) -> np.ndar
     """eta * F(Z) clipped to [0, 1] for the atom-major row Z, (n,), or
     block, (n, k), written into ``out`` as in :func:`_cdf_extended`."""
     _cdf_extended(model, Z, out)
-    out *= model.eta if out.ndim == 1 else model._eta_col
+    out *= model.eta if out.ndim == 1 else model._eta_block(out.shape[1])
     return out.clip(_ZERO, _ONE, out=out)
 
 
@@ -361,7 +384,10 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
     in index order, a dozen numpy calls per halving at any row count. A
     single row, 1-d (each SGD step) or one column, takes its halvings in
     blocks instead, :func:`_one_row_probs`, with the same midpoints and
-    mass tests and so the same bits.
+    mass tests and so the same bits. Its bracket ends and halving count
+    come from :func:`_row_bracket` on Python floats; a row with a
+    non-finite end or width takes them from the loop's numpy arithmetic
+    instead, whose numpy scalars raise the loop's warnings.
     """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
@@ -372,13 +398,18 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
         p = np.ones(U.shape)
     else:
         nodes = (model._bracket_nodes if one else model._bracket_nodes[:, None]) - u
-        lo, hi = nodes.min(axis=0), nodes.max(axis=0)
-        # ceil(log2(width / delta)) halvings, none where the width is within
-        # delta; one row's ends are numpy scalars, which warn as arrays do only
-        # under ufunc calls, not operators
-        width = np.divide(np.subtract(hi, lo), bisection_delta(model, eps))
-        steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
-        total = int(steps.max(initial=0))
+        delta = bisection_delta(model, eps)
+        row = _row_bracket(nodes, delta) if one else None
+        if row is None:
+            lo, hi = nodes.min(axis=0), nodes.max(axis=0)
+            # ceil(log2(width / delta)) halvings, none where the width is
+            # within delta; a non-finite row's ends are numpy scalars, which
+            # warn as arrays do only under ufunc calls, not operators
+            width = np.divide(np.subtract(hi, lo), delta)
+            steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
+            total = int(steps.max(initial=0))
+        else:
+            lo, hi, total = row
         with np.errstate(over="ignore", divide="ignore"):
             if one:
                 p = _one_row_probs(u, model, float(lo), float(hi), total)
@@ -419,8 +450,44 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
     return p
 
 
-# halvings that the one-row bisection tests in one numpy pass
-_BLOCK_DEPTH = 4
+def _row_bracket(nodes: np.ndarray, delta: float):
+    """``(lo, hi, total)`` of the one row whose bracket nodes are ``nodes``,
+    (n,): its bracket ends and halving count on Python floats, the same
+    numbers as the numpy-scalar arithmetic of :func:`_bisection`; None
+    where an end, the width or the width over ``delta`` is not finite, or
+    ``delta`` is zero. Those rows keep the numpy scalars, so that they warn
+    as the many-row loop does. The count's ``math.log2`` could part from
+    numpy's log2 only in rounding next to a power of two, and the tests
+    hold one-row counts there to the numpy ones."""
+    ends = nodes.tolist()
+    # a NaN end hides from min and max but not from the sum
+    if not (delta > 0.0 and math.isfinite(sum(ends))):
+        return None
+    lo, hi = min(ends), max(ends)
+    width = (hi - lo) / delta
+    if not math.isfinite(width):
+        return None
+    return lo, hi, math.ceil(math.log2(max(width, 1.0)))
+
+
+# most halvings that the one-row bisection tests in one numpy pass: a
+# pass's numpy calls cost more than its midpoints, so passes of up to five
+# levels (31 midpoints) take one pass fewer than passes of four at 13-15
+# and 17-20 halvings, the counts of most SGD steps, and are faster there
+_BLOCK_DEPTH = 5
+
+
+@functools.cache
+def _heap_ends(depth: int) -> tuple:
+    """Where the ends of each node of a ``depth``-level midpoint heap sit in
+    the list [lo, hi, mid_0, mid_1, ...]: the root's are 0 and 1, and node
+    i, at position i + 2, gives its children 2i + 1 and 2i + 2 the ends
+    (its lower end, i + 2) and (i + 2, its upper end)."""
+    ends = [(0, 1)]
+    for i in range((1 << (depth - 1)) - 1):
+        a, b = ends[i]
+        ends += ((a, i + 2), (i + 2, b))
+    return tuple(ends)
 
 
 def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
@@ -428,30 +495,33 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
     """Probabilities of the one row u, (n,), at its lower bracket end
     after ``total`` halvings.
 
-    The bracket stays in Python floats, and the halvings run in blocks of
-    up to ``_BLOCK_DEPTH`` levels. A block lays out the midpoints of every
+    The bracket, from :func:`_row_bracket` for a finite row, stays in
+    Python floats, and the halvings run in the fewest blocks of at most
+    ``_BLOCK_DEPTH`` levels, their depths as even as the count allows
+    (17 halvings: 5, 4, 4 and 4). A block lays out the midpoints of every
     bracket its levels can reach in heap order: node i has the children
     2i + 1, which takes the node's midpoint as its upper end, and 2i + 2,
     which takes it as its lower end. Each midpoint is ``(lo + hi) * 0.5``
-    of its own node's ends, as in the many-row loop. One atom-major
-    (n, 2^k - 1) pass evaluates every node's mass, summed over atoms in
-    index order, and the walk from the root follows the loop's halvings:
-    down left where the mass exceeds one, else right. The output is the
+    of its own node's ends, as in the many-row loop, read from a flat list
+    at the positions :func:`_heap_ends` gives. One atom-major
+    (n, 2^depth - 1) pass, weighted by an eta operand of its own shape,
+    evaluates every node's mass, summed over atoms in index order, and
+    the walk from the root follows the loop's halvings: down left where
+    the mass exceeds one, else right. The output is the
     pass's column at the last midpoint that became the lower end: each
     pass writes a new array, so that column stays intact. Only a row whose
     lower end never moved is evaluated again.
     """
-    last = None
-    for done in range(0, total, _BLOCK_DEPTH):
-        depth = min(_BLOCK_DEPTH, total - done)
-        size = (1 << depth) - 1
-        ends, mids = [(lo, hi)], []
-        for a, b in ends:
-            mid = (a + b) * 0.5
-            mids.append(mid)
-            if len(ends) < size:
-                ends += ((a, mid), (mid, b))
-        Z = np.add(u[:, None], mids)
+    col, last = u[:, None], None
+    blocks = -(-total // _BLOCK_DEPTH)
+    for j in range(blocks):
+        depth = total // blocks + (j < total % blocks)
+        # the bracket ends and then node i's midpoint at position i + 2
+        points = [lo, hi]
+        for a, b in _heap_ends(depth):
+            points.append((points[a] + points[b]) * 0.5)
+        mids = points[2:]
+        Z = np.add(col, np.array(mids))
         _clip_probs(model, Z, Z)
         mass = _atom_sum(Z).tolist()
         i = 0
@@ -491,7 +561,7 @@ def _softmax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.ndarr
     mx = Z.max(axis=0)
     Z -= mx
     np.exp(Z, out=Z)
-    Z *= model.eta if U.ndim == 1 else model._eta_col
+    Z *= model.eta if U.ndim == 1 else model._eta_block(U.shape[1])
     s = _atom_sum(Z)
     Z /= s
     if vals is not None:
@@ -525,8 +595,7 @@ def _sparsemax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.nda
     V = U / lam
     mx = V.max(axis=0)
     V -= mx
-    # eta written out per row: numpy broadcasts an (n, 1) operand slowly
-    eta = np.repeat(model.eta[:, None], V.shape[1], axis=1)
+    eta = model._eta_block(V.shape[1])
     ev, es = V * eta, eta.copy()
     # ``inside`` marks the supports, ``above`` each pass's v > tau
     above, inside = np.empty(V.shape, dtype=bool), np.ones(V.shape, dtype=bool)
@@ -694,6 +763,11 @@ def choice_probabilities(phi, x, nu: DiscreteMeasure, c: CostSpec, model: Margin
 # rows: a reduction over atoms is n vector operations along k, added in
 # index order (see the module docstring).
 _ROW_BLOCK = 4096
+# Columns of the eta operands (:meth:`MarginalModel._eta_block`) that a
+# model keeps: two full blocks, so a batched call's block widths and a
+# one-row bisection's pass widths fit, in no more memory than a block's
+# utility and probability buffers take together.
+_ETA_COLUMNS = 2 * _ROW_BLOCK
 
 
 def utilities_values_probs(U: np.ndarray, model: MarginalModel | None,

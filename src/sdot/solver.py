@@ -183,16 +183,22 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     # the under-average's sum of phi_0..phi_{t-1} is the bar sum one step
     # behind, bit for bit, because phi_0 is zero: no second running sum
     bar_sum = np.zeros(n)
+    # every step rewrites its utilities u, its update and, for the plain
+    # subgradient, the one-hot row at the first maximizer ``win`` in place
+    u, update, onehot, win = np.empty(n), np.empty(n), np.zeros(n), 0
+    damping = 2.0 * config.tikhonov  # the Tikhonov term's gradient is damping * phi
     sched = _checkpoint_schedule(T, config.log_every)
     rows = []
     t0 = time.perf_counter()
-    for t in range(1, T + 1):
-        u = phi - C[t - 1]
+    for t, costs in enumerate(C, 1):
+        np.subtract(phi, costs, out=u)
         if model is None:
-            p = np.zeros(n)
-            p[int(np.argmax(u))] = 1.0
-            if config.tikhonov > 0.0:
-                p = p + 2.0 * config.tikhonov * phi
+            onehot[win] = 0.0
+            win = int(u.argmax())
+            onehot[win] = 1.0
+            p = onehot
+            if damping > 0.0:
+                p = np.add(onehot, np.multiply(damping, phi, out=update), out=update)
         else:
             # closed forms read no eps and check their mass with no slack
             eps = config.eps_bar / (2.0 * math.sqrt(t))
@@ -200,7 +206,8 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
                 p = _mass_checked(_kernel(u, model, eps), model, eps)
             except ValueError as exc:
                 raise ValueError(f"gradient oracle failed at iteration {t}: {exc}") from exc
-        phi = phi + gamma * (weights - p)
+        # phi += gamma * (weights - p)
+        phi += np.multiply(gamma, np.subtract(weights, p, out=update), out=update)
         if t in sched:
             under = bar_sum / t
             bar_sum += phi

@@ -21,6 +21,7 @@ from sdot.noise import (
     _cdf_extended,
     _ROW_BLOCK,
     _kernel,
+    _row_bracket,
     approximation_bound,
     averaged_choice_jacobian,
     bisection_delta,
@@ -959,23 +960,65 @@ def _outcome(U, model, eps, action):
     return result, sorted({(w.category.__name__, str(w.message)) for w in seen})
 
 
+def _eps_for_delta(model, target):
+    """An eps whose :func:`bisection_delta` is within rounding of
+    ``target``: bisection on log(eps), which delta increases with."""
+    lo, hi = -700.0, 700.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bisection_delta(model, math.exp(mid)) < target else (lo, mid)
+    return math.exp(hi)
+
+
+def _ratio_rows(model):
+    """``(row, eps, j, ratio)``: finite rows whose bracket width is 2^j
+    delta, or one float either side of it, for j in 0-3, 5-7 and 9. The
+    model's bracket nodes all equal c, and the row (c, c, c - w) has the
+    nodes (0, 0, w) exactly when w is within a factor 2 of c, so eps is
+    chosen to make 2^j delta about c."""
+    c = float(model._bracket_nodes[0])
+    for j in (0, 1, 2, 3, 5, 6, 7, 9):
+        eps = _eps_for_delta(model, c / 2.0 ** j)
+        width = 2.0 ** j * bisection_delta(model, eps)
+        for w in (width, math.nextafter(width, math.inf), math.nextafter(width, 0.0)):
+            yield [c, c, c - w], eps, j, w / bisection_delta(model, eps)
+
+
 @pytest.mark.parametrize("kind,q", BISECTION_CASES)
 def test_one_row_non_finite_utilities_match_many_row_loop(kind, q):
     # inf and nan reach the kernel only from a caller that skips the
     # utility check; one row must then do what the many-row loop does with
     # it, output, error and warnings alike. The finite rows follow: a
     # spread that overflows, one of hundreds of halvings, and one whose
-    # midpoints overflow to inf (a NaN mass for tdist)
+    # midpoints overflow to inf (a NaN mass for tdist). Last come finite
+    # rows whose width is 2^j delta or one float either side of it, where a
+    # log2 rounded otherwise than numpy's would change the halving count:
+    # one row's count on Python floats must be the numpy count, 0 to 9
+    # halvings, so that some passes are shorter than four
     model = MarginalModel(kind, 0.3, np.full(3, 1.0 / 3), q=q)
     inf, nan = np.inf, np.nan
-    for row in ([0.0, inf, 1.0], [0.0, -inf, 1.0], [nan, 0.0, 1.0], [inf] * 3,
-                [-inf, inf, 0.0], [nan] * 3, [1e308, -1e308, 0.0], [1e200, 0.0, -1e200],
-                [-1e308, -1.7e308, -1.2e308]):
+    cases = [(row, eps) for row in (
+        [0.0, inf, 1.0], [0.0, -inf, 1.0], [nan, 0.0, 1.0], [inf] * 3, [-inf, inf, 0.0],
+        [nan] * 3, [1e308, -1e308, 0.0], [1e200, 0.0, -1e200], [-1e308, -1.7e308, -1.2e308])
+        for eps in (1e-9, 0.1, 1e9)]
+    ratios = {}
+    for row, eps, j, ratio in _ratio_rows(model):
+        cases.append((row, eps))
+        ratios.setdefault(j, set()).add(ratio)
+        u = np.array(row)
+        nodes = generating_quantile(model, (1.0 / model.n) / model.eta) - u
+        assert np.ptp(nodes) / bisection_delta(model, eps) == ratio
+        assert _row_bracket(nodes, bisection_delta(model, eps))[2] == _halvings(u, model, eps)
+    for j, seen in ratios.items():
+        # 2^j itself and, within one ulp of it, a ratio either side
+        below, power, above = sorted(seen)
+        assert power == 2.0 ** j and 0.0 < above - power <= math.ulp(power), j
+        assert 0.0 < power - below <= math.ulp(power), j
+    for row, eps in cases:
         u = np.array([row])
         for action in ("always", "error"):
-            for eps in (1e-9, 0.1, 1e9):
-                one = _outcome(u, model, eps, action)
-                assert one == _outcome(np.repeat(u, 2, axis=0), model, eps, action)
+            one = _outcome(u, model, eps, action)
+            assert one == _outcome(np.repeat(u, 2, axis=0), model, eps, action)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))
@@ -1037,6 +1080,10 @@ def test_kernel_rows_are_independent_across_row_blocks(monkeypatch, kind):
         whole = utilities_values_probs(U, model, eps=1e-9)
         monkeypatch.undo()
         assert whole[0].tobytes() == vals.tobytes() and whole[1].tobytes() == P.tobytes()
+        if model is not None:
+            # the cached eta operands of all these widths stay within one
+            # budget, unless a single block is wider
+            assert sum(model._eta_blocks) <= max(noise_mod._ETA_COLUMNS, m)
 
 
 _PAIR = MarginalModel("exponential", 0.5, np.full(2, 0.5))

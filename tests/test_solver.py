@@ -251,19 +251,30 @@ def test_sgd_rejects_oracle_rows_off_the_simplex(monkeypatch, kind, eps_bar, bad
         averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5, rule="lipschitz", eps_bar=eps_bar))
 
 
-def test_sgd_update_arithmetic_and_gradient_bound():
+@pytest.mark.parametrize("kind", ["exponential", "none", "uniform", "hyperbolic"])
+def test_sgd_update_arithmetic_and_gradient_bound(kind):
+    # every logged step replayed on fresh arrays: the loop rewrites its
+    # utilities and update in place, and the plain max (here with a
+    # Tikhonov term) resets its one-hot row after each step
     rng = np.random.default_rng(43)
     nu = random_measure(rng, 5, 2)
-    model = MarginalModel("exponential", 0.3, np.full(5, 0.2))
+    model = None if kind == "none" else MarginalModel(kind, 0.3, np.full(5, 0.2))
     spec = SamplerSpec("gaussian-standard", d=2, seed=14)
-    cfg = SolverConfig(T=64, rule="lipschitz", log_every=1)
+    cfg = SolverConfig(T=64, rule="lipschitz", eps_bar=0.1 if kind == "hyperbolic" else 0.0,
+                       tikhonov=0.05 if model is None else 0.0, log_every=1)
     _, _, trace = averaged_sgd(spec, nu, SUP, model, cfg)
     gamma = cfg.step
     X = draw(spec, 64)
     phi_prev = np.zeros(5)
     for row in trace.rows:
         u = phi_prev - cost_vector(X[row.t - 1], nu.atoms, SUP)
-        p = probs_from_utilities(u, MarginalModel("exponential", model.lam, model.eta))
+        if model is None:
+            p = np.zeros(5)
+            p[int(np.argmax(u))] = 1.0
+            p = p + 2.0 * cfg.tikhonov * phi_prev
+        else:
+            fresh = MarginalModel(kind, model.lam, model.eta)
+            p = probs_from_utilities(u, fresh, eps=cfg.eps_bar / (2.0 * math.sqrt(row.t)))
         step = gamma * (nu.weights - p)
         assert np.array_equal(row.phi, phi_prev + step)
         assert np.linalg.norm(nu.weights - p) <= 2.0
