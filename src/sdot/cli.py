@@ -635,9 +635,12 @@ def _cmd_solve(args) -> int:
     sd = _require(obj, "solver")
     T = _number(_require(sd, "T", "input field 'solver'"), "solver field 'T'", integer=True)
     _reject_unknown(sd, ("T", "eps_bar", "log_every"), "input field 'solver'")
+    every, field = sd.get("log_every"), "solver field 'log_every'"
+    if every is not None:  # a JSON integer, as T is: 2.0 is 2
+        every = _count(_number(every, field, integer=True), field, least=1)
     # the step rule is the model's, as in every experiment cell
     config = sgd_config(model, T, _number(sd.get("eps_bar", 0.1), "solver field 'eps_bar'"))
-    _, _, trace = averaged_sgd(spec, nu, c, model, replace(config, log_every=sd.get("log_every")))
+    _, _, trace = averaged_sgd(spec, nu, c, model, replace(config, log_every=every))
     csv = trace.to_csv(timing=args.timing)
     if args.out is None:
         sys.stdout.write(csv)

@@ -36,9 +36,9 @@ bits depend on its block. Max and first-maximizer argmax are exact in
 any order. The bisection halves many rows together in one in-place loop,
 one halving per pass, and a single row tests the nested midpoints of up
 to five halvings per pass and gets the same bits. A single row's bracket
-ends and halving count are Python floats, computed once per row; a row
-whose ends or width are not finite keeps the loop's numpy scalars, so
-that it warns as the loop does.
+ends and halving count are Python floats, computed once per row. A row
+that cannot be halved, alone or in a block, raises one ValueError and no
+warning: an end of its bracket or its count of halvings is not finite.
 """
 
 from __future__ import annotations
@@ -385,9 +385,9 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
     single row, 1-d (each SGD step) or one column, takes its halvings in
     blocks instead, :func:`_one_row_probs`, with the same midpoints and
     mass tests and so the same bits. Its bracket ends and halving count
-    come from :func:`_row_bracket` on Python floats; a row with a
-    non-finite end or width takes them from the loop's numpy arithmetic
-    instead, whose numpy scalars raise the loop's warnings.
+    come from :func:`_row_bracket` on Python floats. A row whose bracket
+    end or width over delta is not finite (a non-finite utility, or delta
+    underflowing to zero) raises one ValueError, alone or in a block.
     """
     if eps is None or not eps > 0.0:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
@@ -399,27 +399,28 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
     else:
         nodes = (model._bracket_nodes if one else model._bracket_nodes[:, None]) - u
         delta = bisection_delta(model, eps)
-        row = _row_bracket(nodes, delta) if one else None
-        if row is None:
-            lo, hi = nodes.min(axis=0), nodes.max(axis=0)
-            # ceil(log2(width / delta)) halvings, none where the width is
-            # within delta; a non-finite row's ends are numpy scalars, which
-            # warn as arrays do only under ufunc calls, not operators
-            width = np.divide(np.subtract(hi, lo), delta)
-            steps = np.ceil(np.log2(np.fmax(width, 1.0))).astype(int)
-            total = int(steps.max(initial=0))
+        if one:
+            row = _row_bracket(nodes, delta)
+            ok = row is not None
         else:
-            lo, hi, total = row
+            # bracket ends as rows [lo, hi]: a halving moves the one that
+            # ``side`` marks, hi where the mass exceeds one and lo elsewhere
+            bracket = np.stack([nodes.min(axis=0), nodes.max(axis=0)])
+            lo, hi = bracket
+            with np.errstate(all="ignore"):  # a rejected row's width is inf or NaN
+                width = (hi - lo) / delta
+            ok = np.isfinite(width).all()
+        if not ok:
+            raise ValueError(f"model kind {model.kind!r} cannot bisect at eps={eps:g}: a row's "
+                             "bracket is not finite, or eps is too small to halve it")
         with np.errstate(over="ignore", divide="ignore"):
             if one:
-                p = _one_row_probs(u, model, float(lo), float(hi), total)
+                p = _one_row_probs(u, model, *row)
                 p = p if U.ndim == 1 else p[:, None]
             else:
-                # bracket ends as rows [lo, hi]: each halving moves the one
-                # that ``side`` marks, hi where the mass exceeds one and lo
-                # elsewhere
-                bracket = np.stack([lo, hi])
-                lo, hi = bracket
+                # ceil(log2(width / delta)) halvings, none within delta
+                steps = np.ceil(np.log2(np.maximum(width, 1.0))).astype(int)
+                total = int(steps.max(initial=0))
                 ragged = steps.min(initial=total) < total
                 side = np.empty(bracket.shape, dtype=bool)
                 below, above = side
@@ -453,19 +454,16 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
 def _row_bracket(nodes: np.ndarray, delta: float):
     """``(lo, hi, total)`` of the one row whose bracket nodes are ``nodes``,
     (n,): its bracket ends and halving count on Python floats, the same
-    numbers as the numpy-scalar arithmetic of :func:`_bisection`; None
-    where an end, the width or the width over ``delta`` is not finite, or
-    ``delta`` is zero. Those rows keep the numpy scalars, so that they warn
-    as the many-row loop does. The count's ``math.log2`` could part from
-    numpy's log2 only in rounding next to a power of two, and the tests
-    hold one-row counts there to the numpy ones."""
+    numbers as the many-row loop of :func:`_bisection`; None where that
+    loop rejects the row, an end or the width over ``delta`` not finite.
+    The count's ``math.log2`` could part from numpy's log2 only in rounding
+    next to a power of two, and the tests hold one-row counts there to the
+    numpy ones."""
     ends = nodes.tolist()
-    # a NaN end hides from min and max but not from the sum
-    if not (delta > 0.0 and math.isfinite(sum(ends))):
-        return None
     lo, hi = min(ends), max(ends)
-    width = (hi - lo) / delta
-    if not math.isfinite(width):
+    width = (hi - lo) / delta if delta > 0.0 else math.inf
+    # a NaN end hides from min and max but not from the sum
+    if math.isnan(sum(ends)) or not math.isfinite(width):
         return None
     return lo, hi, math.ceil(math.log2(max(width, 1.0)))
 
@@ -495,22 +493,21 @@ def _one_row_probs(u: np.ndarray, model: MarginalModel, lo: float, hi: float,
     """Probabilities of the one row u, (n,), at its lower bracket end
     after ``total`` halvings.
 
-    The bracket, from :func:`_row_bracket` for a finite row, stays in
-    Python floats, and the halvings run in the fewest blocks of at most
-    ``_BLOCK_DEPTH`` levels, their depths as even as the count allows
-    (17 halvings: 5, 4, 4 and 4). A block lays out the midpoints of every
-    bracket its levels can reach in heap order: node i has the children
-    2i + 1, which takes the node's midpoint as its upper end, and 2i + 2,
-    which takes it as its lower end. Each midpoint is ``(lo + hi) * 0.5``
-    of its own node's ends, as in the many-row loop, read from a flat list
-    at the positions :func:`_heap_ends` gives. One atom-major
-    (n, 2^depth - 1) pass, weighted by an eta operand of its own shape,
-    evaluates every node's mass, summed over atoms in index order, and
-    the walk from the root follows the loop's halvings: down left where
-    the mass exceeds one, else right. The output is the
-    pass's column at the last midpoint that became the lower end: each
-    pass writes a new array, so that column stays intact. Only a row whose
-    lower end never moved is evaluated again.
+    The bracket, from :func:`_row_bracket`, stays in Python floats, and the
+    halvings run in the fewest blocks of at most ``_BLOCK_DEPTH`` levels,
+    their depths as even as the count allows (17 halvings: 5, 4, 4 and 4).
+    A block lays out the midpoints of every bracket its levels can reach in
+    heap order: node i has the children 2i + 1, which takes the node's
+    midpoint as its upper end, and 2i + 2, which takes it as its lower end.
+    Each midpoint is ``(lo + hi) * 0.5`` of its own node's ends, as in the
+    many-row loop, read from a flat list at the positions
+    :func:`_heap_ends` gives. One atom-major (n, 2^depth - 1) pass,
+    weighted by an eta operand of its own shape, evaluates every node's
+    mass, summed over atoms in index order, and the walk from the root
+    follows the loop's halvings: down left where the mass exceeds one, else
+    right. The output is the pass's column at the last midpoint that became
+    the lower end: each pass writes a new array, so that column stays
+    intact. Only a row whose lower end never moved is evaluated again.
     """
     col, last = u[:, None], None
     blocks = -(-total // _BLOCK_DEPTH)

@@ -656,6 +656,21 @@ def test_cli_bisection_rejects_zero_eps(tmp_path, capsys, command):
     assert "needs a positive accuracy eps" in captured.err
 
 
+def test_cli_probs_rejects_eps_too_small_to_halve(tmp_path, capsys):
+    # pareto q = 3 at eps 1e-300: bisection_delta underflows to zero, and
+    # the row is rejected before any halving, with no RuntimeWarning first
+    model = {"kind": "pareto", "lambda": 0.5, "eta": [0.25] * 4, "q": 3.0}
+    path = _write_json(tmp_path, "in.json", {"model": model, "u": [0.0, 1.0, 2.0, 0.5]})
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert main(["probs", "--in", path, "--eps", "1e-300"]) == 2
+    assert seen == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: model kind 'pareto' cannot bisect at eps=1e-300: a row's "
+                            "bracket is not finite, or eps is too small to halve it\n")
+
+
 @pytest.mark.parametrize("model", [None, {"kind": "exponential", "lambda": 0.5, "eta": [0.5, 0.5]}])
 @pytest.mark.parametrize("phi, x", [([math.nan, 0.0], [0.0]), ([0.0, 0.0], [math.inf])])
 def test_cli_transform_rejects_non_finite_input(tmp_path, capsys, model, phi, x):
@@ -786,7 +801,24 @@ def test_cli_solve_rejects_bad_log_every(tmp_path, capsys, log_every):
     assert main(["solve", "--in", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "log_every must be an integer of at least 1" in captured.err
+    assert "solver field 'log_every' must be" in captured.err
+    assert captured.err.endswith(f", got {log_every!r}\n")
+
+
+def test_cli_solve_reads_log_every_as_a_json_integer(tmp_path, capsys):
+    # 2.0 is the integer 2, as it is for T
+    payload = {
+        "sampler": {"kind": "gaussian-standard", "d": 2, "seed": 5},
+        "measure": {"atoms": [[0.0, 0.0], [1.0, 1.0]], "weights": [0.5, 0.5]},
+        "cost": {"kind": "sup-norm"},
+        "model": None,
+    }
+    outs = []
+    for every in (2, 2.0):
+        payload["solver"] = {"T": 8, "log_every": every}
+        assert main(["solve", "--in", _write_json(tmp_path, "in.json", payload)]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") == 5
 
 
 def test_cli_solve_rejects_negative_eps_bar(tmp_path, capsys):

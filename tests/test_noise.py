@@ -1021,6 +1021,32 @@ def test_one_row_non_finite_utilities_match_many_row_loop(kind, q):
             assert one == _outcome(np.repeat(u, 2, axis=0), model, eps, action)
 
 
+@pytest.mark.parametrize("kind,q", BISECTION_CASES)
+def test_a_rejected_row_fails_its_block(kind, q):
+    # a row with a non-finite bracket end has no halving count: inside a
+    # block it must raise, not keep an unhalved bracket off the simplex,
+    # as it does alone, 1-d or one column, with one message and no
+    # warning. Pareto q = 3 at eps 1e-300 underflows delta to zero, and
+    # then every row is rejected, finite or not
+    model = MarginalModel(kind, 0.3, np.full(3, 1.0 / 3), q=q)
+    finite = [0.0, 0.5, 1.0]
+    cases = [(bad, 1e-9) for bad in ([0.0, np.inf, 1.0], [np.nan, 0.0, 1.0], [0.0, 1.0, np.nan],
+                                     [-np.inf, np.inf, 0.0], [-np.inf] * 3)]
+    if q == 3.0:
+        assert bisection_delta(model, 1e-300) == 0.0
+        cases.append((finite, 1e-300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad, eps in cases:
+            message = (f"model kind {kind!r} cannot bisect at eps={eps:g}: a row's bracket "
+                       "is not finite, or eps is too small to halve it")
+            for U in (np.array(bad), cols(np.array([bad])), cols(np.array([finite, bad])),
+                      cols(np.array([bad, finite, finite]))):
+                with pytest.raises(ValueError) as exc:
+                    _bisection(U, model, eps)
+                assert str(exc.value) == message, (bad, U.shape)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))
 def test_kernel_rows_are_independent(kind):
     # SGD asks for one row at a time, the estimate and Newton for many at

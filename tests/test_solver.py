@@ -440,6 +440,25 @@ def test_dual_estimate_matches_quadrature():
     assert abs(est - truth) <= 3 * se + 1e-6
 
 
+def test_estimate_and_dual_reject_a_bracket_that_cannot_be_halved():
+    # pareto q = 3 at eps 1e-300: bisection_delta underflows to zero, so no
+    # row can be halved to eps. The batched paths have no mass check, and
+    # must raise rather than return values of unhalved brackets, whose
+    # masses miss one by up to 0.9
+    rng = np.random.default_rng(0)
+    nu = DiscreteMeasure(rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
+    model = MarginalModel("pareto", 0.1, np.full(10, 0.1), q=3.0)
+    X = rng.normal(size=(2000, 2))
+    est, se = dual_objective_estimate(np.zeros(10), nu, SUP, model, X, eps=1e-12)
+    assert np.isfinite(est) and se > 0.0
+    C, w = cost_matrix(X, nu.atoms, SUP), np.full(2000, 1.0 / 2000)
+    message = "model kind 'pareto' cannot bisect at eps=1e-300"
+    with pytest.raises(ValueError, match=message):
+        dual_objective_estimate(np.zeros(10), nu, SUP, model, X, eps=1e-300)
+    with pytest.raises(ValueError, match=message):
+        solver._finite_dual(np.zeros(10), C, w, nu.weights, model, eps=1e-300)
+
+
 # ------------------------------------------------------------ exact LP
 
 def test_lp_self_transport():
@@ -817,6 +836,82 @@ def test_newton_iterations_on_gating_instance():
         assert info["method"] == "newton"
         assert info["grad_norm"] <= 1e-7
         assert info["iterations"] <= 10, tag
+
+
+@pytest.mark.parametrize("nu_w, eta, lam", [
+    (np.full(10, 0.1), np.full(10, 0.1), 0.1),
+    (np.arange(1.0, 11.0) ** 2 / 385.0, np.full(10, 0.1), 0.1),
+    (np.arange(1.0, 11.0) ** 2 / 385.0, np.arange(10.0, 0.0, -1.0) / 55.0, 0.2),
+])
+def test_entropic_newton_is_the_share_inversion_fixed_point(nu_w, eta, lam):
+    # at the optimum the mean choice probabilities s(phi) = nu - g equal
+    # the shares nu, so the logit's phi* is Berry's share inversion, which
+    # the BLP contraction phi <- phi + lam (log nu - log s(phi)) solves
+    # without Newton. Newton stops at |g| <= 1e-7, which leaves phi* within
+    # |g| / mu of the optimum (mu: the least curvature off the gauge), 3.7e-7
+    # on the skewed nu; one more Newton step from phi* must land on the
+    # contraction's fixed point
+    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
+    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), nu_w)
+    model = MarginalModel("exponential", lam, eta)
+    spec = SamplerSpec("gaussian-standard", d=2, seed=0)
+    T = 1000
+    _, phi_star, info = finite_sample_reference(spec, nu, SUP, model, T)
+    assert info["method"] == "newton"
+    C = cost_matrix(draw(spec, 10 * T), nu.atoms, SUP)
+    w = np.full(10 * T, 1.0 / (10 * T))
+    phi = np.zeros(10)
+    for steps in range(1, 2001):
+        _, g, _ = solver._finite_dual(phi, C, w, nu.weights, model)
+        phi = phi + lam * (np.log(nu.weights) - np.log(nu.weights - g))
+        if math.sqrt(g @ g) < 1e-12:
+            break
+    assert steps < 2000
+    phi -= phi.mean()
+    _, g, H = solver._finite_dual(phi_star, C, w, nu.weights, model, hessian=True)
+    mu = np.linalg.eigvalsh(H)[1]  # H's least eigenvalue, 0, is the gauge's
+    assert np.abs(phi - phi_star).max() <= math.sqrt(g @ g) / mu + 1e-10
+    step = np.linalg.solve(H + 1.0 / 10, g)  # damped_newton's system, undamped
+    assert np.abs(phi - (phi_star + step - step.mean())).max() <= 1e-10
+
+
+def test_squared_euclidean_cost_is_invariant_to_padded_dimensions():
+    # c = |x - y|^2 with atoms in the first two coordinates is the 2-d
+    # cost plus |x_3:|^2, the same for every atom; every transform commutes
+    # with that common shift, so values move by its sample mean while phi
+    # and the gradient stay. The windows, fixed before the run, are
+    # rounding: d float adds on each cost, and 1e-12 on values of about 50
+    # at d = 50 (ulp 7e-15); the hyperbolic gradient may also differ by
+    # two bisection accuracies. The LP's phi is not compared: its optimum
+    # is a face, and the vertex it returns may move with d
+    rng = np.random.default_rng(21)
+    points = rng.normal(size=(400, 50))
+    atoms = rng.uniform(-1.0, 1.0, size=(10, 2))
+    expo = MarginalModel("exponential", 0.2, np.full(10, 0.1))
+    hyper = MarginalModel("hyperbolic", 0.2, np.full(10, 0.1))
+    phi_fixed = rng.normal(scale=0.2, size=10)
+    T, m = 100, 1000
+    values, phis, grads = [], [], []
+    for d in (2, 5, 50):
+        spec = SamplerSpec("empirical", points=points[:, :d], weights=np.full(400, 1 / 400),
+                           seed=7)
+        nu = DiscreteMeasure(np.pad(atoms, ((0, 0), (0, d - 2))), np.full(10, 0.1))
+        X = draw(spec, m)
+        C = cost_matrix(X, nu.atoms, SQ)
+        shift = (X[:, 2:] ** 2).sum(axis=1)
+        C2 = C if d == 2 else C2
+        assert np.abs(C - shift[:, None] - C2).max() <= d * np.finfo(float).eps * C.max(), d
+        value, phi, _ = finite_sample_reference(spec, nu, SQ, expo, T)
+        hval, hgrad, _ = solver._finite_dual(phi_fixed, C, np.full(m, 1 / m), nu.weights, hyper,
+                                             eps=1e-12)
+        lp_value, _, info = finite_sample_reference(spec, nu, SQ, None, T)
+        assert info["method"] == "lp" and not info["reduced"]
+        values.append(np.array([value, hval, lp_value]) - shift.mean())
+        phis.append(phi)
+        grads.append(hgrad)
+    assert np.abs(np.array(values) - values[0]).max() <= 1e-12
+    assert np.abs(np.array(phis) - phis[0]).max() <= 1e-12
+    assert np.abs(np.array(grads) - grads[0]).max() <= 2e-12
 
 
 # ------------------------------------------------------------- reference
