@@ -299,9 +299,10 @@ _CERT_TOL = 1e-6
 
 def _summary(records, stages: dict) -> dict:
     """What a run directory says about its cells at a glance: the slowest
-    cell with its slowest stage, and every cell whose reference is not
-    certified. Cells resumed from a manifest without stage timings count
-    only in ``cells``."""
+    cell with its slowest stage, the cell with the largest peak memory
+    ``rss_mb``, and every cell whose reference is not certified. Cells
+    resumed from a manifest without stage timings count only in
+    ``cells``, and those without ``rss_mb`` are not ranked by it."""
     timed = [(r, stages[(r.model, r.T, r.seed)]) for r in records
              if (r.model, r.T, r.seed) in stages]
     slowest = None
@@ -313,6 +314,11 @@ def _summary(records, stages: dict) -> dict:
         slowest = {"model": rec.model, "T": rec.T, "seed": rec.seed, "ms": rec.ms,
                    "stage": stage, "stage_s": stage_s[stage],
                    "method": st["reference"]["method"]}
+    largest_rss = None
+    sized = [(rec, st) for rec, st in timed if "rss_mb" in st]
+    if sized:
+        rec, st = max(sized, key=lambda pair: pair[1]["rss_mb"])
+        largest_rss = {"model": rec.model, "T": rec.T, "seed": rec.seed, "rss_mb": st["rss_mb"]}
     uncertified = []
     for rec, st in timed:
         info = st["reference"]
@@ -320,8 +326,8 @@ def _summary(records, stages: dict) -> dict:
         if residual is None or not abs(residual) <= _CERT_TOL:
             uncertified.append({"model": rec.model, "T": rec.T, "seed": rec.seed,
                                 "method": info["method"], "residual": residual})
-    return {"cells": len(records), "slowest": slowest, "certificate_tol": _CERT_TOL,
-            "uncertified": uncertified}
+    return {"cells": len(records), "slowest": slowest, "largest_rss": largest_rss,
+            "certificate_tol": _CERT_TOL, "uncertified": uncertified}
 
 
 def _progress(done: int, total: int, rec: ConvergenceRecord, stages: dict) -> str:
@@ -364,7 +370,8 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
     that ran its halves (``rss_mb``), and reported in one progress line
     on stderr; so a failed run leaves a resumable, diagnosable trail.
     With records.csv goes summary.json, which names the slowest cell, its
-    slowest stage and every cell whose reference is not certified.
+    slowest stage, the cell with the largest ``rss_mb`` and every cell
+    whose reference is not certified.
     """
     _count(workers, "workers", least=1)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)

@@ -265,31 +265,60 @@ def draw(spec: SamplerSpec, n: int) -> np.ndarray:
 def cost_matrix(X: np.ndarray, Y: np.ndarray, spec: CostSpec) -> np.ndarray:
     """All pairwise costs, shape (len(X), len(Y)).
 
-    One pass per coordinate k writes its term, |x_k - y_k| for the sup-norm
-    and (x_k - y_k)^2 for the norm power, into one (m, n) scratch array and
-    folds it into the output in place, by max or by sum; the norm power
-    then takes the power p / 2. No (m, n, d) temporary is formed.
+    Each entry starts from its first coordinate's term, |x_1 - y_1| for
+    the sup-norm and (x_1 - y_1)^2 for the norm power, and folds in each
+    further coordinate's term in index order, by max or by sum; the norm
+    power then takes the power p / 2 in place. The output is the only
+    (m, n) array, no (m, n, d) temporary is formed, and a row's costs have
+    the same bits alone and among any other rows.
+
+    With one coordinate or one atom, each coordinate is one broadcast pass
+    over the whole output, and a second coordinate's term goes through a
+    scratch array of the output's size, at most one (m,) column. Otherwise
+    an atom's output column is strided, and a pass over it costs several
+    contiguous ones, so each column is folded in scratch and written by
+    its last fold: the rows go in two halves, whose running fold and next
+    term share one (m,) scratch column.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    d = X.shape[1]
+    m, d = X.shape
     if d != Y.shape[1]:
         raise ValueError(f"point dimensions differ: {d} vs {Y.shape[1]}")
     if d == 0:
         raise ValueError(f"{spec.kind} cost needs points with at least one coordinate")
     sup = spec.kind == "sup-norm"
     term, fold = (np.abs, np.maximum) if sup else (np.square, np.add)
-    out = np.subtract(X[:, :1], Y[:, 0])
-    term(out, out=out)
-    scratch = np.empty_like(out) if d > 1 else None
-    for k in range(1, d):
-        np.subtract(X[:, k:k + 1], Y[:, k], out=scratch)
-        term(scratch, out=scratch)
-        fold(out, scratch, out=out)
+    if d == 1 or len(Y) == 1:
+        out = np.subtract(X[:, :1], Y[:, 0])
+        term(out, out=out)
+        scratch = np.empty_like(out) if d > 1 else None
+        for k in range(1, d):
+            term(np.subtract(X[:, k:k + 1], Y[:, k], out=scratch), out=scratch)
+            fold(out, scratch, out=out)
+    else:
+        out = np.empty((m, len(Y)))
+        h = (m + 1) // 2
+        scratch = np.empty(2 * h)
+        for lo, hi in ((0, h), (h, m)):
+            acc, nxt = scratch[:hi - lo], scratch[h:h + hi - lo]
+            for j, y in enumerate(Y):
+                term(np.subtract(X[lo:hi, 0], y[0], out=acc), out=acc)
+                for k in range(1, d):
+                    term(np.subtract(X[lo:hi, k], y[k], out=nxt), out=nxt)
+                    fold(acc, nxt, out=out[lo:hi, j] if k == d - 1 else acc)
     if not sup and spec.p != 2.0:
         out **= spec.p / 2.0
     return out
 
 
 def cost_vector(x, atoms: np.ndarray, spec: CostSpec) -> np.ndarray:
-    return cost_matrix(np.asarray(x, dtype=float)[None, :], atoms, spec)[0]
+    """The costs of one point ``x`` to each atom, shape (len(atoms),).
+
+    Built as the one column of ``cost_matrix(atoms, [x])``, a few passes
+    over the atoms where ``cost_matrix([x], atoms)`` would loop over them:
+    the terms |y_k - x_k| and (y_k - x_k)^2 are those of x - y bit for
+    bit, so the row is the one ``cost_matrix`` gives ``x`` among other
+    points.
+    """
+    return cost_matrix(atoms, np.asarray(x, dtype=float)[None, :], spec)[:, 0]

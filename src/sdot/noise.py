@@ -21,10 +21,12 @@ the uniform kind, and a guarded bisection on the scalar mass balance for
 the other three. :func:`_kernel` picks the kernel, and SGD hands it each
 step's 1-d row. Many rows run in blocks of ``_ROW_BLOCK`` rows, in the
 one loop of :func:`_row_blocks`: each block forms its utilities in one
-buffer and writes its values into a preallocated output, and hands its
-probabilities to the caller, who reduces them before the next block (the
-finite-sample dual's gradient and Hessian) or copies them out, so no
-temporary grows with the number of rows.
+buffer, from the caller's costs or from cost rows it builds from the
+caller's sample points (the Monte Carlo estimate's), writes its values
+into a preallocated output, and hands its probabilities to the caller,
+who reduces them before the next block (the finite-sample dual's
+gradient and Hessian), drops them or copies them out, so no temporary
+grows with the number of rows.
 
 Layout and summation order. A block is atom-major: an (n, k) array for
 k rows, the transpose of the row-major (m, n) costs. Every kernel
@@ -52,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import (CostSpec, DiscreteMeasure, _array, _number, _readonly, _reject_unknown,
-                   _require, cost_vector)
+                   _require, cost_matrix, cost_vector)
 
 MODEL_KINDS = ("exponential", "uniform", "pareto", "hyperbolic", "tdist")
 # kinds whose choice probabilities have a closed form; the rest bisect
@@ -786,21 +788,29 @@ def utilities_values_probs(U: np.ndarray, model: MarginalModel | None,
 
 
 def _row_blocks(U: np.ndarray, model: MarginalModel | None, eps: float | None, phi,
-                vals: np.ndarray):
+                vals: np.ndarray, cost=None):
     """Run the rows of ``U``, or with ``phi`` of phi - U, through the kernel
     in blocks of ``_ROW_BLOCK`` rows, and yield ``(rows, P_block)`` for each.
+
+    With ``cost``, a pair ``(atoms, c)``, the rows of ``U`` are sample
+    points, and each block builds its own rows of costs,
+    ``cost_matrix(U[rows], atoms, c)``, as it comes: a row's costs have
+    the same bits in a block as in the full matrix, and a caller that
+    hands over points holds no m x n array at all.
 
     Each block forms its utilities atom-major, as phi[:, None] - U[rows].T,
     in one (n, k) buffer, and writes its values into its slice ``rows`` of
     ``vals``, shape (m,). ``P_block`` is the block's atom-major (n, k)
     probabilities, in a block-sized buffer that the next block overwrites,
-    so a caller that reduces each block as it comes holds no m x n array.
-    Both buffers are flat, so the last, shorter block is C-contiguous too.
-    Every kernel works column by column and adds over atoms in index order
-    (:func:`_atom_sum`), so every row's numbers are independent of the
-    others and of the block it falls in, and equal those of the row alone.
+    so a caller that reduces each block as it comes holds no m x n array
+    besides its costs. Both buffers are flat, so the last, shorter block is
+    C-contiguous too. Every kernel works column by column and adds over
+    atoms in index order (:func:`_atom_sum`), so every row's numbers are
+    independent of the others and of the block it falls in, and equal
+    those of the row alone.
     """
-    m, n = U.shape
+    m = U.shape[0]
+    n = U.shape[1] if cost is None else cost[0].shape[0]
     if model is not None and model.n != n:
         raise ValueError("model weights and utility columns disagree in length")
     size = min(m, _ROW_BLOCK)
@@ -808,7 +818,7 @@ def _row_blocks(U: np.ndarray, model: MarginalModel | None, eps: float | None, p
     col = None if phi is None else np.asarray(phi, dtype=float).reshape(n, 1)
     for start in range(0, m, _ROW_BLOCK):
         rows = slice(start, start + _ROW_BLOCK)
-        block = U[rows].T
+        block = (U[rows] if cost is None else cost_matrix(U[rows], *cost)).T
         k = block.shape[1]
         utilities = ubuf[:n * k].reshape(n, k)
         if col is None:

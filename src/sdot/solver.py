@@ -224,12 +224,23 @@ def dual_objective_estimate(phi, nu: DiscreteMeasure, c: CostSpec,
 
     Returns ``(mean, stderr)`` of the per-sample dual contribution
     nu . phi - psi(phi, x) over the given sample array; ``eps`` is the
-    bisection kinds' accuracy, and closed forms ignore it.
+    bisection kinds' accuracy, and closed forms ignore it. The sample's
+    costs are built block by block in :func:`_row_blocks` and dropped
+    with their block, so no array of m x n costs is held. A ``phi`` of
+    another length than the atoms', an empty sample, or a NaN or infinite
+    entry in either is a ValueError naming it.
     """
     phi = np.asarray(phi, dtype=float).reshape(-1)
+    if phi.size != nu.n_atoms:
+        raise ValueError(f"phi must have one entry per atom ({nu.n_atoms}), got {phi.size}")
     X = np.atleast_2d(np.asarray(samples, dtype=float))
+    if X.size == 0:
+        raise ValueError("samples must hold at least one point")
+    for field, value in (("phi", phi), ("samples", X)):
+        if not np.isfinite(value).all():
+            raise ValueError(f"{field} must be finite")
     vals = np.empty(X.shape[0])
-    for _ in _row_blocks(cost_matrix(X, nu.atoms, c), model, eps, phi, vals):
+    for _ in _row_blocks(X, model, eps, phi, vals, cost=(nu.atoms, c)):
         pass  # values only: each block's probabilities are overwritten by the next
     contrib = float(nu.weights @ phi) - vals
     m = contrib.size
@@ -454,12 +465,15 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     ``_DIRECT_LIMIT`` variables, over the boundary samples of a pilot whose
     margin doubles after each uncertified pass), :func:`damped_newton` to a
     gradient norm of 1e-7 for closed-form kinds, and a long averaged-SGD run
-    (50x iterations, step rule from :func:`sgd_config`) otherwise. The
-    potential is returned in the mean-zero gauge. Returns ``(value, phi,
-    info)``; for the LP, ``info`` carries the certificate ``gap`` (primal
-    minus dual at ``phi``) and, when ``reduced``, the ``passes`` and
-    ``boundary`` sizes; for Newton and the long run, ``iterations`` and
-    ``grad_norm`` (the long run's at oracle accuracy 1e-10).
+    (50x iterations, step rule from :func:`sgd_config`) otherwise. Its
+    (m, n) costs C are the one cost array a cell keeps, since every solve
+    revisits them; the sample itself is dropped once C exists, except for
+    the long run, which draws from it. The potential is returned in the
+    mean-zero gauge. Returns ``(value, phi, info)``; for the LP, ``info``
+    carries the certificate ``gap`` (primal minus dual at ``phi``) and,
+    when ``reduced``, the ``passes`` and ``boundary`` sizes; for Newton
+    and the long run, ``iterations`` and ``grad_norm`` (the long run's at
+    oracle accuracy 1e-10).
     """
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("finite_sample_reference needs a SamplerSpec")
@@ -470,6 +484,8 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     X = draw(sampler, m)
     C = cost_matrix(X, nu.atoms, c)
     w = np.full(m, 1.0 / m)
+    if model is None or model.kind in CLOSED_FORM_KINDS:
+        del X  # only the long run below draws from the sample again
     if model is None:
         reduced = m * n > _DIRECT_LIMIT
         if reduced:

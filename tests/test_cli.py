@@ -325,6 +325,10 @@ def test_summary_names_slowest_cell_and_uncertified_references(tmp_path, capsys)
     stage_s = {"sgd": cell["sgd_s"], "reference": cell["reference"]["s"],
                "estimate": cell["estimate_s"]}
     assert slow["stage_s"] == stage_s[slow["stage"]] == max(stage_s.values())
+    big = summary["largest_rss"]
+    assert big["rss_mb"] == max(d["rss_mb"] for d in cells.values())
+    assert big["rss_mb"] == cells[(big["model"], big["T"], big["seed"])]["rss_mb"]
+    assert set(big) == {"model", "T", "seed", "rss_mb"}
     # Newton certifies at 1e-7; the long SGD run's residual is reported
     want = sorted((d["model"], d["T"], d["seed"]) for d in cells.values()
                   if d["reference"]["grad_norm"] > summary["certificate_tol"])

@@ -23,7 +23,7 @@ from sdot.core import (
     derive_seed,
     draw,
 )
-from sdot.noise import smooth_c_transform, utilities_values_probs
+from sdot.noise import _ROW_BLOCK, smooth_c_transform, utilities_values_probs
 
 SUP = CostSpec("sup-norm")
 SQ = CostSpec("p-norm-power", p=2.0)
@@ -152,7 +152,7 @@ def test_norm_power_cost_matrix_matches_einsum(d):
                          ids=["sup-norm", "p2", "p1.5"])
 def test_cost_matrix_holds_no_point_by_atom_by_coordinate_temporary(spec):
     # at d = 5 an (m, n, d) difference alone is five outputs; the loop holds
-    # the output and one (m, n) scratch array
+    # the output and one (m,) scratch column
     rng = np.random.default_rng(41)
     m, n = 20_000, 10
     X, Y = rng.normal(size=(m, 5)), rng.normal(size=(n, 5))
@@ -163,6 +163,39 @@ def test_cost_matrix_holds_no_point_by_atom_by_coordinate_temporary(spec):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * m * n * 8
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("spec", [SUP, SQ, CostSpec("p-norm-power", p=3.0)],
+                         ids=["sup-norm", "p2", "p3"])
+def test_cost_matrix_peak_is_its_output_and_one_column(spec, d):
+    # each atom column is folded in a scratch column and written once: no
+    # second (m, n) array, which alone would double the peak. The slack is
+    # for the views' Python objects; no array fits in it
+    rng = np.random.default_rng(43)
+    m, n = 100_000, 10
+    X, Y = rng.normal(size=(m, d)), rng.normal(size=(n, d))
+    tracemalloc.start()
+    try:
+        C = cost_matrix(X, Y, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert C.nbytes == m * n * 8
+    assert peak < C.nbytes + m * 8 + 64 * 1024
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("spec", [SUP, SQ, CostSpec("p-norm-power", p=3.0)],
+                         ids=["sup-norm", "p2", "p3"])
+def test_cost_matrix_rows_match_cost_vector_across_row_blocks(spec, d):
+    # a row's costs have the same bits alone as in a matrix of any height,
+    # on either side of a row-block boundary
+    rng = np.random.default_rng(50 + d)
+    X, Y = rng.normal(size=(2 * _ROW_BLOCK + 1, d)), rng.normal(size=(4, d))
+    rows = np.array([cost_vector(x, Y, spec) for x in X])
+    for m in (_ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 2 * _ROW_BLOCK + 1):
+        assert np.array_equal(cost_matrix(X[:m], Y, spec), rows[:m])
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])

@@ -12,7 +12,8 @@ module must exist, and every keyword it passes must be a parameter. A
 seventh keeps one integer rule: no module but ``core.py``, whose ``_count``
 it is, tests ``isinstance(..., bool)`` or names ``np.integer``. An eighth
 keeps one row-block loop: exactly one ``for`` statement in the package
-iterates over ``_ROW_BLOCK``-row blocks. A ninth keeps the closed-form
+iterates over ``_ROW_BLOCK``-row blocks, and no other steps through a
+``range`` by an integer literal. A ninth keeps the closed-form
 kernels atom-major: none of them reduces along ``axis=1`` or ``axis=-1``,
 the short rows of a row-major block.
 """
@@ -166,14 +167,24 @@ def integer_checks_outside_core(modules):
     return sorted(found)
 
 
+def _literal_step_range(node) -> bool:
+    """True when ``node`` is ``range(start, stop, step)`` with an integer
+    literal step, a block loop that spells its block size out."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "range" and len(node.args) == 3
+            and isinstance(node.args[2], ast.Constant) and type(node.args[2].value) is int)
+
+
 def row_block_loops(modules):
     """``module:line`` of each ``for`` statement, or comprehension, whose
-    iterable names ``_ROW_BLOCK``."""
+    iterable names ``_ROW_BLOCK`` or is a ``range`` with an integer literal
+    step."""
     found = []
     for name, tree in modules.items():
         for node in ast.walk(tree):
-            if isinstance(node, (ast.For, ast.comprehension)) and "_ROW_BLOCK" in {
-                    sub.id for sub in ast.walk(node.iter) if isinstance(sub, ast.Name)}:
+            if isinstance(node, (ast.For, ast.comprehension)) and (
+                    _literal_step_range(node.iter) or "_ROW_BLOCK" in {
+                        sub.id for sub in ast.walk(node.iter) if isinstance(sub, ast.Name)}):
                 found.append(f"{name}:{getattr(node, 'lineno', node.iter.lineno)}")
     return sorted(found)
 
@@ -300,9 +311,15 @@ def test_one_row_block_loop():
 def test_row_block_check_flags_planted_loops():
     source = ("def one(U):\n    for start in range(0, len(U), _ROW_BLOCK):\n        pass\n\n"
               "def two(U):\n    return [U[s:s + _ROW_BLOCK] for s in range(0, len(U), _ROW_BLOCK)]\n\n"
-              "def fine(U):\n    size = min(len(U), _ROW_BLOCK)\n    for row in U:\n        pass\n")
+              "def fine(U):\n    size = min(len(U), _ROW_BLOCK)\n    for row in U:\n        pass\n\n"
+              "def three(U):\n    for start in range(0, len(U), 4096):\n        pass\n\n"
+              "def four(U):\n    return [U[s:s + 512] for s in range(0, len(U), 512)]\n\n"
+              "def also_fine(U, k):\n    for start in range(0, len(U), k):\n        pass\n"
+              "    return [i for i in range(1, 4)]\n")
     planted = {"noise.py": ast.parse(source), "solver.py": ast.parse(source)}
-    assert row_block_loops(planted) == ["noise.py:2", "noise.py:6", "solver.py:2", "solver.py:6"]
+    assert row_block_loops(planted) == [
+        "noise.py:14", "noise.py:18", "noise.py:2", "noise.py:6",
+        "solver.py:14", "solver.py:18", "solver.py:2", "solver.py:6"]
 
 
 def test_kernels_reduce_over_atoms():
