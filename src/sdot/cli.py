@@ -31,6 +31,20 @@ from .solver import (TIMING_MODES, _lp_stack, _timed_csv, averaged_sgd, dual_obj
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
+_PANELS = (("subopt", "mean suboptimality"), ("potgap", "mean squared potential gap"))
+# what a finished run leaves beside its manifest; a fresh run removes them first
+_RUN_OUTPUTS = ("records.csv", "summary.json", "slopes.json",
+                *(f"convergence_{field}.svg" for field, _ in _PANELS))
+
+
+def _write_new(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` as a new file: an old file of that name
+    is unlinked, never truncated in place, so a hard link to it keeps its
+    bytes. On ext4 (``auto_da_alloc``), truncating a file and writing it
+    again forces a flush to disk, tens of ms for a small file; writing a
+    new file does not."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 # ------------------------------------------------------------------- config
@@ -339,7 +353,7 @@ def _progress(done: int, total: int, rec: ConvergenceRecord, stages: dict) -> st
 
 def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
                                workers: int = 1, resume: bool = False):
-    """Run every (model, T, seed) cell and write records.csv.
+    """Run every (model, T, seed) cell and write records.csv and summary.json.
 
     Parameters
     ----------
@@ -352,7 +366,11 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         and a pool starts no more processes than there are tasks.
     resume : bool
         Reuse finished cells from an existing manifest.jsonl written by
-        an interrupted run of the same config.
+        an interrupted run of the same config, and keep the directory's
+        outputs until new ones replace them. Without it, the run first
+        removes the manifest and what a finished run leaves beside it
+        (records.csv, summary.json, slopes.json and the convergence SVGs),
+        so an interrupted run leaves only its own manifest.
 
     Returns
     -------
@@ -371,7 +389,8 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
     on stderr; so a failed run leaves a resumable, diagnosable trail.
     With records.csv goes summary.json, which names the slowest cell, its
     slowest stage, the cell with the largest ``rss_mb`` and every cell
-    whose reference is not certified.
+    whose reference is not certified. Both are written as new files
+    (:func:`_write_new`), as is the manifest of a fresh run.
     """
     _count(workers, "workers", least=1)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
@@ -391,6 +410,10 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
                 stages[key] = d
         mode = "a"
     else:
+        # a fresh run starts from an empty record: an interrupted one must
+        # not leave its manifest beside a previous run's outputs
+        for name in ("manifest.jsonl", *_RUN_OUTPUTS):
+            (out / name).unlink(missing_ok=True)
         mode = "w"
     cells = [(tag, model, T, seed)
              for tag, model in config.models
@@ -432,8 +455,8 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
                 print(_progress(len(done), len(cells), rec, cell_stages), file=sys.stderr)
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"
-    csv_path.write_text(records_to_csv(records, timing=config.timing))
-    (out / "summary.json").write_text(json.dumps(_summary(records, stages), indent=2) + "\n")
+    _write_new(csv_path, records_to_csv(records, timing=config.timing))
+    _write_new(out / "summary.json", json.dumps(_summary(records, stages), indent=2) + "\n")
     return records, csv_path
 
 
@@ -488,7 +511,6 @@ def fit_slope(records, field: str = "subopt"):
 # -------------------------------------------------------------------- plots
 
 _PALETTE = ("#1b6ca8", "#c0392b", "#1e8449", "#8e44ad", "#d68910", "#17202a")
-_PANELS = (("subopt", "mean suboptimality"), ("potgap", "mean squared potential gap"))
 _X0, _X1, _Y0, _Y1 = 70.0, 610.0, 40.0, 430.0
 
 
@@ -569,21 +591,22 @@ def _svg_log_panel(series, title, ylabel) -> str:
 
 def emit_plots(records, out_dir):
     """Write log-log SVG panels (subopt vs T, potgap vs T), one series
-    per model. Returns the list of written paths; panels or series with
-    no positive means are omitted with a printed notice."""
+    per model, each as a new file (:func:`_write_new`). Returns the list
+    of written paths; panels or series with no positive means are omitted
+    with a printed notice, and an omitted panel's old SVG is removed."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for field, ylabel in _PANELS:
+        path = out / f"convergence_{field}.svg"
         series, dropped = _series_for_panel(records, field)
         for tag in dropped:
             print(f"plot panel '{field}': series '{tag}' omitted (no positive means)")
         if not series:
             print(f"plot panel '{field}' omitted: no positive means to plot")
+            path.unlink(missing_ok=True)  # no stale panel beside the new ones
             continue
-        svg = _svg_log_panel(series, f"convergence: {field} vs T", ylabel)
-        path = out / f"convergence_{field}.svg"
-        path.write_text(svg)
+        _write_new(path, _svg_log_panel(series, f"convergence: {field} vs T", ylabel))
         paths.append(str(path))
     return paths
 
@@ -652,7 +675,7 @@ def _cmd_solve(args) -> int:
     if args.out is None:
         sys.stdout.write(csv)
     else:
-        Path(args.out).write_text(csv)
+        _write_new(Path(args.out), csv)
     return 0
 
 
@@ -712,7 +735,7 @@ def _cmd_experiment(args) -> int:
                 entry[field] = None
         slopes[tag] = entry
     out = Path(out_dir)
-    (out / "slopes.json").write_text(json.dumps(slopes, indent=2) + "\n")
+    _write_new(out / "slopes.json", json.dumps(slopes, indent=2) + "\n")
     emit_plots(records, out)
     print(f"wrote {len(records)} records to {csv_path}")
     return 0

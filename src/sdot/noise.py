@@ -389,9 +389,12 @@ def _bisection(U: np.ndarray, model: MarginalModel, eps: float | None, P=None,
     mass tests and so the same bits. Its bracket ends and halving count
     come from :func:`_row_bracket` on Python floats. A row whose bracket
     end or width over delta is not finite (a non-finite utility, or delta
-    underflowing to zero) raises one ValueError, alone or in a block.
+    underflowing to zero) raises one ValueError, alone or in a block. So
+    does an eps that is not finite and positive: at eps = inf no row would
+    halve, and the mass check, sqrt(n) eps wide, could not catch the lower
+    end's mass.
     """
-    if eps is None or not eps > 0.0:
+    if eps is None or not 0.0 < eps < math.inf:
         raise ValueError(f"model kind {model.kind!r} needs a positive accuracy eps for bisection")
     n = U.shape[0]
     u = U.reshape(n) if U.ndim == 2 and U.shape[1] == 1 else U  # one row as (n,)

@@ -233,10 +233,9 @@ def test_experiment_workers_match_serial(tmp_path):
         assert serial == _manifest_cells(tmp_path / name / "pool") and len(serial) == 12
 
 
-def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
-    cfg = ExperimentConfig.from_json(tiny_config_dict())
-    _, full = run_convergence_experiment(cfg, out_dir=tmp_path / "full")
-
+def _fail_fourth_sgd_half(monkeypatch):
+    """Make the fourth cell's SGD half raise, after its reference half
+    finished."""
     import sdot.cli as cli_mod
 
     real = cli_mod._sgd_half
@@ -248,19 +247,72 @@ def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
             raise RuntimeError("injected failure")
         return real(*args, **kwargs)
 
-    # the fourth cell's SGD half fails after its reference half finished
     monkeypatch.setattr(cli_mod, "_sgd_half", flaky)
+
+
+def test_resume_after_failure_matches_uninterrupted(tmp_path, monkeypatch):
+    cfg = ExperimentConfig.from_json(tiny_config_dict())
+    _, full = run_convergence_experiment(cfg, out_dir=tmp_path / "full")
+    _fail_fourth_sgd_half(monkeypatch)
     out = tmp_path / "broken"
     with pytest.raises(RuntimeError, match="injected"):
         run_convergence_experiment(cfg, out_dir=out)
     manifest = (out / "manifest.jsonl").read_text().splitlines()
     assert len(manifest) == 1 + 3  # header plus the three finished cells
     assert not (out / "summary.json").exists()
-    monkeypatch.setattr(cli_mod, "_sgd_half", real)
+    monkeypatch.undo()
     _, resumed = run_convergence_experiment(cfg, out_dir=out, resume=True)
     assert Path(resumed).read_bytes() == Path(full).read_bytes()
     summary = json.loads((out / "summary.json").read_text())
     assert summary["cells"] == 12
+
+
+RUN_OUTPUTS = ("records.csv", "summary.json", "slopes.json", "manifest.jsonl",
+               "convergence_subopt.svg", "convergence_potgap.svg")
+
+
+def test_fresh_run_removes_the_previous_runs_outputs(tmp_path, monkeypatch, capsys):
+    # a fresh run that fails at its fourth cell leaves only its own manifest,
+    # not its three cells beside the previous run's records and summary
+    cfg_path = _write_json(tmp_path, "config.json", tiny_config_dict())
+    out = tmp_path / "results"
+    assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(RUN_OUTPUTS)
+    _fail_fourth_sgd_half(monkeypatch)
+    capsys.readouterr()
+    assert main(["experiment", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "injected failure" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["manifest.jsonl"]
+    assert len((out / "manifest.jsonl").read_text().splitlines()) == 1 + 3
+
+
+def test_rerun_writes_every_output_as_a_new_file(tmp_path, capsys):
+    # a hard link to each first-run output keeps its bytes: no output is
+    # truncated and written again in place, on any filesystem
+    out, trace = tmp_path / "results", tmp_path / "trace.csv"
+    solve = {"sampler": {"kind": "hypercube-uniform", "d": 1, "seed": 2},
+             "measure": {"atoms": [[0.2], [0.9]], "weights": [0.5, 0.5]},
+             "cost": {"kind": "p-norm-power", "p": 2}, "model": None, "solver": {"T": 32}}
+    paths = [out / name for name in RUN_OUTPUTS] + [trace]
+
+    def run(seed):
+        cfg = tiny_config_dict(sampler={"kind": "gaussian-standard", "d": 2, "seed": seed})
+        assert main(["experiment", "--config", _write_json(tmp_path, "config.json", cfg),
+                     "--out", str(out)]) == 0
+        payload = {**solve, "sampler": {**solve["sampler"], "seed": seed}}
+        assert main(["solve", "--in", _write_json(tmp_path, "in.json", payload),
+                     "--out", str(trace)]) == 0
+        return [path.read_bytes() for path in paths]
+
+    first = run(0)
+    for path in paths:
+        os.link(path, path.with_name("old-" + path.name))
+    second = run(1)
+    capsys.readouterr()
+    for path, old, new in zip(paths, first, second):
+        assert old != new, path.name
+        assert path.with_name("old-" + path.name).read_bytes() == old, path.name
+        assert path.read_bytes() == new, path.name
 
 
 def test_manifest_records_reference_and_old_manifest_resumes(tmp_path):
@@ -446,6 +498,15 @@ def test_emit_plots_omits_empty_panel_with_notice(tmp_path, capsys):
     note = capsys.readouterr().out
     assert "subopt" in note and "omitted" in note
     assert not (tmp_path / "convergence_subopt.svg").exists()
+
+
+def test_emit_plots_removes_a_stale_panel(tmp_path, capsys):
+    # a panel omitted on the second call leaves no first-call SVG behind
+    emit_plots(_golden_records(), tmp_path)
+    recs = [ConvergenceRecord("none", T, 0, -1.0, 4.0 / T, 0.0) for T in (10, 100, 1000)]
+    assert [Path(p).name for p in emit_plots(recs, tmp_path)] == ["convergence_potgap.svg"]
+    capsys.readouterr()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["convergence_potgap.svg"]
 
 
 def test_emit_plots_tick_labels_increase(tmp_path):
@@ -658,6 +719,24 @@ def test_cli_bisection_rejects_zero_eps(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs a positive accuracy eps" in captured.err
+
+
+@pytest.mark.parametrize("command", ["probs", "transform"])
+def test_cli_bisection_rejects_infinite_eps(tmp_path, capsys, command):
+    # inf used to take no halving and print a mass-0.25 row with exit 0
+    model = {"kind": "hyperbolic", "lambda": 0.1, "eta": [0.25] * 4}
+    if command == "probs":
+        payload = {"model": model, "u": [0.0] * 4}
+    else:
+        payload = {"model": model, "phi": [0.0] * 4, "x": [0.0],
+                   "measure": {"atoms": [[0.0], [1.0], [2.0], [3.0]], "weights": [0.25] * 4},
+                   "cost": {"kind": "sup-norm"}}
+    path = _write_json(tmp_path, "in.json", payload)
+    assert main([command, "--in", path, "--eps", "inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: model kind 'hyperbolic' needs a positive accuracy eps "
+                            "for bisection\n")
 
 
 def test_cli_probs_rejects_eps_too_small_to_halve(tmp_path, capsys):

@@ -15,7 +15,10 @@ keeps one row-block loop: exactly one ``for`` statement in the package
 iterates over ``_ROW_BLOCK``-row blocks, and no other steps through a
 ``range`` by an integer literal. A ninth keeps the closed-form
 kernels atom-major: none of them reduces along ``axis=1`` or ``axis=-1``,
-the short rows of a row-major block.
+the short rows of a row-major block. A tenth keeps one way to write a
+file: no ``write_text``, ``write_bytes`` or ``open`` in a write mode outside
+``cli._write_new``, which unlinks a path before it writes it, apart from
+the manifest's own ``open``, which appends on ``--resume``.
 """
 
 import ast
@@ -223,6 +226,61 @@ def row_axis_reductions(tree, names):
     return found
 
 
+# the one write helper, and the one function that may also open a file to
+# write: the experiment runner, whose manifest appends on --resume
+WRITE_HELPER = ("cli.py", "_write_new")
+MANIFEST_OPEN = ("cli.py", "run_convergence_experiment")
+
+
+def _calls_by_function(tree):
+    """``(name, call)`` for each call in ``tree``, in source order, with the
+    name of the innermost function around it (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                found.append((owner, child))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner)
+
+    visit(tree, None)
+    return found
+
+
+def _opens_to_write(call) -> bool:
+    """True for an ``open`` call whose mode may write. The builtin's mode is
+    its second argument, a method's (``Path.open``) its first; a mode that is
+    not a string literal counts as a write."""
+    if isinstance(call.func, ast.Name) and call.func.id == "open":
+        index = 1
+    elif isinstance(call.func, ast.Attribute) and call.func.attr == "open":
+        index = 0
+    else:
+        return False
+    modes = call.args[index:index + 1] + [kw.value for kw in call.keywords if kw.arg == "mode"]
+    return any(not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+               or set(mode.value) & set("wax+") for mode in modes)
+
+
+def file_writes(modules):
+    """``module:line call`` for each ``write_text``, ``write_bytes`` or
+    ``open`` in a write mode outside the write helper, the manifest's open
+    excepted."""
+    found = []
+    for name, tree in modules.items():
+        for owner, call in _calls_by_function(tree):
+            attr = getattr(call.func, "attr", None)
+            if attr in ("write_text", "write_bytes"):
+                allowed = [WRITE_HELPER]
+            elif _opens_to_write(call):
+                attr, allowed = "open", [WRITE_HELPER, MANIFEST_OPEN]
+            else:
+                continue
+            if (name, owner) not in allowed:
+                found.append(f"{name}:{call.lineno} {attr}")
+    return found
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -341,6 +399,36 @@ def test_row_axis_check_flags_planted_reductions():
     assert row_axis_reductions(ast.parse(source), ATOM_MAJOR) == [
         "_softmax:2", "_sparsemax:5", "_sparsemax:5", "averaged_choice_jacobian:8",
         "_bisection:14"]
+
+
+def test_every_file_is_written_by_the_one_helper():
+    modules = _modules()
+    assert file_writes(modules) == []
+    # the helper unlinks the path before it writes: no file is truncated in place
+    helper = next(node for node in modules["cli.py"].body
+                  if isinstance(node, ast.FunctionDef) and node.name == WRITE_HELPER[1])
+    assert [call.func.attr for _, call in _calls_by_function(helper)] == ["unlink", "write_text"]
+
+
+def test_write_check_flags_planted_writes():
+    source = ("def _write_new(path, text):\n    path.unlink(missing_ok=True)\n"
+              "    path.write_text(text)\n\n"
+              "def run_convergence_experiment(out, mode):\n"
+              "    with (out / 'manifest.jsonl').open(mode) as mf:\n        mf.write('x')\n"
+              "    (out / 'records.csv').write_text('x')\n\n"
+              "def emit(out, data, mode):\n    out.write_bytes(data)\n"
+              "    with open(out, 'w') as f, open(out, mode=mode) as g:\n        pass\n"
+              "    with out.open('rb') as f, open(out) as g, open(out, 'r+') as h:\n"
+              "        pass\n"
+              "    with out.open(mode='a') as f:\n        pass\n"
+              "    def nested():\n        return open(out, 'x')\n")
+    planted = {"cli.py": ast.parse(source), "solver.py": ast.parse(source)}
+    assert file_writes(planted) == [
+        "cli.py:8 write_text", "cli.py:11 write_bytes", "cli.py:12 open", "cli.py:12 open",
+        "cli.py:14 open", "cli.py:16 open", "cli.py:19 open",
+        "solver.py:3 write_text", "solver.py:6 open", "solver.py:8 write_text",
+        "solver.py:11 write_bytes", "solver.py:12 open", "solver.py:12 open",
+        "solver.py:14 open", "solver.py:16 open", "solver.py:19 open"]
 
 
 def test_bench_workload_names_exist():

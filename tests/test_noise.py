@@ -472,6 +472,24 @@ def test_bisection_needs_positive_eps():
         bisect(np.zeros(3), model, 0.0)
 
 
+@pytest.mark.parametrize("kind, q", [("hyperbolic", None), ("tdist", None), ("pareto", 3.0)])
+def test_bisection_rejects_infinite_eps(kind, q):
+    # at eps = inf no row halves, and the lower end's probabilities
+    # (hyperbolic: [0.25, 0, 0, 0], mass 0.25) passed the inf-wide mass check
+    model = uniform_model(kind, 0.1, 4, q=q)
+    nu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]),
+                         np.full(4, 0.25))
+    u = np.array([0.0, -1.0, -1.0, -1.0])  # the utilities of x = 0 at phi = 0
+    calls = (lambda: choice_probabilities(np.zeros(4), np.zeros(2), nu, CostSpec("sup-norm"),
+                                          model, eps=math.inf),
+             lambda: probs_from_utilities(u, model, eps=math.inf),
+             lambda: utilities_values_probs(np.tile(u, (3, 1)), model, eps=math.inf),
+             lambda: bisect(u, model, math.inf))
+    for call in calls:
+        with pytest.raises(ValueError, match="needs a positive accuracy eps for bisection"):
+            call()
+
+
 # ------------------------------------------- frozen bisection oracle
 # Two frozen copies of the bisection loop (and the cdf it evaluated). The
 # current one works atom-major: it takes and returns (n, k) blocks, one

@@ -412,6 +412,19 @@ def test_dual_estimate_zero_potential_plain():
     assert se > 0.0
 
 
+@pytest.mark.parametrize("kind", ["hyperbolic", "tdist"])
+def test_dual_estimate_rejects_infinite_eps(kind):
+    # eps = inf used to return 1.41 here (hyperbolic) where eps 1e-9 gives 1.11
+    rng = np.random.default_rng(53)
+    nu = random_measure(rng, 4, 2)
+    model = MarginalModel(kind, 0.1, np.full(4, 0.25))
+    X = rng.normal(size=(20, 2))
+    with pytest.raises(ValueError, match="needs a positive accuracy eps"):
+        dual_objective_estimate(np.zeros(4), nu, SUP, model, X, eps=math.inf)
+    est, _ = dual_objective_estimate(np.zeros(4), nu, SUP, model, X, eps=1e-9)
+    assert math.isfinite(est)
+
+
 def test_dual_estimate_shift_covariance():
     rng = np.random.default_rng(47)
     nu = random_measure(rng, 3, 2)
