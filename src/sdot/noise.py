@@ -29,17 +29,22 @@ gradient and Hessian), drops them or copies them out, so no temporary
 grows with the number of rows.
 
 Layout and summation order. A block is atom-major: an (n, k) array for
-k rows, the transpose of the row-major (m, n) costs. Every kernel
-reduces it over axis 0, so a max or a sum over atoms is n whole-block
-vector operations where a row-major block took k short rows, and every
-sum over atoms adds in index order (:func:`_atom_sum`): a row alone, a
-one-row block and a row inside a block get the same bits, and no row's
-bits depend on its block. Max and first-maximizer argmax are exact in
-any order. The bisection halves many rows together in one in-place loop,
-one halving per pass, and a single row tests the nested midpoints of up
-to five halvings per pass and gets the same bits. A single row's bracket
-ends and halving count are Python floats, computed once per row. A row
-that cannot be halved, alone or in a block, raises one ValueError and no
+k rows, the transpose of the row-major (m, n) costs, and C-contiguous:
+:func:`_kernel` copies a block that is not, since numpy sums a column
+that is contiguous in memory pairwise. Every kernel reduces a block over
+axis 0, so a max or a sum over atoms is n whole-block vector operations
+where a row-major block took k short rows, and every sum over atoms adds
+in index order (:func:`_atom_sum`): a row alone, a one-row block and a
+row inside a block get the same bits, and no row's bits depend on its
+block or its layout. Max and first-maximizer argmax are exact in any
+order. Three one-row paths, for the 1-d row of each SGD step, spend
+fewer numpy calls and keep those bits: the softmax takes its shift and
+its index-order total on Python floats, the sparsemax runs its whole
+fixed point on Python floats, and the bisection tests the nested
+midpoints of up to five halvings per pass where many rows take one
+halving per pass of one in-place loop. A single row's bracket ends and
+halving count are Python floats, computed once per row. A row that
+cannot be halved, alone or in a block, raises one ValueError and no
 warning: an end of its bracket or its count of halvings is not finite.
 """
 
@@ -557,14 +562,19 @@ def _softmax(U: np.ndarray, model: MarginalModel, P=None, vals=None) -> np.ndarr
 
     Every max and sum runs over axis 0 as whole-block vector operations,
     the sums by :func:`_atom_sum`, where a row-major block would reduce
-    its many short rows one by one."""
+    its many short rows one by one. One row, each SGD step, takes its max
+    and its index-order total on Python floats instead, which costs less
+    than numpy's reductions and gives the bits of its block column (a max
+    is exact, and the total makes the same additions in the same order).
+    """
     lam = model.lam
+    one = U.ndim == 1
     Z = np.divide(U, lam, out=P)
-    mx = Z.max(axis=0)
+    mx = max(Z.tolist()) if one else Z.max(axis=0)
     Z -= mx
     np.exp(Z, out=Z)
-    Z *= model.eta if U.ndim == 1 else model._eta_block(U.shape[1])
-    s = _atom_sum(Z)
+    Z *= model.eta if one else model._eta_block(U.shape[1])
+    s = functools.reduce(operator.add, Z.tolist()) if one else _atom_sum(Z)
     Z /= s
     if vals is not None:
         np.log(s, out=vals)
@@ -677,8 +687,12 @@ def _kernel(U: np.ndarray, model: MarginalModel | None, eps: float | None, P=Non
     :func:`_sparsemax` for the uniform kind and :func:`_bisection` for the
     rest; eps, the l2 accuracy, is read only by the bisection kinds. A
     block with ``model=None`` gets the plain max and one-hot columns (first
-    maximizer on ties), into ``P`` and ``vals``.
+    maximizer on ties), into ``P`` and ``vals``. A block that is not
+    C-contiguous is copied first, since numpy sums a column that is
+    contiguous in memory pairwise, not in index order.
     """
+    if U.ndim == 2 and not U.flags.c_contiguous:
+        U = np.ascontiguousarray(U)
     if model is None:
         cols = np.arange(U.shape[1])
         win = np.argmax(U, axis=0)
@@ -712,10 +726,11 @@ def _utilities(phi, x, nu: DiscreteMeasure, c: CostSpec) -> np.ndarray:
 def _mass_checked(p: np.ndarray, model: MarginalModel, eps: float | None) -> np.ndarray:
     """One row's probabilities ``p``, unless their mass misses one by more
     than max(slack, 1e-10): the slack is 0 for the closed forms and
-    sqrt(n) eps for the bisection kinds, eps their accuracy. NaN fails.
-    Entries are nonnegative by construction."""
+    sqrt(n) eps for the bisection kinds, eps their accuracy. The mass is
+    the row's index-order total on Python floats, and NaN fails. Entries
+    are nonnegative by construction."""
     slack = 0.0 if model.kind in CLOSED_FORM_KINDS else math.sqrt(p.size) * eps
-    total = float(p.sum())
+    total = functools.reduce(operator.add, p.tolist())
     if not abs(total - 1.0) <= max(slack, 1e-10):
         raise ValueError(f"choice probabilities sum to {total!r}")
     return p

@@ -48,7 +48,8 @@ class SolverConfig:
     ``lipschitz`` (bounded gradients), and 1 / (2 sqrt(T) + L) under
     ``smooth`` (L-Lipschitz marginal cdfs). ``eps_bar`` also sets the
     bisection accuracy eps_bar / (2 sqrt(t)) of iteration t; ``tikhonov``
-    only applies to the unsmoothed oracle. ``log_every=1`` logs every
+    only applies to the unsmoothed oracle, and :func:`averaged_sgd`
+    rejects it with a model. ``log_every=1`` logs every
     iteration, the default geometric checkpoints {1, 2, 4, ...} plus T.
     """
 
@@ -144,7 +145,12 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     """Constant-step stochastic ascent with averaged iterates.
 
     Each step hands its 1-d utility row phi - c(x_t, .) straight to the
-    choice-probability kernel and checks the row's mass.
+    choice-probability kernel and checks the row's mass; only the
+    bisection kinds get an accuracy eps_bar / (2 sqrt(t)). The plain max
+    writes damping * phi into the update buffer and adds one at the first
+    maximizer, which gives the bits of the one-hot row plus the damping:
+    an entry off the maximizer can differ only in the sign of a zero,
+    which weights - p erases.
 
     Parameters
     ----------
@@ -157,7 +163,8 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
         Ground cost.
     model : MarginalModel or None
         Noise model for the gradient oracle; None runs on the plain
-        subgradient, optionally damped by ``config.tikhonov``.
+        subgradient, optionally damped by ``config.tikhonov``, which a
+        model rejects (ValueError).
     config : SolverConfig
         Iteration budget, step rule and constants.
 
@@ -168,14 +175,17 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     """
     if model is not None and model.n != nu.n_atoms:
         raise ValueError("model weights and measure atoms disagree in length")
-    if model is not None and model.kind not in CLOSED_FORM_KINDS and config.eps_bar <= 0.0:
+    if model is not None and config.tikhonov > 0.0:
+        raise ValueError(f"tikhonov={config.tikhonov!r} applies only to the plain subgradient "
+                         "(model=None)")
+    bisect = model is not None and model.kind not in CLOSED_FORM_KINDS
+    if bisect and config.eps_bar <= 0.0:
         raise ValueError("bisection oracle needs a positive eps_bar")
     if not isinstance(sampler, SamplerSpec):
         raise TypeError("sampler must be a SamplerSpec")
 
     T = config.T
     _check_entries(int(T) * nu.n_atoms, "SGD cost matrix (T*n)")
-    gamma = config.step
     C = cost_matrix(draw(sampler, T), nu.atoms, c)
     n = nu.n_atoms
     weights = nu.weights
@@ -183,25 +193,24 @@ def averaged_sgd(sampler: SamplerSpec, nu: DiscreteMeasure, c: CostSpec,
     # the under-average's sum of phi_0..phi_{t-1} is the bar sum one step
     # behind, bit for bit, because phi_0 is zero: no second running sum
     bar_sum = np.zeros(n)
-    # every step rewrites its utilities u, its update and, for the plain
-    # subgradient, the one-hot row at the first maximizer ``win`` in place
-    u, update, onehot, win = np.empty(n), np.empty(n), np.zeros(n), 0
-    damping = 2.0 * config.tikhonov  # the Tikhonov term's gradient is damping * phi
+    # every step rewrites its utilities u and its update in place; the step
+    # and the damping are 0-d operands, which a ufunc takes as they are
+    u, update = np.empty(n), np.empty(n)
+    gamma = np.array(config.step)
+    damping = np.array(2.0 * config.tikhonov)  # the Tikhonov term's gradient is damping * phi
+    eps = None  # the closed forms read no eps and check their mass with no slack
     sched = _checkpoint_schedule(T, config.log_every)
     rows = []
     t0 = time.perf_counter()
     for t, costs in enumerate(C, 1):
         np.subtract(phi, costs, out=u)
         if model is None:
-            onehot[win] = 0.0
-            win = int(u.argmax())
-            onehot[win] = 1.0
-            p = onehot
-            if damping > 0.0:
-                p = np.add(onehot, np.multiply(damping, phi, out=update), out=update)
+            # damping * phi plus the one-hot row at the first maximizer
+            p = np.multiply(damping, phi, out=update)
+            p[u.argmax()] += 1.0
         else:
-            # closed forms read no eps and check their mass with no slack
-            eps = config.eps_bar / (2.0 * math.sqrt(t))
+            if bisect:
+                eps = config.eps_bar / (2.0 * math.sqrt(t))
             try:
                 p = _mass_checked(_kernel(u, model, eps), model, eps)
             except ValueError as exc:

@@ -18,7 +18,10 @@ kernels atom-major: none of them reduces along ``axis=1`` or ``axis=-1``,
 the short rows of a row-major block. A tenth keeps one way to write a
 file: no ``write_text``, ``write_bytes`` or ``open`` in a write mode outside
 ``cli._write_new``, which unlinks a path before it writes it, apart from
-the manifest's own ``open``, which appends on ``--resume``.
+the manifest's own ``open``, which appends on ``--resume``. An eleventh
+keeps one source of choice probabilities: ``solver.py`` calls no
+``np.exp``, ``np.log``, ``np.sinh``, ``np.sqrt``, ``np.power`` or
+``.clip(``, so every probability it uses comes from ``noise._kernel``.
 """
 
 import ast
@@ -281,6 +284,27 @@ def file_writes(modules):
     return found
 
 
+# numpy functions of the choice-probability oracles, and the clip to [0, 1]
+ORACLE_FUNCTIONS = ("exp", "log", "sinh", "sqrt", "power")
+
+
+def oracle_arithmetic(tree):
+    """``line call`` for each ``np.exp``, ``np.log``, ``np.sinh``,
+    ``np.sqrt`` or ``np.power`` call (``numpy.`` too) and each ``.clip(``
+    call, on any object, in ``tree``."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        chain = _dotted(node.func)
+        if node.func.attr == "clip":
+            found.append(f"{node.lineno} .clip(")
+        elif (chain and len(chain) == 2 and chain[0] in ("np", "numpy")
+                and chain[1] in ORACLE_FUNCTIONS):
+            found.append(f"{node.lineno} {'.'.join(chain)}")
+    return found
+
+
 def _call_trees():
     paths = [p for folder in ("src", "tests", "demos", "bench")
              for p in sorted((ROOT / folder).rglob("*.py"))]
@@ -462,6 +486,23 @@ def test_checks_flag_planted_dead_code():
     assert unread_parameters({"planted.py": planted}) == [
         "planted.py:1 run(y)", "planted.py:1 run(rest)", "planted.py:1 run(opts)",
         "planted.py:8 size(self)", "planted.py:8 size(unit)"]
+
+
+def test_solver_does_no_oracle_arithmetic():
+    assert oracle_arithmetic(_modules()["solver.py"]) == []
+
+
+def test_oracle_check_flags_planted_arithmetic():
+    planted = ast.parse("import math\nimport numpy\n\n"
+                        "def step(u, lam, eta):\n"
+                        "    w = eta * np.exp(u / lam)\n"
+                        "    s = np.log(w.sum()) + numpy.sinh(lam)\n"
+                        "    p = np.clip(w / s, 0.0, 1.0) + w.clip(0.0, 1.0)\n"
+                        "    r = np.sqrt(p) + np.power(p, 2) + math.sqrt(lam) + math.exp(lam)\n"
+                        "    return np.linalg.norm(r) + np.emath.log(p) + np.maximum(p, 0.0)\n")
+    assert oracle_arithmetic(planted) == [
+        "5 np.exp", "6 np.log", "6 numpy.sinh", "7 .clip(", "7 .clip(", "8 np.sqrt",
+        "8 np.power"]
 
 
 def test_integer_check_flags_planted_copies():

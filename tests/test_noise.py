@@ -3,7 +3,9 @@ smooth transforms. Oracles here are deliberately independent routes: exhaustive
 support enumeration for the sparsemax fixed point, scipy SLSQP for simplex maxima,
 scipy quadrature for integral identities."""
 
+import functools
 import math
+import operator
 import re
 import warnings
 
@@ -21,6 +23,7 @@ from sdot.noise import (
     _cdf_extended,
     _ROW_BLOCK,
     _kernel,
+    _mass_checked,
     _row_bracket,
     approximation_bound,
     averaged_choice_jacobian,
@@ -1068,9 +1071,11 @@ def test_a_rejected_row_fails_its_block(kind, q):
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))
 def test_kernel_rows_are_independent(kind):
     # SGD asks for one row at a time, the estimate and Newton for many at
-    # once: both must see the same numbers from the one kernel
+    # once: both must see the same numbers from the one kernel. Row 8's
+    # |u| / lam reaches 1e3, so the softmax's exp underflows to 0 off the
+    # max, and n = 100 takes the one-row max and total over many atoms
     rng = np.random.default_rng(31)
-    for n in (1, 2, 10):
+    for n in (1, 2, 10, 100):
         if kind is None:
             model = None
         else:
@@ -1080,7 +1085,10 @@ def test_kernel_rows_are_independent(kind):
         U[2] = 0.4                    # every utility tied
         U[5, : n // 2] = U[5, -1]     # a tie with the last entry
         U[7] = np.round(U[7], 1)      # ties from rounding
+        U[8] *= 300.0 / np.abs(U[8]).max()
         vals, P = utilities_values_probs(U, model, eps=1e-9)
+        if kind == "exponential" and n >= 10:
+            assert 0.0 in P[8] and 0.0 not in P[0]
         for j in range(U.shape[0]):
             v_row, P_row = utilities_values_probs(U[j:j + 1], model, eps=1e-9)
             assert np.array_equal(P[j], P_row[0])
@@ -1088,6 +1096,37 @@ def test_kernel_rows_are_independent(kind):
             if model is not None:
                 assert np.array_equal(P[j], _kernel(cols(U[j:j + 1]), model, 1e-9)[:, 0])
                 assert np.array_equal(probs_from_utilities(U[j], model, eps=1e-9), P[j])
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS + (None,))
+def test_kernel_bits_do_not_depend_on_the_block_layout(kind):
+    # a block that is not C-contiguous, such as U.T of row-major rows or a
+    # strided slice, gives the bits of its C-ordered copy, with and without
+    # P and vals: numpy sums a column contiguous in memory pairwise, so
+    # the kernel copies such a block before it reduces over atoms
+    rng = np.random.default_rng(33)
+    n, k = 10, 50
+    model = None if kind is None else MarginalModel(kind, 0.1, np.full(n, 1.0 / n),
+                                                    q=1.5 if kind == "pareto" else None)
+    U = rng.normal(size=(k, n)).T
+    wide = np.repeat(U, 2, axis=1)[:, ::2]
+    assert U.flags.f_contiguous and not (U.flags.c_contiguous or wide.flags.c_contiguous)
+    before = U.tobytes()
+
+    def outputs(block):
+        out = []
+        if model is not None:
+            out.append(_kernel(block, model, 1e-9).tobytes())
+            P = np.empty((n, k))
+            out.append(_kernel(block, model, 1e-9, P).tobytes())
+        P, vals = np.empty((n, k)), np.empty(k)
+        _kernel(block, model, 1e-9, P, vals)
+        return out + [P.tobytes(), vals.tobytes()]
+
+    expected = outputs(np.ascontiguousarray(U))
+    assert outputs(U) == expected
+    assert outputs(wide) == expected
+    assert U.tobytes() == before
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS + (None,))
@@ -1175,6 +1214,20 @@ def test_choice_probabilities_validation(monkeypatch):
             else:
                 with pytest.raises(ValueError, match="choice probabilities sum to"):
                     probs_from_utilities(np.zeros(2), model, eps=1e-3)
+
+
+def test_mass_check_takes_the_index_order_total():
+    # the mass is the row's total added in index order, the order of every
+    # sum over atoms, not numpy's pairwise sum; the message reports it
+    row = np.random.default_rng(3).uniform(size=16)
+    row /= row.sum()
+    model = MarginalModel("exponential", 0.5, np.full(16, 1.0 / 16))
+    total = functools.reduce(operator.add, row.tolist())
+    assert total != float(row.sum())
+    with pytest.raises(ValueError) as exc:
+        _mass_checked(row * 2.0, model, None)
+    assert str(exc.value) == f"choice probabilities sum to {2.0 * total!r}"
+    assert _mass_checked(row, model, None) is row
 
 
 # ----------------------------------------------- dispatch and transforms

@@ -171,6 +171,65 @@ def test_sgd_matches_replay_over_many_bisection_blocks(kind, q):
     assert np.array_equal(trace.rows[-1].phi, rphi)
 
 
+def benchmark_instance(kind, q=None):
+    """The benchmark's target measure, the atoms of
+    demos/convergence_config.json with uniform weights, and its model of
+    ``kind`` (None for the plain max) at lambda 0.1 with uniform eta."""
+    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
+    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
+    return nu, None if kind is None else MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
+
+
+@pytest.mark.parametrize("kind,q,tikhonov", [
+    (None, None, 0.0), (None, None, 1e-8), ("exponential", None, 0.0), ("uniform", None, 0.0),
+    ("hyperbolic", None, 0.0), ("tdist", None, 0.0), ("pareto", 1.5, 0.0)])
+def test_sgd_matches_replay_on_the_benchmark_model(kind, q, tikhonov):
+    # the six oracles of the benchmark's one-shot SGD, the plain max with
+    # and without its Tikhonov term, against the replay bit for bit
+    nu, model = benchmark_instance(kind, q)
+    closed = model is None or model.kind in ("exponential", "uniform")
+    T = 2000 if closed else 500
+    cfg = SolverConfig(T=T, tikhonov=tikhonov) if model is None else sgd_config(model, T)
+    spec = SamplerSpec("gaussian-standard", d=2, seed=0)
+    under, bar, trace = averaged_sgd(spec, nu, SUP, model, cfg)
+    ru, rb, rphi = sgd_replay(spec, nu, SUP, model, cfg)
+    assert under.tobytes() == ru.tobytes() and bar.tobytes() == rb.tobytes()
+    assert trace.rows[-1].phi.tobytes() == rphi.tobytes()
+
+
+@pytest.mark.parametrize("tikhonov", [0.0, 1e-8])
+def test_sgd_plain_max_tie_goes_to_the_first_maximizer(tikhonov):
+    # one sample point lies 2^60 off along the first axis, where every
+    # atom's sup-norm cost rounds to 2^60 and so every utility to -2^60:
+    # an n-way tie, which the first atom must win at each of its steps
+    nu, _ = benchmark_instance(None)
+    points = np.vstack([draw(SamplerSpec("gaussian-standard", d=2, seed=0), 49),
+                        [[2.0 ** 60, 0.0]]])
+    spec = SamplerSpec("empirical", points=points, weights=np.full(50, 0.02), seed=1)
+    cfg = SolverConfig(T=400, tikhonov=tikhonov, log_every=1)
+    under, bar, trace = averaged_sgd(spec, nu, SUP, None, cfg)
+    ru, rb, _ = sgd_replay(spec, nu, SUP, None, cfg)
+    assert under.tobytes() == ru.tobytes() and bar.tobytes() == rb.tobytes()
+    ties = np.flatnonzero(draw(spec, cfg.T)[:, 0] == 2.0 ** 60)
+    assert ties.size >= 3
+    phis = np.array([np.zeros(10)] + [row.phi for row in trace.rows])
+    for t in ties:
+        damped = cfg.step * (nu.weights - 2.0 * tikhonov * phis[t])
+        step = phis[t + 1] - phis[t]
+        assert step[0] < 0.0 and np.allclose(step[1:], damped[1:], rtol=1e-12, atol=0.0)
+
+
+def test_sgd_rejects_a_tikhonov_term_with_a_model():
+    # the term damps only the plain subgradient; with a model it would be
+    # ignored, so the run is refused rather than silently undamped
+    nu, model = benchmark_instance("exponential")
+    spec = SamplerSpec("gaussian-standard", d=2, seed=0)
+    with pytest.raises(ValueError, match=r"^tikhonov=10\.0 applies only to the plain"):
+        averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5, tikhonov=10.0))
+    under, bar, _ = averaged_sgd(spec, nu, SUP, model, SolverConfig(T=5))
+    assert np.isfinite(under).all() and np.isfinite(bar).all()
+
+
 @pytest.mark.parametrize("kind,q", [("hyperbolic", None), ("tdist", None), ("pareto", 1.5)])
 def test_sgd_oracle_rows_match_frozen_bisection(monkeypatch, kind, q):
     # every oracle row of a 5,000-step run on the benchmark's model (the
@@ -179,9 +238,7 @@ def test_sgd_oracle_rows_match_frozen_bisection(monkeypatch, kind, q):
     # against the old row-major frozen copy bit for bit. The hook sits on
     # the entry SGD calls, which takes each utility row as a 1-d array
     import sdot.solver as solver_mod
-    atom_rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(16)))
-    nu = DiscreteMeasure(atom_rng.uniform(-1.0, 1.0, size=(10, 2)), np.full(10, 0.1))
-    model = MarginalModel(kind, 0.1, np.full(10, 0.1), q=q)
+    nu, model = benchmark_instance(kind, q)
     kernel, calls = solver_mod._kernel, []
 
     def recording_kernel(u, model, eps):
@@ -258,7 +315,7 @@ def test_sgd_rejects_oracle_rows_off_the_simplex(monkeypatch, kind, eps_bar, bad
 def test_sgd_update_arithmetic_and_gradient_bound(kind):
     # every logged step replayed on fresh arrays: the loop rewrites its
     # utilities and update in place, and the plain max (here with a
-    # Tikhonov term) resets its one-hot row after each step
+    # Tikhonov term) builds its damped one-hot row in the update buffer
     rng = np.random.default_rng(43)
     nu = random_measure(rng, 5, 2)
     model = None if kind == "none" else MarginalModel(kind, 0.3, np.full(5, 0.2))
