@@ -26,8 +26,8 @@ from .core import (CostSpec, DiscreteMeasure, SamplerSpec, _array, _check_finite
 from .hardness import (KnapsackInstance, QuadratureSpec, _search_levels, exact_knapsack_volume,
                        knapsack_volume_via_ot)
 from .noise import MarginalModel, _check_utilities, _utilities, _value_probs_row
-from .solver import (TIMING_MODES, _lp_stack, _timed_csv, averaged_sgd, dual_objective_estimate,
-                     finite_sample_reference, sgd_config)
+from .solver import (TIMING_MODES, _direct_lp, _lp_stack, _timed_csv, averaged_sgd,
+                     dual_objective_estimate, finite_sample_reference, sgd_config)
 
 CONFIG_VERSION = 1
 CSV_HEADER = "model,T,seed,subopt,potgap,ms"
@@ -379,18 +379,26 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
         seed) and the path of the CSV they were written to.
 
     Each cell runs as two independent tasks, its reference and its SGD
-    run with the estimate, the reference submitted first, so a pool
-    keeps every worker busy to the end. Inline, the same tasks run in
-    the same order. A cell is paired when both halves are in, appended
-    to manifest.jsonl with its SGD and estimate seconds (``sgd_s``,
+    run with the estimate, the reference submitted first. Cells are
+    submitted longest first (Graham's list scheduling): cells whose
+    reference is the direct transport LP, then descending T, config order
+    breaking ties. That shortens the tail a first-in, first-out pool
+    leaves when a long task starts last, but does not remove it: a
+    worker idles once no task is left to take. Inline, the same tasks
+    run in the same order. A cell is paired when both halves are in,
+    appended to manifest.jsonl with its SGD and estimate seconds (``sgd_s``,
     ``estimate_s``), a ``reference`` object (the reference's method,
     certificate and seconds) and the larger peak memory of the processes
     that ran its halves (``rss_mb``), and reported in one progress line
     on stderr; so a failed run leaves a resumable, diagnosable trail.
     With records.csv goes summary.json, which names the slowest cell, its
-    slowest stage, the cell with the largest ``rss_mb`` and every cell
-    whose reference is not certified. Both are written as new files
-    (:func:`_write_new`), as is the manifest of a fresh run.
+    slowest stage, the cell with the largest ``rss_mb``, every cell
+    whose reference is not certified, and this invocation's schedule:
+    ``wall_s`` from the first submission to the last pairing, the
+    ``workers`` it used (1 inline) and ``busy_s``, the sum of its cells'
+    stage seconds, so ``workers * wall_s - busy_s`` is the workers' idle
+    time. Both are written as new files (:func:`_write_new`), as is the
+    manifest of a fresh run.
     """
     _count(workers, "workers", least=1)
     out = Path(out_dir) if out_dir is not None else Path(config.out_dir)
@@ -420,6 +428,11 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
              for T in config.t_grid
              for seed in config.seeds]
     pending = [cell for cell in cells if (cell[0], cell[2], cell[3]) not in done]
+    # longest first: direct-LP references, then descending T; sorted() is
+    # stable, so config order breaks ties
+    n_atoms = config.measure.n_atoms
+    pending.sort(key=lambda cell: (not _direct_lp(cell[1], config.multiplier * cell[2], n_atoms),
+                                   -cell[2]))
     tasks = [task for cell in pending for task in (
         ("reference", _reference_half, cell), ("sgd", _sgd_half, cell))]
     with manifest.open(mode) as mf:
@@ -427,21 +440,24 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
             mf.write(json.dumps({"config_hash": digest, "version": CONFIG_VERSION}) + "\n")
             mf.flush()
         with ExitStack() as stack:
+            # summary.json's wall_s runs from the first submission to the last pairing
             if workers == 1 or not pending:
+                used, t0 = 1, time.perf_counter()
                 results = ((name, cell, half(config, *cell[1:])) for name, half, cell in tasks)
             else:
                 if any(cell[1] is None for cell in pending):
                     # forked workers inherit the parent's modules: import the
                     # LP stack once here, not once in each worker
                     _lp_stack()
-                pool = stack.enter_context(
-                    ProcessPoolExecutor(max_workers=min(workers, len(tasks))))
+                used = min(workers, len(tasks))
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=used))
                 # on a failure, drop the tasks not yet started
                 stack.callback(pool.shutdown, cancel_futures=True)
+                t0 = time.perf_counter()
                 futures = {pool.submit(half, config, *cell[1:]): (name, cell)
                            for name, half, cell in tasks}
                 results = (futures[fut] + (fut.result(),) for fut in as_completed(futures))
-            halves = {}
+            halves, busy_s = {}, 0.0
             for name, (tag, _, T, seed), result in results:
                 key = (tag, T, seed)
                 parts = halves.setdefault(key, {})
@@ -450,13 +466,16 @@ def run_convergence_experiment(config: ExperimentConfig, out_dir=None,
                     continue
                 rec, cell_stages = _pair_halves(*key, **halves.pop(key))
                 done[key], stages[key] = rec, cell_stages
+                busy_s += rec.ms / 1000.0
                 mf.write(_manifest_line(rec, cell_stages) + "\n")
                 mf.flush()
                 print(_progress(len(done), len(cells), rec, cell_stages), file=sys.stderr)
+            run = {"wall_s": time.perf_counter() - t0, "workers": used, "busy_s": busy_s}
     records = [done[(tag, T, seed)] for tag, _, T, seed in cells]
     csv_path = out / "records.csv"
     _write_new(csv_path, records_to_csv(records, timing=config.timing))
-    _write_new(out / "summary.json", json.dumps(_summary(records, stages), indent=2) + "\n")
+    summary = {**_summary(records, stages), **run}
+    _write_new(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     return records, csv_path
 
 

@@ -689,10 +689,15 @@ def _kernel(U: np.ndarray, model: MarginalModel | None, eps: float | None, P=Non
     block with ``model=None`` gets the plain max and one-hot columns (first
     maximizer on ties), into ``P`` and ``vals``. A block that is not
     C-contiguous is copied first, since numpy sums a column that is
-    contiguous in memory pairwise, not in index order.
+    contiguous in memory pairwise, not in index order; a ``P`` that is not
+    C-contiguous gets its probabilities from a C-ordered buffer, since
+    the kernels reduce in their output.
     """
     if U.ndim == 2 and not U.flags.c_contiguous:
         U = np.ascontiguousarray(U)
+    if P is not None and not P.flags.c_contiguous:
+        P[...] = _kernel(U, model, eps, np.empty(P.shape), vals)
+        return P
     if model is None:
         cols = np.arange(U.shape[1])
         win = np.argmax(U, axis=0)

@@ -338,6 +338,13 @@ _PILOT_LAM = 2e-3
 _PILOT_TOL = 1e-4
 
 
+def _direct_lp(model: MarginalModel | None, m: int, n: int) -> bool:
+    """True when the reference of an m-sample, n-atom problem under
+    ``model`` is the direct transport LP: no model, at most
+    ``_DIRECT_LIMIT`` variables."""
+    return model is None and m * n <= _DIRECT_LIMIT
+
+
 def _lp_stack():
     """scipy's sparse matrices and HiGHS ``linprog``, imported on the first
     call. The import takes 0.56-0.62 s and 44 MB of peak memory on a 2-core
@@ -496,7 +503,7 @@ def finite_sample_reference(sampler, nu: DiscreteMeasure, c: CostSpec,
     if model is None or model.kind in CLOSED_FORM_KINDS:
         del X  # only the long run below draws from the sample again
     if model is None:
-        reduced = m * n > _DIRECT_LIMIT
+        reduced = not _direct_lp(model, m, n)
         if reduced:
             value, phi, cert = _reduced_transport_value_phi(C, w, nu.weights)
         else:

@@ -361,6 +361,33 @@ def test_measured_ms_is_the_sum_of_the_stage_seconds(tmp_path):
         assert float(row.split(",")[-1]) == cells[(rec.model, rec.T, rec.seed)]["ms"] == rec.ms
 
 
+def test_summary_reports_the_schedule_of_this_invocation(tmp_path, monkeypatch):
+    # wall_s, workers and busy_s give the workers' idle time, workers *
+    # wall_s - busy_s; busy_s sums the stage seconds of this invocation's
+    # cells only, so a resume that runs nothing reports none
+    import sdot.cli as cli_mod
+    cfg = ExperimentConfig.from_json(tiny_config_dict(timing="measured"))
+    runs = {"inline": (1, False), "pool": (3, True), "process-pool": (2, False)}
+    for name, (workers, fake) in runs.items():
+        out = tmp_path / name
+        with monkeypatch.context() as patch:
+            if fake:
+                patch.setattr(cli_mod, "ProcessPoolExecutor", _InlinePool)
+            records, _ = run_convergence_experiment(cfg, out_dir=out, workers=workers)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["workers"] == workers
+        busy = sum(rec.ms for rec in records) / 1000.0
+        assert summary["busy_s"] == pytest.approx(busy, rel=1e-12)
+        assert 0.0 < summary["busy_s"] <= workers * summary["wall_s"]
+        if workers == 1 or fake:  # one task at a time: the stages fill the wall time
+            assert summary["busy_s"] <= summary["wall_s"]
+    run_convergence_experiment(cfg, out_dir=tmp_path / "pool", workers=3, resume=True)
+    summary = json.loads((tmp_path / "pool" / "summary.json").read_text())
+    assert summary["cells"] == 12 and summary["slowest"] is not None
+    assert summary["workers"] == 1 and summary["busy_s"] == 0.0
+    assert 0.0 <= summary["wall_s"] < 0.1
+
+
 def test_summary_names_slowest_cell_and_uncertified_references(tmp_path, capsys):
     cfg = ExperimentConfig.from_json(tiny_config_dict(models=[
         {"kind": "exponential", "lambda": 0.5, "eta": [1 / 3, 1 / 3, 1 / 3]},
@@ -391,7 +418,8 @@ def test_summary_names_slowest_cell_and_uncertified_references(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     progress = captured.err.splitlines()
-    assert len(progress) == 12 and progress[-1].startswith("[12/12] hyperbolic T=40 seed=1: ")
+    # cells run longest first, so the last one is the config's last at the smallest T
+    assert len(progress) == 12 and progress[-1].startswith("[12/12] hyperbolic T=10 seed=1: ")
 
 
 def test_resume_rejects_other_config(tmp_path):
@@ -660,6 +688,51 @@ def test_experiment_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch
             f"error: workers must be an integer of at least 1, got {bad}\n")
         assert not out.exists()
     assert _InlinePool.sizes == [24, 3]
+
+
+def test_experiment_submits_cells_longest_first(tmp_path, monkeypatch):
+    # cells whose reference is the direct LP go first, then descending T,
+    # config order breaking ties; each cell's reference goes before its SGD
+    # half, and an inline run takes the same sequence. records.csv keeps
+    # config order. At a direct-LP limit of 200 variables, the 3-atom none
+    # references at T = 10 and 20 (60 and 120 variables) are direct and
+    # the one at T = 40 is boundary-reduced.
+    import sdot.cli as cli_mod
+    import sdot.solver as solver_mod
+    monkeypatch.setattr(solver_mod, "_DIRECT_LIMIT", 200)
+    monkeypatch.setattr(cli_mod, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = ExperimentConfig.from_json(tiny_config_dict())
+    tags = {id(model): tag for tag, model in cfg.models}
+    ran = []
+
+    def recording(half):
+        def run(config, model, T, seed):
+            ran.append((half.__name__, tags[id(model)], T, seed))
+            return half(config, model, T, seed)
+        return run
+
+    for name in ("_reference_half", "_sgd_half"):
+        monkeypatch.setattr(cli_mod, name, recording(getattr(cli_mod, name)))
+    order = [("none", 20, 0), ("none", 20, 1), ("none", 10, 0), ("none", 10, 1),
+             ("none", 40, 0), ("none", 40, 1), ("exponential", 40, 0), ("exponential", 40, 1),
+             ("exponential", 20, 0), ("exponential", 20, 1),
+             ("exponential", 10, 0), ("exponential", 10, 1)]
+    expected = [(half, *cell) for cell in order for half in ("_reference_half", "_sgd_half")]
+    _, pooled = run_convergence_experiment(cfg, out_dir=tmp_path / "pool", workers=2)
+    assert _InlinePool.sizes == [2] and ran == expected
+    ran.clear()
+    inline, csv_path = run_convergence_experiment(cfg, out_dir=tmp_path / "inline")
+    assert _InlinePool.sizes == [2] and ran == expected
+    assert Path(pooled).read_bytes() == Path(csv_path).read_bytes()
+    assert [(r.model, r.T, r.seed) for r in inline] == [
+        (tag, T, seed) for tag in ("none", "exponential") for T in (10, 20, 40) for seed in (0, 1)]
+    # the order's direct-LP test is the reference's own
+    lines = (tmp_path / "inline" / "manifest.jsonl").read_text().splitlines()[1:]
+    reduced = {(d["T"], d["seed"]): d["reference"]["reduced"]
+               for d in map(json.loads, lines) if d["model"] == "none"}
+    assert reduced == {(T, seed): T == 40 for T in (10, 20, 40) for seed in (0, 1)}
+    assert [(d["model"], d["T"], d["seed"]) for d in map(json.loads, lines)] == order
 
 
 @pytest.mark.parametrize("kind, q", [("pareto", 3.0), ("hyperbolic", None)])

@@ -22,12 +22,18 @@ the manifest's own ``open``, which appends on ``--resume``. An eleventh
 keeps one source of choice probabilities: ``solver.py`` calls no
 ``np.exp``, ``np.log``, ``np.sinh``, ``np.sqrt``, ``np.power`` or
 ``.clip(``, so every probability it uses comes from ``noise._kernel``.
+A twelfth keeps the suite's pools from oversubscribing the cores:
+``tests/conftest.py`` pins BLAS to one thread, and refuses a session in
+which numpy was imported first.
 """
 
 import ast
 import inspect
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 from sdot import cli, core, hardness, noise, solver
@@ -527,3 +533,18 @@ def test_bench_check_flags_planted_names():
         "noise.bisection_probs does not exist",
         "solver.averaged_sgd takes no keyword 'seed'",
     ]
+
+
+def test_conftest_pins_blas_threads_before_numpy_loads():
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    assert all(var in os.environ for var in threads)
+    conftest = str(ROOT / "tests" / "conftest.py")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    probe = ("import os, runpy, sys; runpy.run_path(sys.argv[1]); "
+             f"print([os.environ[v] for v in {threads!r}])")
+    done = subprocess.run([sys.executable, "-c", probe, conftest], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "['1', '1', '1']\n"
+    late = subprocess.run([sys.executable, "-c", "import numpy; " + probe, conftest], env=env,
+                          capture_output=True, text=True)
+    assert late.returncode != 0 and "RuntimeError: numpy was imported before" in late.stderr

@@ -1102,8 +1102,10 @@ def test_kernel_rows_are_independent(kind):
 def test_kernel_bits_do_not_depend_on_the_block_layout(kind):
     # a block that is not C-contiguous, such as U.T of row-major rows or a
     # strided slice, gives the bits of its C-ordered copy, with and without
-    # P and vals: numpy sums a column contiguous in memory pairwise, so
-    # the kernel copies such a block before it reduces over atoms
+    # P and vals, and so does an output P in such a layout: numpy sums a
+    # column contiguous in memory pairwise, so the kernel copies such a
+    # block before it reduces over atoms, and fills such a P from a
+    # C-ordered buffer
     rng = np.random.default_rng(33)
     n, k = 10, 50
     model = None if kind is None else MarginalModel(kind, 0.1, np.full(n, 1.0 / n),
@@ -1113,19 +1115,27 @@ def test_kernel_bits_do_not_depend_on_the_block_layout(kind):
     assert U.flags.f_contiguous and not (U.flags.c_contiguous or wide.flags.c_contiguous)
     before = U.tobytes()
 
-    def outputs(block):
+    # output buffers: C-ordered, F-ordered, and every other column of a wider one
+    layouts = (lambda: np.empty((n, k)), lambda: np.empty((n, k), order="F"),
+               lambda: np.empty((n, 2 * k))[:, ::2])
+
+    def outputs(block, buffer):
         out = []
         if model is not None:
             out.append(_kernel(block, model, 1e-9).tobytes())
-            P = np.empty((n, k))
-            out.append(_kernel(block, model, 1e-9, P).tobytes())
-        P, vals = np.empty((n, k)), np.empty(k)
-        _kernel(block, model, 1e-9, P, vals)
+            P = buffer()
+            assert _kernel(block, model, 1e-9, P) is P
+            out.append(P.tobytes())
+        P, vals = buffer(), np.empty(k)
+        assert _kernel(block, model, 1e-9, P, vals) is P
         return out + [P.tobytes(), vals.tobytes()]
 
-    expected = outputs(np.ascontiguousarray(U))
-    assert outputs(U) == expected
-    assert outputs(wide) == expected
+    expected = outputs(np.ascontiguousarray(U), layouts[0])
+    for buffer in layouts:
+        assert outputs(np.ascontiguousarray(U), buffer) == expected
+        assert outputs(U, buffer) == expected
+        assert outputs(wide, buffer) == expected
+    assert not (layouts[1]().flags.c_contiguous or layouts[2]().flags.c_contiguous)
     assert U.tobytes() == before
 
 
